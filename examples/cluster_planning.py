@@ -32,7 +32,7 @@ def main() -> None:
         for label, cfg in shapes.items():
             print(f"  {label}:")
             degrees = [t for t in (2, 4, 6, 8) if t <= tp.topology.gpus_per_node]
-            table = tp.scaling_table(cfg, degrees)
+            table = tp.layer_costs(cfg, degrees)
             for t in degrees:
                 if t not in table:
                     print(f"    t={t}: INFEASIBLE (h or a not divisible by {t})")

@@ -11,7 +11,7 @@ breakdown is exactly what the paper's Figs 1, 2 and 11 report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence
 
 from repro.core.config import TransformerConfig
 from repro.core.gemms import TransformerGemm, layer_gemms, logit_gemm
@@ -44,6 +44,9 @@ GEMM_COMPONENTS = (
     "logit",
     "flash_attention",
 )
+
+#: Unfused attention BMMs the FlashAttention kernel replaces.
+_FLASH_FUSED = ("attention_score", "attention_over_value")
 
 
 @dataclass
@@ -180,33 +183,50 @@ class LayerLatencyModel:
         """Evaluate one Table II operator on the GPU substrate."""
         return self.gemm_model.evaluate(op.m, op.n, op.k, batch=op.batch)
 
-    def _layer_gemm_components(
-        self, cfg: TransformerConfig
-    ) -> "List[Tuple[str, float, int]]":
-        """(name, seconds, flops) per GEMM operator of one layer."""
-        out = []
-        for op in layer_gemms(cfg):
-            if self.flash and op.module in ("attention_score", "attention_over_value"):
-                continue
-            perf = self.gemm_perf(op)
-            out.append((op.module, perf.latency_s, op.flops))
+    def layer_ops(self, cfg: TransformerConfig) -> List[TransformerGemm]:
+        """The layer's GEMMs this model prices, in execution order.
+
+        Under FlashAttention the score and attention-over-value BMMs are
+        fused into one kernel that :meth:`compose_layer` prices itself.
+        """
+        ops = layer_gemms(cfg)
+        if self.flash:
+            ops = [op for op in ops if op.module not in _FLASH_FUSED]
+        return ops
+
+    def compose_layer(
+        self,
+        cfg: TransformerConfig,
+        ops: Sequence[TransformerGemm],
+        gemm_latencies: Sequence[float],
+    ) -> LatencyBreakdown:
+        """One layer's breakdown from its priced :meth:`layer_ops`.
+
+        ``gemm_latencies[i]`` is the latency of ``ops[i]`` in seconds,
+        from the scalar model or the engine alike (the two agree
+        bit-for-bit), so every caller composes the same totals.
+        """
+        bd = LatencyBreakdown()
+        for op, seconds in zip(ops, gemm_latencies):
+            bd.add(op.module, seconds)
+            bd.flops += op.flops
         if self.flash:
             batch = cfg.microbatch * cfg.num_heads // cfg.tp_degree
             fp = self.flash_model.evaluate(batch, cfg.seq_len, cfg.head_dim)
-            out.append(("flash_attention", fp.latency_s, fp.flops))
-        return out
+            bd.add("flash_attention", fp.latency_s)
+            bd.flops += fp.flops
+        for name, seconds in self._layer_pointwise(cfg).items():
+            bd.add(name, seconds)
+        return bd
 
     # -- public API ------------------------------------------------------------------
 
     def layer_breakdown(self, cfg: TransformerConfig) -> LatencyBreakdown:
         """Latency breakdown of a single transformer layer."""
-        bd = LatencyBreakdown()
-        for name, seconds, flops in self._layer_gemm_components(cfg):
-            bd.add(name, seconds)
-            bd.flops += flops
-        for name, seconds in self._layer_pointwise(cfg).items():
-            bd.add(name, seconds)
-        return bd
+        ops = self.layer_ops(cfg)
+        return self.compose_layer(
+            cfg, ops, [self.gemm_perf(op).latency_s for op in ops]
+        )
 
     def layer_latency(self, cfg: TransformerConfig) -> float:
         """Seconds for one layer's forward pass."""

@@ -180,12 +180,11 @@ def run_case_6gpu() -> ResultTable:
             cfg = get_model("gpt3-2.7b").with_overrides(
                 name=f"h{h}", hidden_size=h, num_heads=a, microbatch=6
             )
-            for t in (1, 2, 4, 6, 8):
-                if t > max_t:
-                    continue
-                try:
-                    cost = tp_model.layer_cost(cfg, t)
-                except Exception:
+            degrees = [t for t in (1, 2, 4, 6, 8) if t <= max_t]
+            costs = tp_model.layer_costs(cfg, degrees)
+            for t in degrees:
+                cost = costs.get(t)
+                if cost is None:
                     table.add(system, h, t, False, 0, 0, float("nan"))
                     continue
                 h_t = h // t

@@ -21,6 +21,8 @@ Extensions probe territory the paper motivates but leaves open:
 
 from __future__ import annotations
 
+from typing import cast
+
 from repro.core.config import TransformerConfig, get_model
 from repro.core.latency import LayerLatencyModel
 from repro.core.formulas import forward_flops_per_layer
@@ -588,7 +590,7 @@ def run_ext_seqpar() -> ResultTable:
     Per TP degree: layer latency with plain TP vs TP+SP, the pointwise
     time SP shards away, and the norm-region activation saving.
     """
-    from repro.parallelism.sequence_parallel import SequenceParallelLayer
+    from repro.parallelism.sequence_parallel import SequenceParallelLayer, SPLayerCost
     from repro.parallelism.tensor_parallel import TensorParallelLayer
 
     tp = TensorParallelLayer("aws-p4d")
@@ -598,9 +600,12 @@ def run_ext_seqpar() -> ResultTable:
         "Extension: sequence parallelism on top of TP (GPT-3 6.7B)",
         ["tp", "tp_ms", "sp_ms", "pointwise_saved_ms", "activation_saving"],
     )
-    for t in (2, 4, 8):
-        tc = tp.layer_cost(cfg, t)
-        sc = sp.layer_cost(cfg, t)
+    degrees = (2, 4, 8)
+    tp_costs = tp.layer_costs(cfg, degrees)
+    sp_costs = sp.layer_costs(cfg, degrees)
+    for t in degrees:
+        tc = tp_costs[t]
+        sc = cast(SPLayerCost, sp_costs[t])
         table.add(
             t,
             tc.total_s * 1e3,

@@ -28,10 +28,13 @@ from typing import List, Optional
 from repro.core.config import TransformerConfig
 from repro.core.formulas import kv_cache_bytes  # noqa: F401  (re-exported convenience)
 from repro.core.memory import MemoryBudget
-from repro.engine import cache as engine_cache
 from repro.errors import CapacityError, ParallelismError
 from repro.parallelism.pipeline import PipelinePlan
-from repro.parallelism.tensor_parallel import TensorParallelLayer, validate_tp_feasible
+from repro.parallelism.tensor_parallel import (
+    TensorParallelLayer,
+    TPLayerCost,
+    validate_tp_feasible,
+)
 from repro.parallelism.topology import NodeTopology, get_system
 from repro.trainstep.memory import TrainStepMemory, estimate_memory
 from repro.types import DType
@@ -91,19 +94,6 @@ class ParallelPlanner:
         self.dtype = DType.parse(dtype)
         self.num_microbatches = num_microbatches
         self.tp_model = TensorParallelLayer(self.topology, self.dtype)
-        # plan() re-evaluates the same (cfg, t) layer cost for every
-        # pipeline/data split of the same tensor degree; memoize it.
-        # TransformerConfig is frozen/hashable, and the model version
-        # guards against calibration mutating the alignment constants.
-        self._layer_cost_memo: dict = {}
-
-    def _layer_cost(self, cfg: TransformerConfig, t: int):
-        key = (cfg, t, engine_cache.model_version())
-        cost = self._layer_cost_memo.get(key)
-        if cost is None:
-            cost = self.tp_model.layer_cost(cfg, t)
-            self._layer_cost_memo[key] = cost
-        return cost
 
     # -- memory ----------------------------------------------------------------
 
@@ -167,12 +157,23 @@ class ParallelPlanner:
         checkpointing: str = "none",
     ) -> ParallelPlan:
         """Score one decomposition (raises if TP is infeasible)."""
-        validate_tp_feasible(cfg, t)
+        layer = self.tp_model.layer_cost(cfg, t)
+        return self._score(cfg, t, p, d, checkpointing, layer)
+
+    def _score(
+        self,
+        cfg: TransformerConfig,
+        t: int,
+        p: int,
+        d: int,
+        checkpointing: str,
+        layer: TPLayerCost,
+    ) -> ParallelPlan:
+        """Score one decomposition given its TP layer cost."""
         if cfg.num_layers < p:
             raise ParallelismError(
                 f"{p} pipeline stages exceed {cfg.num_layers} layers"
             )
-        layer = self._layer_cost(cfg, t)
         layer_time = layer.total_s
         if checkpointing == "full":
             layer_time *= _RECOMPUTE_FACTOR
@@ -233,15 +234,16 @@ class ParallelPlanner:
         policies = (
             ("none", "full") if checkpointing == "auto" else (checkpointing,)
         )
+        # TP across nodes is never competitive; price every remaining
+        # degree's layer in one engine grid up front.
+        degrees = [t for t in _divisors(num_gpus) if t <= self.topology.gpus_per_node]
         plans = []
-        for t in _divisors(num_gpus):
-            if t > self.topology.gpus_per_node:
-                continue  # TP across nodes is never competitive
+        for t, layer in self.tp_model.layer_costs(cfg, degrees).items():
             for p in _divisors(num_gpus // t):
                 d = num_gpus // (t * p)
                 for policy in policies:
                     try:
-                        plan = self.evaluate(cfg, t, p, d, checkpointing=policy)
+                        plan = self._score(cfg, t, p, d, policy, layer)
                     except ParallelismError:
                         break  # infeasible for reasons checkpointing can't fix
                     if plan.fits_memory or not require_fit:

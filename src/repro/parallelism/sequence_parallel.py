@@ -25,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import TransformerConfig
-from repro.core.latency import GEMM_COMPONENTS
+from repro.core.latency import LatencyBreakdown
 from repro.errors import ParallelismError
 from repro.parallelism.tensor_parallel import TensorParallelLayer, TPLayerCost
-from repro.parallelism.topology import NodeTopology
 
 
 def validate_sp_feasible(cfg: TransformerConfig, t: int) -> None:
@@ -50,16 +49,21 @@ class SPLayerCost(TPLayerCost):
 class SequenceParallelLayer(TensorParallelLayer):
     """Layer cost under combined tensor + sequence parallelism."""
 
-    def layer_cost(self, cfg: TransformerConfig, t: int) -> SPLayerCost:
+    def shard_config(self, cfg: TransformerConfig, t: int) -> TransformerConfig:
+        """The rank's configuration; SP also needs ``s % t == 0``."""
+        validate_sp_feasible(cfg, t)
+        return super().shard_config(cfg, t)
+
+    def _compose(
+        self, cfg: TransformerConfig, t: int, bd: LatencyBreakdown
+    ) -> SPLayerCost:
         """Per-rank cost with sequence-sharded pointwise regions.
 
         GEMM time is identical to plain TP (same per-rank shapes);
         pointwise kernels process s/t tokens each; the collectives move
-        the same bytes as TP's all-reduces.
+        the same bytes as TP's all-reduces (all-gather + reduce-scatter
+        per GEMM region x 2 regions == 2 ring all-reduces' volume).
         """
-        validate_sp_feasible(cfg, t)
-        sharded = self.shard_config(cfg, t)
-        bd = self.latency_model.layer_breakdown(sharded)
         gemm_s = bd.gemm_s
         pointwise_s = bd.total_s - gemm_s
         # Softmax lives inside the attention region (already sharded by
@@ -68,17 +72,9 @@ class SequenceParallelLayer(TensorParallelLayer):
         shardable = pointwise_s - softmax_s
         sp_pointwise = shardable / t + softmax_s
         saved = shardable - shardable / t
-
-        comm_model = self.topology.comm_for(t)
-        activation_bytes = (
-            cfg.microbatch * cfg.seq_len * cfg.hidden_size * self.dtype.bytes
-        )
-        # all-gather + reduce-scatter per GEMM region x 2 regions ==
-        # 2 ring all-reduces' volume.
-        comm = 2 * comm_model.allreduce(activation_bytes, t)
         return SPLayerCost(
             compute_s=gemm_s + sp_pointwise,
-            comm_s=comm,
+            comm_s=self._allreduce_pair_s(cfg, t),
             tp_degree=t,
             pointwise_saved_s=saved,
         )

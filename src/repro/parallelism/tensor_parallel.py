@@ -4,17 +4,28 @@ Column-parallel QKV / MLP-up, row-parallel projection / MLP-down, one
 all-reduce after the attention block and one after the MLP block (per
 forward pass).  The per-rank GEMM shapes are the paper's Table II with
 the ``/t`` divisions, so this module also encodes the feasibility rules
-the Sec VII-A case study turns on: ``a % t == 0`` and ``d_ff % t == 0``.
+the Sec VII-A case study turns on: ``a % t == 0`` and ``d_ff % t == 0``
+(plus ``kv_heads % t == 0``, which grouped-query attention adds).
+
+:meth:`TensorParallelLayer.layer_costs` prices every requested degree's
+per-rank GEMMs in **one** engine grid (a ``t`` annotation column keeps
+the degrees apart) and composes each degree's breakdown with the same
+:meth:`~repro.core.latency.LayerLatencyModel.compose_layer` the scalar
+path uses, so totals are bit-identical to pricing one GEMM at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterable, List
+
+import numpy as np
 
 from repro.core.config import TransformerConfig
 from repro.core.gemms import TransformerGemm, layer_gemms
-from repro.core.latency import LayerLatencyModel
+from repro.core.latency import LatencyBreakdown, LayerLatencyModel
+from repro.engine.core import default_engine
+from repro.engine.grid import ShapeGrid
 from repro.errors import ParallelismError
 from repro.parallelism.comm import CommModel
 from repro.parallelism.topology import NodeTopology, get_system
@@ -30,6 +41,8 @@ def validate_tp_feasible(cfg: TransformerConfig, t: int) -> None:
         problems.append(f"a={cfg.num_heads} not divisible by t={t}")
     if cfg.hidden_size % t:
         problems.append(f"h={cfg.hidden_size} not divisible by t={t}")
+    if cfg.kv_heads % t:
+        problems.append(f"kv_heads={cfg.kv_heads} not divisible by t={t}")
     if cfg.d_ff % t:
         problems.append(f"d_ff={cfg.d_ff} not divisible by t={t}")
     if (cfg.microbatch * cfg.num_heads) % t:
@@ -85,25 +98,66 @@ class TensorParallelLayer:
         return layer_gemms(self.shard_config(cfg, t))
 
     def layer_cost(self, cfg: TransformerConfig, t: int) -> TPLayerCost:
-        """Per-rank compute + collective time of one layer forward."""
-        sharded = self.shard_config(cfg, t)
-        compute = self.latency_model.layer_latency(sharded)
-        comm_model = self.topology.comm_for(t)
+        """Per-rank compute + collective time of one layer forward.
+
+        Raises :class:`ParallelismError` if ``t`` cannot shard ``cfg``.
+        """
+        return self._price(cfg, {t: self.shard_config(cfg, t)})[t]
+
+    def layer_costs(
+        self, cfg: TransformerConfig, degrees: Iterable[int]
+    ) -> Dict[int, TPLayerCost]:
+        """Layer cost per feasible TP degree (infeasible ones omitted).
+
+        Every feasible degree's per-rank GEMMs are priced in one engine
+        grid, so sweeping degrees costs one engine call, not one scalar
+        call per GEMM.
+        """
+        shards: Dict[int, TransformerConfig] = {}
+        for t in degrees:
+            try:
+                shards[t] = self.shard_config(cfg, t)
+            except ParallelismError:
+                continue
+        return self._price(cfg, shards)
+
+    def _price(
+        self, cfg: TransformerConfig, shards: Dict[int, TransformerConfig]
+    ) -> Dict[int, TPLayerCost]:
+        if not shards:
+            return {}
+        model = self.latency_model
+        ops = {t: model.layer_ops(shard) for t, shard in shards.items()}
+        rows = [(op.batch, op.m, op.n, op.k, t) for t in ops for op in ops[t]]
+        cols = np.asarray(rows, dtype=np.int64)
+        grid = ShapeGrid.from_columns(
+            batch=cols[:, 0], m=cols[:, 1], n=cols[:, 2], k=cols[:, 3], t=cols[:, 4]
+        )
+        result = default_engine().evaluate_grid(grid, model.spec, self.dtype)
+        latency = result.column("latency_s")
+        degree = grid.column("t")
+        return {
+            t: self._compose(
+                cfg,
+                t,
+                model.compose_layer(
+                    shards[t], ops[t], latency[degree == t].tolist()
+                ),
+            )
+            for t in shards
+        }
+
+    def _compose(
+        self, cfg: TransformerConfig, t: int, bd: LatencyBreakdown
+    ) -> TPLayerCost:
+        """A degree's cost from its per-rank layer breakdown."""
+        return TPLayerCost(
+            compute_s=bd.total_s, comm_s=self._allreduce_pair_s(cfg, t), tp_degree=t
+        )
+
+    def _allreduce_pair_s(self, cfg: TransformerConfig, t: int) -> float:
+        """Megatron forward: one all-reduce after attention, one after MLP."""
         activation_bytes = (
             cfg.microbatch * cfg.seq_len * cfg.hidden_size * self.dtype.bytes
         )
-        # Megatron forward: one all-reduce after attention, one after MLP.
-        comm = 2 * comm_model.allreduce(activation_bytes, t)
-        return TPLayerCost(compute_s=compute, comm_s=comm, tp_degree=t)
-
-    def scaling_table(
-        self, cfg: TransformerConfig, degrees: "List[int]"
-    ) -> Dict[int, TPLayerCost]:
-        """Layer cost per feasible TP degree (infeasible ones omitted)."""
-        out: Dict[int, TPLayerCost] = {}
-        for t in degrees:
-            try:
-                out[t] = self.layer_cost(cfg, t)
-            except ParallelismError:
-                continue
-        return out
+        return 2 * self.topology.comm_for(t).allreduce(activation_bytes, t)

@@ -75,6 +75,14 @@ class TestCapacityMatrix:
             if (t, 2 * p) in cells:
                 assert cells[(t, 2 * p)] <= peak
 
+    def test_kv_heads_indivisible_is_infeasible(self, planner):
+        """MQA/GQA: t must divide kv_heads, the rule plan() enforces."""
+        mqa = get_model("gpt3-2.7b").with_overrides(num_kv_heads=1)
+        cells = {(c["tp"], c["pp"]): c for c in capacity_matrix(planner, mqa)}
+        assert cells[(2, 1)]["phase"] == "infeasible"
+        assert not cells[(2, 1)]["fits"]
+        assert {plan.tp for plan in planner.plan(mqa, 8)} == {1}
+
 
 class TestPlanRejectsOOM:
     def test_plan_never_returns_an_oom_plan(self, planner, cfg):

@@ -83,6 +83,17 @@ class TestPlanning:
         with pytest.raises(ParallelismError):
             planner.plan(get_model("gpt3-6.7b"), 0)
 
+    def test_evaluate_matches_plan_cell(self):
+        """A fresh planner's public evaluate() scores each cell exactly
+        as plan() does, with no layer-cost state carried between them."""
+        cfg = get_model("gpt3-6.7b", microbatch=1)
+        for plan in ParallelPlanner("aws-p4d").plan(cfg, 16):
+            fresh = ParallelPlanner("aws-p4d")
+            cell = fresh.evaluate(
+                cfg, plan.tp, plan.pp, plan.dp, checkpointing=plan.checkpointing
+            )
+            assert cell == plan
+
 
 class TestSummitCase:
     def test_summit_prefers_intra_node_tp(self):

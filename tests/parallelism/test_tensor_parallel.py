@@ -71,8 +71,8 @@ class TestCost:
         cost = tp.layer_cost(cfg, 2)
         assert cost.total_s == pytest.approx(cost.compute_s + cost.comm_s)
 
-    def test_scaling_table_skips_infeasible(self, tp):
-        table = tp.scaling_table(get_model("gpt3-2.7b"), [1, 2, 3, 4, 6, 8])
+    def test_layer_costs_skips_infeasible(self, tp):
+        table = tp.layer_costs(get_model("gpt3-2.7b"), [1, 2, 3, 4, 6, 8])
         assert set(table) == {1, 2, 4, 8}  # 3 and 6 dropped
 
     def test_diminishing_returns(self, tp, cfg):
