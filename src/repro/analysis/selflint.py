@@ -7,7 +7,12 @@ source rather than running it:
   (``evaluate`` / ``latency`` / ``tflops``) called inside a loop or
   comprehension.  Hot paths must use the engine batch path
   (:func:`repro.engine.default_engine`), which is memoized and
-  vectorized; a scalar call per iteration silently forfeits both.
+  vectorized; a scalar call per iteration silently forfeits both.  The
+  rule also flags a single-config :class:`LayerLatencyModel` method
+  (``layer_breakdown`` / ``layer_latency`` / ``model_breakdown`` /
+  ``model_latency`` / ``gemm_perf`` / ``layer_throughput_tflops``) in a
+  loop: sweeps price every config in one grid through
+  ``layer_breakdowns`` / ``model_breakdowns`` / ``gemm_perfs``.
 - ``self/engine-eval-in-loop`` — an engine batch method (``evaluate``
   / ``latency`` / ``tflops`` / ``evaluate_grid`` / ``evaluate_tiles``)
   called on a :class:`ShapeEngine` (or a ``default_engine()`` result)
@@ -54,6 +59,19 @@ RULE_DATACLASS_DOC = "self/dataclass-docstring"
 
 #: Scalar GemmModel methods with an engine batch equivalent.
 _SCALAR_METHODS = frozenset({"evaluate", "latency", "tflops"})
+
+#: Single-config LayerLatencyModel methods with a batched equivalent
+#: (``layer_breakdowns`` / ``model_breakdowns`` / ``gemm_perfs``).
+_LAYER_MODEL_METHODS = frozenset(
+    {
+        "layer_breakdown",
+        "layer_latency",
+        "model_breakdown",
+        "model_latency",
+        "gemm_perf",
+        "layer_throughput_tflops",
+    }
+)
 
 #: Module-level constants in repro.gpu that calibration may re-fit.
 _CALIBRATION_CONSTANT = re.compile(r"^_EFF[A-Z0-9_]*$")
@@ -103,8 +121,12 @@ class _ScalarLoopVisitor(ast.NodeVisitor):
     over recall, so the rule can block CI.
     """
 
-    #: Method names that count as a hit on a tracked receiver;
-    #: subclasses widen this set.
+    #: Constructor names whose result is a tracked receiver; subclasses
+    #: retarget the visitor at another class.
+    _CTOR_NAMES = frozenset({"GemmModel"})
+    #: The class name a parameter annotation must mention to be tracked.
+    _ANNOTATION = "GemmModel"
+    #: Method names that count as a hit on a tracked receiver.
     _METHODS = _SCALAR_METHODS
 
     def __init__(self) -> None:
@@ -123,26 +145,24 @@ class _ScalarLoopVisitor(ast.NodeVisitor):
     def _tracked(self, name: str) -> bool:
         return any(name in scope for scope in self._scopes)
 
-    @staticmethod
-    def _is_gemm_model_ctor(value: ast.AST) -> bool:
+    def _is_gemm_model_ctor(self, value: ast.AST) -> bool:
         if not isinstance(value, ast.Call):
             return False
         fn = value.func
         name = fn.id if isinstance(fn, ast.Name) else (
             fn.attr if isinstance(fn, ast.Attribute) else None
         )
-        return name == "GemmModel"
+        return name in self._CTOR_NAMES
 
-    @staticmethod
-    def _annotation_is_gemm_model(node: Optional[ast.expr]) -> bool:
+    def _annotation_is_gemm_model(self, node: Optional[ast.expr]) -> bool:
         if node is None:
             return False
         if isinstance(node, ast.Name):
-            return node.id == "GemmModel"
+            return node.id == self._ANNOTATION
         if isinstance(node, ast.Attribute):
-            return node.attr == "GemmModel"
+            return node.attr == self._ANNOTATION
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return "GemmModel" in node.value
+            return self._ANNOTATION in node.value
         return False
 
     # -- binding collection --------------------------------------------------
@@ -240,6 +260,21 @@ class _ScalarLoopVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+class _LayerModelLoopVisitor(_ScalarLoopVisitor):
+    """Finds single-config LayerLatencyModel calls under a loop.
+
+    Same binding machinery as :class:`_ScalarLoopVisitor`, retargeted
+    at :class:`~repro.core.latency.LayerLatencyModel` receivers: a sweep
+    that prices one config per iteration makes one scalar call per GEMM,
+    where ``layer_breakdowns`` / ``model_breakdowns`` / ``gemm_perfs``
+    price the whole sweep in one engine grid.
+    """
+
+    _CTOR_NAMES = frozenset({"LayerLatencyModel"})
+    _ANNOTATION = "LayerLatencyModel"
+    _METHODS = _LAYER_MODEL_METHODS
+
+
 class _EngineLoopVisitor(_ScalarLoopVisitor):
     """Finds engine batch calls under a loop (per-shape scalar use).
 
@@ -253,29 +288,8 @@ class _EngineLoopVisitor(_ScalarLoopVisitor):
     """
 
     _CTOR_NAMES = frozenset({"ShapeEngine", "default_engine"})
+    _ANNOTATION = "ShapeEngine"
     _METHODS = _SCALAR_METHODS | frozenset({"evaluate_grid", "evaluate_tiles"})
-
-    @staticmethod
-    def _is_gemm_model_ctor(value: ast.AST) -> bool:
-        if not isinstance(value, ast.Call):
-            return False
-        fn = value.func
-        name = fn.id if isinstance(fn, ast.Name) else (
-            fn.attr if isinstance(fn, ast.Attribute) else None
-        )
-        return name in _EngineLoopVisitor._CTOR_NAMES
-
-    @staticmethod
-    def _annotation_is_gemm_model(node: Optional[ast.expr]) -> bool:
-        if node is None:
-            return False
-        if isinstance(node, ast.Name):
-            return node.id == "ShapeEngine"
-        if isinstance(node, ast.Attribute):
-            return node.attr == "ShapeEngine"
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return "ShapeEngine" in node.value
-        return False
 
     def _receiver(self, node: ast.Attribute) -> Optional[str]:
         found = super()._receiver(node)
@@ -354,22 +368,34 @@ class SelfLinter:
     def _check_scalar_loops(
         self, path: Path, tree: ast.Module, lines: Sequence[str]
     ) -> List[LintDiagnostic]:
-        visitor = _ScalarLoopVisitor()
-        visitor.visit(tree)
+        rules = (
+            (
+                _ScalarLoopVisitor(),
+                "scalar GemmModel call `{}(...)` inside a loop; batch the "
+                "shapes and use the engine (repro.engine.default_engine) "
+                "instead",
+            ),
+            (
+                _LayerModelLoopVisitor(),
+                "single-config LayerLatencyModel call `{}(...)` inside a "
+                "loop; price the whole sweep in one grid with "
+                "layer_breakdowns / model_breakdowns / gemm_perfs instead",
+            ),
+        )
         out = []
-        for lineno, col, call in visitor.hits:
-            if _suppressed(lines, lineno, RULE_SCALAR_LOOP):
-                continue
-            out.append(
-                LintDiagnostic(
-                    RULE_SCALAR_LOOP,
-                    Severity.WARNING,
-                    f"scalar GemmModel call `{call}(...)` inside a loop; "
-                    "batch the shapes and use the engine "
-                    "(repro.engine.default_engine) instead",
-                    Location(file=self._rel(path), line=lineno, column=col),
+        for visitor, message in rules:
+            visitor.visit(tree)
+            for lineno, col, call in visitor.hits:
+                if _suppressed(lines, lineno, RULE_SCALAR_LOOP):
+                    continue
+                out.append(
+                    LintDiagnostic(
+                        RULE_SCALAR_LOOP,
+                        Severity.WARNING,
+                        message.format(call),
+                        Location(file=self._rel(path), line=lineno, column=col),
+                    )
                 )
-            )
         return out
 
     # -- rule: engine eval in loop ---------------------------------------------

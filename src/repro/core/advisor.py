@@ -144,7 +144,6 @@ class ShapeAdvisor:
         """
         if max_param_increase < 0:
             raise ConfigError("max_param_increase must be non-negative")
-        baseline_latency = self.model.model_latency(cfg)
         baseline_params = cfg.param_count()
 
         candidates: List[tuple[TransformerConfig, str]] = []
@@ -185,20 +184,22 @@ class ShapeAdvisor:
                     )
                 )
 
-        proposals = []
-        for cand, why in candidates:
-            if cand.param_count() > baseline_params * (1 + max_param_increase):
-                continue
-            latency = self.model.model_latency(cand)
-            proposals.append(
-                Proposal(
-                    config=cand,
-                    latency_s=latency,
-                    baseline_latency_s=baseline_latency,
-                    rationale=why,
-                    baseline_params=baseline_params,
-                )
+        limit = baseline_params * (1 + max_param_increase)
+        candidates = [(c, why) for c, why in candidates if c.param_count() <= limit]
+        # The baseline and every surviving candidate, priced in one grid.
+        baseline, *priced = self.model.model_breakdowns(
+            [cfg] + [cand for cand, _ in candidates]
+        )
+        proposals = [
+            Proposal(
+                config=cand,
+                latency_s=bd.total_s,
+                baseline_latency_s=baseline.total_s,
+                rationale=why,
+                baseline_params=baseline_params,
             )
+            for (cand, why), bd in zip(candidates, priced)
+        ]
         proposals.sort(key=lambda p: p.latency_s)
         return proposals[:top]
 

@@ -6,7 +6,8 @@
 - :func:`gemm_proportions` — Fig 11: the share of the *GEMM* latency
   contributed by each GEMM module, across model sizes.
 - :func:`gemm_share` — the Sec I headline numbers: GEMM kernels account
-  for ~68.3% of a medium model's latency and ~94.9% of a large model's.
+  for ~68.3% of a medium model's latency and ~94.9% of a large model's;
+  :func:`gemm_shares` prices many configs' shares in one engine grid.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.core.config import TransformerConfig, get_model
-from repro.core.latency import GEMM_COMPONENTS, LayerLatencyModel
+from repro.core.latency import LayerLatencyModel
 from repro.gpu.specs import GPUSpec
 
 # Reference shapes for "medium" and "large" models used by the Sec I /
@@ -40,13 +41,7 @@ def gemm_proportions(
 ) -> Dict[str, float]:
     """Fig 11: fraction of the layer's *GEMM* latency per GEMM module."""
     model = model or LayerLatencyModel()
-    bd = model.layer_breakdown(cfg)
-    gemm_total = bd.gemm_s or 1.0
-    return {
-        name: seconds / gemm_total
-        for name, seconds in bd.components.items()
-        if name in GEMM_COMPONENTS
-    }
+    return model.layer_breakdown(cfg).gemm_proportions()
 
 
 def gemm_share(
@@ -55,6 +50,24 @@ def gemm_share(
     """Fraction of one layer's latency spent in GEMM kernels."""
     model = model or LayerLatencyModel()
     return model.layer_breakdown(cfg).gemm_fraction
+
+
+def gemm_shares(
+    cfgs: Sequence[TransformerConfig], model: "LayerLatencyModel | None" = None
+) -> List[float]:
+    """:func:`gemm_share` of every config, priced in one engine grid."""
+    model = model or LayerLatencyModel()
+    return [bd.gemm_fraction for bd in model.layer_breakdowns(cfgs)]
+
+
+def share_sweep_config(h: int, heads_ratio: int = 64) -> TransformerConfig:
+    """The one-layer config at hidden size ``h`` with ``h/a`` held fixed."""
+    return TransformerConfig(
+        name=f"h{h}",
+        hidden_size=h,
+        num_heads=max(1, h // heads_ratio),
+        num_layers=1,
+    )
 
 
 def gemm_share_sweep(
@@ -67,17 +80,8 @@ def gemm_share_sweep(
     Reproduces the Sec I claim that the GEMM share rises with model
     size, which is why shape tuning matters more for larger models.
     """
-    model = model or LayerLatencyModel()
-    out = []
-    for h in hidden_sizes:
-        cfg = TransformerConfig(
-            name=f"h{h}",
-            hidden_size=h,
-            num_heads=max(1, h // heads_ratio),
-            num_layers=1,
-        )
-        out.append((h, gemm_share(cfg, model)))
-    return out
+    cfgs = [share_sweep_config(h, heads_ratio) for h in hidden_sizes]
+    return list(zip(hidden_sizes, gemm_shares(cfgs, model)))
 
 
 def dominant_gemms(

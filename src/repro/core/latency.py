@@ -11,10 +11,14 @@ breakdown is exactly what the paper's Figs 1, 2 and 11 report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.config import TransformerConfig
 from repro.core.gemms import TransformerGemm, layer_gemms, logit_gemm
+from repro.engine.core import default_engine
+from repro.engine.vectorized import BatchResult
 from repro.errors import ConfigError
 from repro.gpu.gemm_model import GemmModel, GemmPerf
 from repro.gpu.specs import GPUSpec, get_gpu
@@ -81,9 +85,18 @@ class LatencyBreakdown:
         return self.gemm_s / total if total else 0.0
 
     def proportions(self) -> Dict[str, float]:
-        """Component -> fraction of total latency (Figs 2 and 11)."""
+        """Component -> fraction of total latency (Fig 2)."""
         total = self.total_s or 1.0
         return {name: s / total for name, s in self.components.items()}
+
+    def gemm_proportions(self) -> Dict[str, float]:
+        """GEMM component -> fraction of the GEMM latency (Fig 11)."""
+        gemm_total = self.gemm_s or 1.0
+        return {
+            name: s / gemm_total
+            for name, s in self.components.items()
+            if name in GEMM_COMPONENTS
+        }
 
     @property
     def tflops(self) -> float:
@@ -183,6 +196,17 @@ class LayerLatencyModel:
         """Evaluate one Table II operator on the GPU substrate."""
         return self.gemm_model.evaluate(op.m, op.n, op.k, batch=op.batch)
 
+    def gemm_perfs(self, ops: Sequence[TransformerGemm]) -> BatchResult:
+        """Evaluate many Table II operators in one engine call.
+
+        Row ``i`` prices ``ops[i]``; its latency and TFLOP/s equal
+        :meth:`gemm_perf` bit-for-bit.
+        """
+        shapes = np.array(
+            [(op.batch, op.m, op.n, op.k) for op in ops], dtype=np.int64
+        ).reshape(-1, 4)
+        return default_engine().evaluate(shapes, self.spec, self.dtype)
+
     def layer_ops(self, cfg: TransformerConfig) -> List[TransformerGemm]:
         """The layer's GEMMs this model prices, in execution order.
 
@@ -219,6 +243,42 @@ class LayerLatencyModel:
             bd.add(name, seconds)
         return bd
 
+    def compose_model(
+        self, cfg: TransformerConfig, layer: LatencyBreakdown, logit_s: float
+    ) -> LatencyBreakdown:
+        """The whole-model breakdown from one layer's and the logit GEMM's."""
+        bd = LatencyBreakdown()
+        bd.merge(layer, times=cfg.num_layers)
+        sbh = cfg.seq_len * cfg.microbatch * cfg.hidden_size
+        # Embedding gather + positional add, and the final layer norm.
+        bd.add("embedding", self._pointwise_s(sbh, reads_writes=3))
+        bd.add("layernorm", self._pointwise_s(sbh, reads_writes=2))
+        bd.add("logit", logit_s)
+        bd.flops += logit_gemm(cfg).flops
+        return bd
+
+    def _priced_layers(
+        self, cfgs: Sequence[TransformerConfig], with_logit: bool
+    ) -> Tuple[List[LatencyBreakdown], List[float]]:
+        """Layer breakdowns (and logit latencies) of ``cfgs`` from one grid.
+
+        The grid stacks every config's :meth:`layer_ops`, then, with
+        ``with_logit``, each config's logit GEMM.
+        """
+        if not cfgs:
+            return [], []
+        groups = [self.layer_ops(cfg) for cfg in cfgs]
+        logits = [logit_gemm(cfg) for cfg in cfgs] if with_logit else []
+        rows = [op for group in groups for op in group] + logits
+        latency = self.gemm_perfs(rows).latency_s.tolist()
+        layers = []
+        start = 0
+        for cfg, group in zip(cfgs, groups):
+            stop = start + len(group)
+            layers.append(self.compose_layer(cfg, group, latency[start:stop]))
+            start = stop
+        return layers, latency[start:]
+
     # -- public API ------------------------------------------------------------------
 
     def layer_breakdown(self, cfg: TransformerConfig) -> LatencyBreakdown:
@@ -227,6 +287,16 @@ class LayerLatencyModel:
         return self.compose_layer(
             cfg, ops, [self.gemm_perf(op).latency_s for op in ops]
         )
+
+    def layer_breakdowns(
+        self, cfgs: Sequence[TransformerConfig]
+    ) -> List[LatencyBreakdown]:
+        """:meth:`layer_breakdown` of every config, priced in one grid.
+
+        Sweeps use this instead of one scalar call per GEMM; the totals
+        are bit-identical to :meth:`layer_breakdown`.
+        """
+        return self._priced_layers(cfgs, with_logit=False)[0]
 
     def layer_latency(self, cfg: TransformerConfig) -> float:
         """Seconds for one layer's forward pass."""
@@ -239,18 +309,28 @@ class LayerLatencyModel:
 
     def model_breakdown(self, cfg: TransformerConfig) -> LatencyBreakdown:
         """Whole-model forward breakdown: L layers + embedding + logits."""
-        bd = LatencyBreakdown()
         layer = self.layer_breakdown(cfg)
-        bd.merge(layer, times=cfg.num_layers)
-        sbh = cfg.seq_len * cfg.microbatch * cfg.hidden_size
-        # Embedding gather + positional add, and the final layer norm.
-        bd.add("embedding", self._pointwise_s(sbh, reads_writes=3))
-        bd.add("layernorm", self._pointwise_s(sbh, reads_writes=2))
-        logit = logit_gemm(cfg)
-        perf = self.gemm_perf(logit)
-        bd.add("logit", perf.latency_s)
-        bd.flops += logit.flops
-        return bd
+        logit_s = self.gemm_perf(logit_gemm(cfg)).latency_s
+        return self.compose_model(cfg, layer, logit_s)
+
+    def layer_and_model_breakdowns(
+        self, cfgs: Sequence[TransformerConfig]
+    ) -> List[Tuple[LatencyBreakdown, LatencyBreakdown]]:
+        """Each config's (layer, model) breakdown pair, priced in one grid."""
+        layers, logit_s = self._priced_layers(cfgs, with_logit=True)
+        return [
+            (layer, self.compose_model(cfg, layer, s))
+            for cfg, layer, s in zip(cfgs, layers, logit_s)
+        ]
+
+    def model_breakdowns(
+        self, cfgs: Sequence[TransformerConfig]
+    ) -> List[LatencyBreakdown]:
+        """:meth:`model_breakdown` of every config, priced in one grid.
+
+        The grid holds every config's layer GEMMs and its logit GEMM.
+        """
+        return [model for _, model in self.layer_and_model_breakdowns(cfgs)]
 
     def model_latency(self, cfg: TransformerConfig) -> float:
         """Seconds for a full forward pass of one microbatch."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.config import TransformerConfig
-from repro.core.gemms import backward_gemms_for, layer_gemms, logit_gemm
+from repro.core.gemms import backward_gemms_for, logit_gemm
 from repro.core.latency import LatencyBreakdown, LayerLatencyModel
 from repro.errors import ConfigError
 from repro.gpu.specs import GPUSpec, get_gpu
@@ -83,21 +83,20 @@ class TrainingStepModel:
     def backward_breakdown(self, cfg: TransformerConfig) -> LatencyBreakdown:
         """dgrad + wgrad GEMMs plus doubled pointwise traffic."""
         bd = LatencyBreakdown()
-        forward_ops = layer_gemms(cfg)
-        if self.flash:
-            forward_ops = [
-                op
-                for op in forward_ops
-                if op.module not in ("attention_score", "attention_over_value")
-            ]
-        for op in forward_ops:
-            for bop in backward_gemms_for(op):
-                perf = self.layer_model.gemm_perf(bop)
-                bd.add(bop.module, perf.latency_s * cfg.num_layers)
-                bd.flops += bop.flops * cfg.num_layers
-        for bop in backward_gemms_for(logit_gemm(cfg)):
-            perf = self.layer_model.gemm_perf(bop)
-            bd.add(bop.module, perf.latency_s)
+        layer_bops = [
+            bop
+            for op in self.layer_model.layer_ops(cfg)
+            for bop in backward_gemms_for(op)
+        ]
+        logit_bops = backward_gemms_for(logit_gemm(cfg))
+        # Every backward GEMM, the logit's included, in one engine call.
+        perfs = self.layer_model.gemm_perfs(layer_bops + logit_bops)
+        latency = perfs.latency_s.tolist()
+        for bop, seconds in zip(layer_bops, latency):
+            bd.add(bop.module, seconds * cfg.num_layers)
+            bd.flops += bop.flops * cfg.num_layers
+        for bop, seconds in zip(logit_bops, latency[len(layer_bops):]):
+            bd.add(bop.module, seconds)
             bd.flops += bop.flops
         if self.flash:
             # FlashAttention backward recomputes the forward and runs

@@ -40,7 +40,7 @@ from repro.harness.compare import (
 )
 from repro.harness.results import ResultTable
 from repro.inference.latency import InferenceModel
-from repro.types import DType
+from repro.types import DType, teraflops
 
 _B, _S = 4, 2048
 
@@ -206,8 +206,9 @@ def run_ext_seqlen() -> ResultTable:
         ["seq_len", "flops_share", "latency_share"],
         notes="flops_share = (s/6h)/(1+s/6h), the paper's formula term",
     )
-    for s in (512, 1024, 2048, 4096, 8192):
-        cfg = TransformerConfig(
+    seq_lens = (512, 1024, 2048, 4096, 8192)
+    cfgs = [
+        TransformerConfig(
             name=f"s{s}",
             hidden_size=h,
             num_heads=a,
@@ -215,8 +216,10 @@ def run_ext_seqlen() -> ResultTable:
             seq_len=s,
             microbatch=2,
         )
+        for s in seq_lens
+    ]
+    for s, bd in zip(seq_lens, model.layer_breakdowns(cfgs)):
         flops_share = (s / (6 * h)) / (1 + s / (6 * h))
-        bd = model.layer_breakdown(cfg)
         attn = sum(
             v
             for k, v in bd.components.items()
@@ -251,8 +254,9 @@ def run_ext_flash() -> ResultTable:
         "Extension: FlashAttention end-to-end layer speedup",
         ["hidden", "plain_ms", "flash_ms", "speedup"],
     )
-    for h in (1024, 2048, 4096, 8192):
-        cfg = TransformerConfig(
+    hiddens = (1024, 2048, 4096, 8192)
+    cfgs = [
+        TransformerConfig(
             name=f"h{h}",
             hidden_size=h,
             num_heads=max(1, h // 128),
@@ -260,9 +264,12 @@ def run_ext_flash() -> ResultTable:
             microbatch=_B,
             seq_len=_S,
         )
-        p = plain.layer_latency(cfg)
-        f = flash.layer_latency(cfg)
-        table.add(h, p * 1e3, f * 1e3, p / f)
+        for h in hiddens
+    ]
+    for h, p, f in zip(
+        hiddens, plain.layer_breakdowns(cfgs), flash.layer_breakdowns(cfgs)
+    ):
+        table.add(h, p.total_s * 1e3, f.total_s * 1e3, p.total_s / f.total_s)
     return table
 
 
@@ -345,15 +352,21 @@ def run_ext_moe() -> ResultTable:
     )
     # Up to E=512 the per-expert rows fall from 2048 to 32 — into tile-
     # quantization territory; E=48 adds a ragged (non-dividing) case.
-    for E in (8, 32, 48, 64, 128, 256, 512):
-        cfg = base.with_overrides(num_experts=E)
-        ops = {op.module: op for op in layer_gemms(cfg)}
-        gate = model.gemm_perf(ops["moe_mlp_gate"])
-        mlp_s = sum(
-            model.gemm_perf(ops[name]).latency_s
-            for name in ("moe_mlp_gate", "moe_mlp_up", "moe_mlp_down")
-        )
-        table.add(E, cfg.tokens_per_expert, gate.tflops, mlp_s * 1e3)
+    experts = (8, 32, 48, 64, 128, 256, 512)
+    cfgs = [base.with_overrides(num_experts=E) for E in experts]
+    names = ("moe_mlp_gate", "moe_mlp_up", "moe_mlp_down")
+    ops = []
+    for cfg in cfgs:
+        by_module = {op.module: op for op in layer_gemms(cfg)}
+        ops += [by_module[name] for name in names]
+    # Every expert count's gate/up/down GEMMs in one engine call.
+    perfs = model.gemm_perfs(ops)
+    latency = perfs.latency_s.tolist()
+    tflops = perfs.tflops.tolist()
+    k = len(names)
+    for i, (E, cfg) in enumerate(zip(experts, cfgs)):
+        mlp_s = sum(latency[k * i : k * (i + 1)])
+        table.add(E, cfg.tokens_per_expert, tflops[k * i], mlp_s * 1e3)
     return table
 
 
@@ -649,14 +662,15 @@ def run_ext_gpus() -> ResultTable:
         ["gpu", "base_tflops", "retuned_tflops", "speedup"],
     )
     for gpu in ("V100", "A100", "A100-80GB", "H100", "MI250X"):
-        model = LayerLatencyModel(gpu)
-        b = model.model_latency(base)
-        r = model.model_latency(retuned)
+        # One grid per GPU: both configs' layer and logit GEMMs.
+        (base_layer, b), (retuned_layer, r) = LayerLatencyModel(
+            gpu
+        ).layer_and_model_breakdowns([base, retuned])
         table.add(
             gpu,
-            model.layer_throughput_tflops(base),
-            model.layer_throughput_tflops(retuned),
-            b / r,
+            teraflops(base_layer.flops, base_layer.total_s),
+            teraflops(retuned_layer.flops, retuned_layer.total_s),
+            b.total_s / r.total_s,
         )
     return table
 

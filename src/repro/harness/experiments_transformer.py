@@ -7,7 +7,8 @@ transformer.
 
 from __future__ import annotations
 
-from typing import List
+from functools import lru_cache
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -15,14 +16,13 @@ from repro.core.breakdown import (
     LARGE_CONFIG,
     MEDIUM_CONFIG,
     component_proportions,
-    gemm_proportions,
-    gemm_share,
-    gemm_share_sweep,
+    gemm_shares,
+    share_sweep_config,
 )
 from repro.core.config import TransformerConfig, get_model
 from repro.core.gemms import layer_gemms, logit_gemm
 from repro.core.latency import LayerLatencyModel
-from repro.engine import default_engine, shape_array
+from repro.engine import ShapeGrid, default_engine, shape_array
 from repro.harness import sweep
 from repro.harness.compare import (
     CheckResult,
@@ -35,6 +35,7 @@ from repro.harness.results import ResultTable
 from repro.transformer.flash import FlashAttentionModel
 from repro.transformer.model import DecoderModel
 from repro.transformer.trace import OpTrace
+from repro.types import teraflops
 
 _B, _S = 4, 2048
 
@@ -59,19 +60,19 @@ def run_fig1() -> ResultTable:
     Includes the paper's Fig 1 C1/C2 definitions plus the a=20 retune
     its Sec VI-B text recommends.
     """
-    model = LayerLatencyModel("A100")
     table = ResultTable(
         "Fig 1: single-layer throughput of 2.7B-class shapes",
         ["shape", "heads", "head_dim", "tflops", "layer_ms", "params_b"],
     )
-    for name in FIG1_SHAPES:
-        cfg = _fig1_config(name)
+    cfgs = [_fig1_config(name) for name in FIG1_SHAPES]
+    layers = LayerLatencyModel("A100").layer_breakdowns(cfgs)
+    for name, cfg, bd in zip(FIG1_SHAPES, cfgs, layers):
         table.add(
             name,
             cfg.num_heads,
             cfg.head_dim,
-            model.layer_throughput_tflops(cfg),
-            model.layer_latency(cfg) * 1e3,
+            teraflops(bd.flops, bd.total_s),
+            bd.total_s * 1e3,
             cfg.param_count() / 1e9,
         )
     return table
@@ -145,9 +146,13 @@ def run_gemm_share() -> ResultTable:
         ["model", "hidden", "gemm_share"],
         notes="paper: 68.3% (medium) and 94.9% (large)",
     )
-    table.add("medium", MEDIUM_CONFIG.hidden_size, gemm_share(MEDIUM_CONFIG))
-    table.add("large", LARGE_CONFIG.hidden_size, gemm_share(LARGE_CONFIG))
-    for h, share in gemm_share_sweep([1024, 2048, 4096, 8192, 12288]):
+    hiddens = [1024, 2048, 4096, 8192, 12288]
+    medium, large, *sweep_shares = gemm_shares(
+        [MEDIUM_CONFIG, LARGE_CONFIG] + [share_sweep_config(h) for h in hiddens]
+    )
+    table.add("medium", MEDIUM_CONFIG.hidden_size, medium)
+    table.add("large", LARGE_CONFIG.hidden_size, large)
+    for h, share in zip(hiddens, sweep_shares):
         table.add(f"h{h}", h, share)
     return table
 
@@ -168,16 +173,19 @@ def check_gemm_share(table: ResultTable) -> CheckResult:
 
 def run_fig11() -> ResultTable:
     """Per-GEMM latency proportions across model sizes."""
-    model = LayerLatencyModel("A100")
     table = ResultTable(
         "Fig 11: proportion of GEMM latency per module",
         ["hidden", "module", "fraction"],
     )
-    for h in (1024, 2048, 4096, 8192, 12288):
-        cfg = TransformerConfig(
+    hiddens = (1024, 2048, 4096, 8192, 12288)
+    cfgs = [
+        TransformerConfig(
             name=f"h{h}", hidden_size=h, num_heads=max(1, h // 128), num_layers=1
         )
-        for module, frac in gemm_proportions(cfg, model).items():
+        for h in hiddens
+    ]
+    for h, bd in zip(hiddens, LayerLatencyModel("A100").layer_breakdowns(cfgs)):
+        for module, frac in bd.gemm_proportions().items():
             table.add(h, module, frac)
     return table
 
@@ -204,42 +212,70 @@ def check_fig11(table: ResultTable) -> CheckResult:
 # -- Fig 10 and the appendix single-GEMM sweeps (Figs 15-19) --------------------
 
 
-def _operator_sweep(module: str, heads: int = 128, tp: int = 1) -> ResultTable:
+@lru_cache(maxsize=16)
+def _operator_grid(modules: Tuple[str, ...], tps: Tuple[int, ...]) -> ShapeGrid:
+    """Table II operators ``modules`` x TP degrees ``tps`` as h sweeps (a=128).
+
+    One frozen grid per sweep (``module``, ``tp`` and ``hidden``
+    annotate each row), memoized so warm runs rebuild no configs.
+    """
+    rows = []
+    for module in modules:
+        for tp in tps:
+            for h in sweep.hidden_sweep_for_heads(
+                128, min_head_dim=8, max_hidden=16384, points=40
+            ):
+                cfg = TransformerConfig(
+                    name=f"h{h}",
+                    hidden_size=h,
+                    num_heads=128,
+                    num_layers=1,
+                    microbatch=_B,
+                    seq_len=_S,
+                    tp_degree=tp,
+                )
+                for op in layer_gemms(cfg):
+                    if op.module == module:
+                        rows.append((module, tp, h, op.batch, op.m, op.n, op.k))
+    module_col, tp_col, hidden, batch, m, n, k = zip(*rows)
+    return sweep._frozen(
+        ShapeGrid.from_columns(
+            batch=batch, m=m, n=n, k=k, module=module_col, tp=tp_col, hidden=hidden
+        )
+    )
+
+
+def _operator_columns(
+    modules: Tuple[str, ...], tps: Tuple[int, ...] = (1,)
+) -> Dict[str, list]:
+    """The sweep's annotation and ``tflops`` columns from one engine call."""
+    result = default_engine().evaluate_grid(_operator_grid(modules, tps), "A100")
+    return result.columns(("module", "tp", "hidden", "tflops"))
+
+
+def _operator_sweep(module: str) -> ResultTable:
     """Throughput of one Table II operator as h sweeps (a=128 fixed)."""
-    model = LayerLatencyModel("A100")
     table = ResultTable(
-        f"{module} throughput vs hidden size (a={heads}, t={tp})",
+        f"{module} throughput vs hidden size (a=128, t=1)",
         ["hidden", "tflops"],
     )
-    for h in sweep.hidden_sweep_for_heads(heads, min_head_dim=8, max_hidden=16384, points=40):
-        cfg = TransformerConfig(
-            name=f"h{h}",
-            hidden_size=h,
-            num_heads=heads,
-            num_layers=1,
-            microbatch=_B,
-            seq_len=_S,
-            tp_degree=tp,
-        )
-        for op in layer_gemms(cfg):
-            if op.module == module:
-                perf = model.gemm_perf(op)
-                table.add(h, perf.tflops)
+    cols = _operator_columns((module,))
+    table.add_columns(hidden=cols["hidden"], tflops=cols["tflops"])
     return table
 
 
 def run_fig10() -> ResultTable:
     """MLP h->4h and 4h->h throughput vs h (a=128)."""
-    up = _operator_sweep("mlp_h_to_4h")
-    down = _operator_sweep("mlp_4h_to_h")
     table = ResultTable(
         "Fig 10: MLP GEMM throughput vs hidden size",
         ["direction", "hidden", "tflops"],
     )
-    for row in up.rows:
-        table.add("h_to_4h", *row)
-    for row in down.rows:
-        table.add("4h_to_h", *row)
+    cols = _operator_columns(("mlp_h_to_4h", "mlp_4h_to_h"))
+    table.add_columns(
+        direction=[module[len("mlp_"):] for module in cols["module"]],
+        hidden=cols["hidden"],
+        tflops=cols["tflops"],
+    )
     return table
 
 
@@ -257,10 +293,8 @@ def run_fig15() -> ResultTable:
         "Fig 15/16: QKV transform throughput vs h and TP degree",
         ["tp", "hidden", "tflops"],
     )
-    for tp in (1, 2, 4, 8):
-        sub = _operator_sweep("qkv_transform", heads=128, tp=tp)
-        for h, tflops in sub.rows:
-            table.add(tp, h, tflops)
+    cols = _operator_columns(("qkv_transform",), tps=(1, 2, 4, 8))
+    table.add_columns(tp=cols["tp"], hidden=cols["hidden"], tflops=cols["tflops"])
     return table
 
 

@@ -8,10 +8,9 @@ the Sec VII-A case study turns on: ``a % t == 0`` and ``d_ff % t == 0``
 (plus ``kv_heads % t == 0``, which grouped-query attention adds).
 
 :meth:`TensorParallelLayer.layer_costs` prices every requested degree's
-per-rank GEMMs in **one** engine grid (a ``t`` annotation column keeps
-the degrees apart) and composes each degree's breakdown with the same
-:meth:`~repro.core.latency.LayerLatencyModel.compose_layer` the scalar
-path uses, so totals are bit-identical to pricing one GEMM at a time.
+per-rank GEMMs in **one** engine grid through
+:meth:`~repro.core.latency.LayerLatencyModel.layer_breakdowns`, so totals
+are bit-identical to pricing one GEMM at a time.
 """
 
 from __future__ import annotations
@@ -19,13 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List
 
-import numpy as np
-
 from repro.core.config import TransformerConfig
 from repro.core.gemms import TransformerGemm, layer_gemms
 from repro.core.latency import LatencyBreakdown, LayerLatencyModel
-from repro.engine.core import default_engine
-from repro.engine.grid import ShapeGrid
 from repro.errors import ParallelismError
 from repro.parallelism.comm import CommModel
 from repro.parallelism.topology import NodeTopology, get_system
@@ -124,27 +119,9 @@ class TensorParallelLayer:
     def _price(
         self, cfg: TransformerConfig, shards: Dict[int, TransformerConfig]
     ) -> Dict[int, TPLayerCost]:
-        if not shards:
-            return {}
-        model = self.latency_model
-        ops = {t: model.layer_ops(shard) for t, shard in shards.items()}
-        rows = [(op.batch, op.m, op.n, op.k, t) for t in ops for op in ops[t]]
-        cols = np.asarray(rows, dtype=np.int64)
-        grid = ShapeGrid.from_columns(
-            batch=cols[:, 0], m=cols[:, 1], n=cols[:, 2], k=cols[:, 3], t=cols[:, 4]
-        )
-        result = default_engine().evaluate_grid(grid, model.spec, self.dtype)
-        latency = result.column("latency_s")
-        degree = grid.column("t")
+        layers = self.latency_model.layer_breakdowns(list(shards.values()))
         return {
-            t: self._compose(
-                cfg,
-                t,
-                model.compose_layer(
-                    shards[t], ops[t], latency[degree == t].tolist()
-                ),
-            )
-            for t in shards
+            t: self._compose(cfg, t, layer) for t, layer in zip(shards, layers)
         }
 
     def _compose(

@@ -44,6 +44,84 @@ class TestScalarLoopRule:
         assert "self/scalar-eval-in-loop" not in rule_ids(report)
 
 
+class TestLayerModelLoopRule:
+    def _lint(self, tmp_path, source):
+        root = tmp_path / "layer_model"
+        root.mkdir()
+        (root / "sweep.py").write_text(textwrap.dedent(source))
+        report = SelfLinter(root=root).lint()
+        return [
+            d for d in report.findings()
+            if d.rule_id == "self/scalar-eval-in-loop"
+        ]
+
+    def test_flags_layer_breakdown_in_a_for_loop(self, tmp_path):
+        hits = self._lint(
+            tmp_path,
+            """\
+            from repro.core.latency import LayerLatencyModel
+
+
+            def sweep(cfgs):
+                model = LayerLatencyModel("A100")
+                out = []
+                for cfg in cfgs:
+                    out.append(model.layer_breakdown(cfg))
+                return out
+            """,
+        )
+        assert len(hits) == 1
+        assert "model.layer_breakdown" in hits[0].message
+        assert "layer_breakdowns" in hits[0].message
+        assert hits[0].severity == Severity.WARNING
+
+    def test_flags_every_single_config_method(self, tmp_path):
+        # self-attribute and annotated-parameter receivers, in loops and
+        # comprehensions.
+        hits = self._lint(
+            tmp_path,
+            """\
+            from repro.core.latency import LayerLatencyModel
+
+
+            class Advisor:
+                def __init__(self):
+                    self.model = LayerLatencyModel("A100")
+
+                def rank(self, cfgs, ops):
+                    a = [self.model.model_latency(c) for c in cfgs]
+                    b = [self.model.model_breakdown(c) for c in cfgs]
+                    c = [self.model.layer_latency(c) for c in cfgs]
+                    d = [self.model.layer_throughput_tflops(c) for c in cfgs]
+                    e = [self.model.gemm_perf(op) for op in ops]
+                    return a, b, c, d, e
+
+
+            def share(cfgs, model: "LayerLatencyModel | None"):
+                while cfgs:
+                    model.layer_breakdown(cfgs.pop())
+            """,
+        )
+        assert len(hits) == 6
+
+    def test_batched_sweep_is_clean(self, tmp_path):
+        hits = self._lint(
+            tmp_path,
+            """\
+            from repro.core.latency import LayerLatencyModel
+
+
+            def sweep(cfgs, ops):
+                model = LayerLatencyModel("A100")
+                layers = model.layer_breakdowns(cfgs)
+                models = model.model_breakdowns(cfgs)
+                perfs = model.gemm_perfs(ops)
+                return [bd.total_s for bd in layers], models, perfs
+            """,
+        )
+        assert hits == []
+
+
 class TestEngineLoopRule:
     def test_flags_engine_calls_in_loops(self, fixture_linter):
         report = fixture_linter.lint([FIXTURES / "engine_loop_violation.py"])
