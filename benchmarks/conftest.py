@@ -1,6 +1,6 @@
 """Shared machinery for the figure-regeneration benchmarks.
 
-Every ``bench_figXX.py`` calls :func:`regenerate`, which
+Every ``bench_figures`` case calls :func:`regenerate`, which
 
 1. runs the registered experiment once up front and **prints the
    regenerated rows/series** (the same data the paper's figure plots),

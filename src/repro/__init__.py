@@ -27,9 +27,8 @@ from repro.analysis import LintDiagnostic, LintReport, SelfLinter, ShapeLinter
 from repro.core.advisor import Proposal, ShapeAdvisor
 from repro.core.config import TransformerConfig, get_model, list_models, register_model
 from repro.core.latency import LatencyBreakdown, LayerLatencyModel
-from repro.core.memory import MemoryBudget, inference_bytes, training_bytes
+from repro.core.memory import MemoryBudget, inference_bytes
 from repro.core.profile import TraceProfiler
-from repro.core.training import TrainingStepModel
 from repro.core.whatif import WhatIfAnalyzer
 from repro.core.rules import Diagnostic, RuleEngine, Severity
 from repro.errors import (
@@ -46,6 +45,7 @@ from repro.gpu.gemm_model import GemmModel, GemmPerf
 from repro.gpu.simulator import SimResult, SMSimulator
 from repro.gpu.specs import GPUSpec, get_gpu, list_gpus
 from repro.inference.latency import InferenceModel
+from repro.trainstep import TrainStepEstimator, estimate_memory
 from repro.transformer.flash import FlashAttentionModel, flash_attention
 from repro.transformer.generate import generate, perplexity
 from repro.transformer.model import DecoderModel
@@ -89,11 +89,11 @@ __all__ = [
     "register_model",
     "LayerLatencyModel",
     "LatencyBreakdown",
-    "TrainingStepModel",
+    "TrainStepEstimator",
     "TraceProfiler",
     "WhatIfAnalyzer",
     "MemoryBudget",
-    "training_bytes",
+    "estimate_memory",
     "inference_bytes",
     "RuleEngine",
     "Diagnostic",

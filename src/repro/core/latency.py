@@ -25,8 +25,9 @@ from repro.gpu.specs import GPUSpec, get_gpu
 from repro.transformer.flash import FlashAttentionModel
 from repro.types import DType, teraflops
 
-# Sustained fraction of datasheet bandwidth for pointwise kernels.
-_POINTWISE_BW_EFFICIENCY = 0.75
+#: Sustained fraction of datasheet bandwidth for pointwise kernels and
+#: other streaming passes (the optimizer update included).
+POINTWISE_BW_EFFICIENCY = 0.75
 
 #: Trace/gemms module labels that are GEMM components (vs pointwise).
 GEMM_COMPONENTS = (
@@ -147,7 +148,7 @@ class LayerLatencyModel:
     def _pointwise_s(self, elements: float, reads_writes: int = 2) -> float:
         """Latency of one memory-bound elementwise kernel."""
         traffic = elements * reads_writes * self.dtype.bytes
-        bw = self.spec.mem_bw_bytes_per_s() * _POINTWISE_BW_EFFICIENCY
+        bw = self.spec.mem_bw_bytes_per_s() * POINTWISE_BW_EFFICIENCY
         return traffic / bw + self.spec.kernel_overhead_s
 
     def _layer_pointwise(self, cfg: TransformerConfig) -> Dict[str, float]:

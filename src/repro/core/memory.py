@@ -1,16 +1,19 @@
-"""Per-GPU memory accounting for training and inference.
+"""Per-GPU memory accounting shared by training and inference.
 
 The paper's parallelism rules exist because memory forces sharding:
 "the microbatch size b should be as large as possible" *until activation
 memory binds*, and "t should be as small as possible" *subject to the
-model fitting*.  This module makes those constraints computable:
+model fitting*.  This module holds the pieces both sides use:
 
-- :func:`training_bytes` — mixed-precision Adam training footprint
-  (weights, gradients, optimizer states, activations) under (t, p)
-  sharding, with optional activation recomputation,
+- :func:`activation_bytes_per_layer` — the closed-form activation
+  footprint of one layer (the reference the per-module training walk in
+  :mod:`repro.trainstep.memory` sums to),
 - :func:`inference_bytes` — weights + KV cache at a context length,
-- :func:`max_microbatch` — the largest b that fits a memory budget,
 - :class:`MemoryBudget` — a per-GPU budget with headroom.
+
+The training-step footprint itself (per module, per phase, under a
+checkpointing policy) and the largest microbatch that fits a budget
+live in :mod:`repro.trainstep.memory`.
 
 Activation accounting follows the standard per-layer coefficient for
 the unfused transformer (Korthikanti et al.): ``s*b*h*(34 + 5*a*s/h)``
@@ -27,9 +30,6 @@ from repro.core.formulas import kv_cache_bytes
 from repro.errors import ConfigError
 from repro.gpu.specs import GPUSpec, get_gpu
 
-# Mixed-precision Adam: fp16 weight + fp16 grad + fp32 master + fp32 m
-# + fp32 v = 2 + 2 + 4 + 4 + 4 bytes per parameter.
-ADAM_STATE_BYTES_PER_PARAM = 16
 _FP16 = 2
 
 
@@ -70,27 +70,6 @@ def activation_bytes_per_layer(
     return (dense + attention) / t
 
 
-def training_bytes(
-    cfg: TransformerConfig,
-    pipeline_stages: int = 1,
-    recompute_activations: bool = False,
-    flash_attention: bool = False,
-) -> MemoryBreakdown:
-    """Training footprint per GPU under (cfg.tp_degree, p) sharding."""
-    if pipeline_stages <= 0:
-        raise ConfigError("pipeline_stages must be positive")
-    params_per_gpu = cfg.param_count() / (cfg.tp_degree * pipeline_stages)
-    states = params_per_gpu * ADAM_STATE_BYTES_PER_PARAM
-
-    layers_per_stage = max(1, -(-cfg.num_layers // pipeline_stages))
-    per_layer = activation_bytes_per_layer(cfg, flash_attention)
-    if recompute_activations:
-        # Keep only the layer-boundary activations; recompute the rest.
-        per_layer = 2.0 * cfg.seq_len * cfg.microbatch * cfg.hidden_size / cfg.tp_degree
-    acts = per_layer * layers_per_stage
-    return MemoryBreakdown(weights_and_optimizer=states, activations=acts)
-
-
 def inference_bytes(
     cfg: TransformerConfig, context_len: int, batch: int = 1
 ) -> MemoryBreakdown:
@@ -127,31 +106,3 @@ class MemoryBudget:
 
     def fits(self, breakdown: MemoryBreakdown) -> bool:
         return breakdown.total <= self.usable_bytes
-
-
-def max_microbatch(
-    cfg: TransformerConfig,
-    budget: MemoryBudget,
-    pipeline_stages: int = 1,
-    recompute_activations: bool = False,
-    flash_attention: bool = False,
-    limit: int = 512,
-) -> int:
-    """Largest microbatch b fitting the budget (0 if even b=1 doesn't).
-
-    This operationalizes the paper's "b should be as large as possible"
-    rule: the answer is a memory bound, not a performance one.
-    """
-    best = 0
-    for b in range(1, limit + 1):
-        candidate = cfg.with_overrides(microbatch=b)
-        usage = training_bytes(
-            candidate,
-            pipeline_stages=pipeline_stages,
-            recompute_activations=recompute_activations,
-            flash_attention=flash_attention,
-        )
-        if not budget.fits(usage):
-            break
-        best = b
-    return best

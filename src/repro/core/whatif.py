@@ -23,9 +23,10 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.core.config import TransformerConfig
 from repro.core.latency import LayerLatencyModel
-from repro.core.memory import MemoryBudget, training_bytes
+from repro.core.memory import MemoryBudget
 from repro.errors import ConfigError
 from repro.gpu.specs import GPUSpec
+from repro.trainstep.memory import estimate_memory
 from repro.types import DType
 
 
@@ -115,7 +116,7 @@ class WhatIfAnalyzer:
         work.
         """
         doubled = cfg.with_overrides(microbatch=2 * cfg.microbatch)
-        if not self.budget.fits(training_bytes(doubled)):
+        if not estimate_memory(doubled).fits(self.budget):
             return Sensitivity(
                 knob="microbatch",
                 best_move=f"b={2 * cfg.microbatch} exceeds the memory budget",

@@ -27,7 +27,6 @@ from repro.core.config import TransformerConfig, get_model
 from repro.core.latency import LayerLatencyModel
 from repro.core.formulas import forward_flops_per_layer
 from repro.core.gemms import layer_gemms
-from repro.core.training import TrainingStepModel
 from repro.engine import default_engine, shape_array
 from repro.gpu.simulator import SMSimulator
 from repro.gpu.specs import get_gpu
@@ -40,6 +39,7 @@ from repro.harness.compare import (
 )
 from repro.harness.results import ResultTable
 from repro.inference.latency import InferenceModel
+from repro.trainstep import TrainStepEstimator
 from repro.types import DType, teraflops
 
 _B, _S = 4, 2048
@@ -290,22 +290,23 @@ def check_ext_flash(table: ResultTable) -> CheckResult:
 
 
 def run_ext_training() -> ResultTable:
-    """Fig 1's shape comparison under a full training step."""
-    model = TrainingStepModel("A100")
+    """Fig 1's shape comparison under a full training step (forward and
+    backward GEMMs plus the Adam update, per :mod:`repro.trainstep`)."""
+    estimator = TrainStepEstimator("A100")
     base = get_model("gpt3-2.7b")
     table = ResultTable(
         "Extension: training-step throughput of 2.7B shapes",
         ["shape", "head_dim", "tokens_per_s", "speedup_vs_default"],
     )
-    base_tps = model.tokens_per_second(base)
-    for name, cfg in (
+    shapes = (
         ("default", base),
         ("c1", get_model("c1")),
         ("c2", get_model("c2")),
         ("a20", base.with_overrides(num_heads=20)),
-    ):
-        tps = model.tokens_per_second(cfg)
-        table.add(name, cfg.head_dim, tps, tps / base_tps)
+    )
+    rates = [estimator.estimate(cfg).tokens_per_second for _, cfg in shapes]
+    for (name, cfg), tps in zip(shapes, rates):
+        table.add(name, cfg.head_dim, tps, tps / rates[0])
     return table
 
 

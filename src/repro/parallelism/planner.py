@@ -11,13 +11,11 @@ costs when ``h/6`` loses its power-of-two factor.
 Capacity comes from the training-step memory estimator
 (:func:`repro.trainstep.memory.estimate_memory`): a per-phase timeline
 of parameter, gradient, fp32 Adam-state, and activation bytes on the
-heaviest pipeline stage.  Unlike the old parameter-heuristic
-(:func:`repro.core.memory.training_bytes`), the estimator walks the
-model per module — so tied embeddings are counted once, the embedding
-stays resident on its stage rather than being diluted by ``p``, and the
-planner can trade **full activation checkpointing** (boundary-only
-activations) against its recompute cost (one extra forward pass per
-layer).
+heaviest pipeline stage.  The estimator walks the model per module —
+so tied embeddings are counted once, the embedding stays resident on
+its stage rather than being diluted by ``p``, and the planner can trade
+**full activation checkpointing** (boundary-only activations) against
+its recompute cost (one extra forward pass per layer).
 """
 
 from __future__ import annotations

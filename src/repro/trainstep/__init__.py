@@ -10,7 +10,8 @@ Public surface:
 
 - :func:`~repro.trainstep.memory.estimate_memory` /
   :class:`~repro.trainstep.memory.TrainStepMemory` — closed-form
-  per-phase memory model (params, grads, fp32 Adam state, activations).
+  per-phase memory model (params, grads, fp32 Adam state, activations),
+  and :func:`~repro.trainstep.memory.max_microbatch` on top of it.
 - :class:`~repro.trainstep.step.TrainStepEstimator` /
   :class:`~repro.trainstep.step.TrainStepEstimate` — grid-priced
   runtime estimator.
@@ -27,12 +28,12 @@ from repro.trainstep.memory import (
     boundary_bytes_per_layer,
     embedding_elements,
     estimate_memory,
+    max_microbatch,
     module_activation_bytes,
     module_param_elements,
 )
 from repro.trainstep.report import estimate_to_json, render_estimate
 from repro.trainstep.step import (
-    ADAM_TRAFFIC_BYTES_PER_PARAM,
     ModuleCost,
     PhaseCost,
     TrainStepEstimate,
@@ -42,7 +43,6 @@ from repro.trainstep.step import (
 from repro.trainstep.wall import WALL_MODELS, WallCase, WallReport, run_wall
 
 __all__ = [
-    "ADAM_TRAFFIC_BYTES_PER_PARAM",
     "CHECKPOINTING_POLICIES",
     "PHASES",
     "ModuleCost",
@@ -59,6 +59,7 @@ __all__ = [
     "embedding_elements",
     "estimate_memory",
     "estimate_to_json",
+    "max_microbatch",
     "module_activation_bytes",
     "module_param_elements",
     "render_estimate",

@@ -1,8 +1,9 @@
 """Per-module, per-phase peak-memory model for one training step.
 
-Where :func:`repro.core.memory.training_bytes` answers "how many bytes,
-roughly" with one aggregate, this module does the accounting the
-planner's capacity wall needs:
+The one answer to "does this training step fit?": the planner's
+capacity wall, ``repro estimate``, the ``shape_rules`` capacity advisory,
+the what-if microbatch gate and :func:`max_microbatch` all read it.
+The accounting is:
 
 - **per module** — every learned tensor is attributed to the module
   label the GEMM trace uses (``qkv_transform``, ``mlp_h_to_4h``, ...),
@@ -21,14 +22,14 @@ Accounting identities (pinned by the conservation-law suite):
   (the tied logit projection weight IS the embedding table and is
   counted once — see :func:`module_param_elements`),
 - for the classic GPT block the per-module activation walk sums exactly
-  to Korthikanti's ``(34 s b h + 5 a s^2 b) / t`` per-layer coefficient
+  to Korthikanti's ``(34 s b h + 5 a s^2 b) / t`` per-layer closed form
   (:func:`repro.core.memory.activation_bytes_per_layer`),
 - peak memory is monotone non-increasing in both t and p, and
   checkpointing never increases it.
 
 Mixed-precision Adam residency per parameter element: fp16 weight (2 B)
-+ fp16 gradient (2 B) + fp32 master weight, m, v (12 B) = 16 B, matching
-:data:`repro.core.memory.ADAM_STATE_BYTES_PER_PARAM`.
++ fp16 gradient (2 B) + fp32 master weight, m, v (12 B) =
+:data:`repro.core.training.ADAM_STATE_BYTES_PER_PARAM`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.core.config import TransformerConfig
-from repro.core.memory import ADAM_STATE_BYTES_PER_PARAM, MemoryBudget
+from repro.core.memory import MemoryBudget
+from repro.core.training import ADAM_STATE_BYTES_PER_PARAM
 from repro.errors import CapacityError, ConfigError
 
 #: fp16 storage of the live weight / gradient, bytes per element.
@@ -391,3 +393,38 @@ def estimate_memory(
         modules=tuple(modules),
         phases=phases,
     )
+
+
+def max_microbatch(
+    cfg: TransformerConfig,
+    budget: MemoryBudget,
+    pipeline_stages: int = 1,
+    checkpointing: str = "none",
+    limit: int = 512,
+) -> int:
+    """Largest microbatch b <= ``limit`` whose training step fits the
+    budget under ``(cfg.tp_degree, pipeline_stages)`` — 0 if even b=1
+    does not.
+
+    This operationalizes the paper's "b should be as large as possible"
+    rule: the answer is a memory bound, not a performance one.  Peak
+    memory is affine in b with non-negative slope, so a bisection over
+    ``[0, limit]`` finds the boundary.
+    """
+
+    def fits(b: int) -> bool:
+        return estimate_memory(
+            cfg.with_overrides(microbatch=b),
+            pipeline_stages=pipeline_stages,
+            checkpointing=checkpointing,
+        ).fits(budget)
+
+    # Invariant: b = lo fits (or lo = 0); no b in (hi, limit] fits.
+    lo, hi = 0, limit
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo

@@ -14,10 +14,10 @@ demand bit-identical totals against a per-record scalar accumulation.
 
 The optimizer phase is not a GEMM: it is priced as one streaming pass
 over the rank's unique parameter elements at
-:data:`ADAM_TRAFFIC_BYTES_PER_PARAM` bytes each (the same traffic model
-as :mod:`repro.core.training`), with FLOPs from
-:data:`repro.transformer.trace.ADAM_FLOPS_PER_PARAM` so the whole-step
-flop conservation law covers it.
+:data:`repro.core.training.ADAM_TRAFFIC_BYTES_PER_PARAM` bytes each and
+:data:`repro.core.latency.POINTWISE_BW_EFFICIENCY` of peak bandwidth,
+with FLOPs from :data:`repro.transformer.trace.ADAM_FLOPS_PER_PARAM` so
+the whole-step flop conservation law covers it.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ import numpy as np
 
 from repro.core.config import TransformerConfig
 from repro.core.gemms import backward_gemms_for, layer_gemms, logit_gemm
+from repro.core.latency import POINTWISE_BW_EFFICIENCY
+from repro.core.training import ADAM_TRAFFIC_BYTES_PER_PARAM
 from repro.engine.core import ShapeEngine, default_engine
 from repro.engine.grid import ShapeGrid
 from repro.errors import ConfigError
@@ -44,16 +46,6 @@ PHASE_FORWARD = "forward"
 PHASE_BACKWARD = "backward"
 PHASE_RECOMPUTE = "recompute"
 PHASE_OPTIMIZER = "optimizer"
-
-#: Bytes of optimizer traffic per parameter for mixed-precision Adam:
-#: read+write fp32 master weight, m, v (6 x 4 B) plus the fp16 weight
-#: write and gradient read (2 x 2 B).  Mirrors
-#: ``repro.core.training._ADAM_BYTES_PER_PARAM``.
-ADAM_TRAFFIC_BYTES_PER_PARAM = 28
-
-#: Achievable fraction of peak HBM bandwidth for streaming pointwise
-#: passes (mirrors ``repro.core.training._POINTWISE_BW_EFFICIENCY``).
-POINTWISE_BW_EFFICIENCY = 0.75
 
 
 def training_grid(

@@ -22,8 +22,9 @@ from repro.errors import ShapeError
 #: two moment EMAs (4 flops), bias corrections (2), sqrt + divide +
 #: epsilon (3), the master-weight update (2), and the fp16 cast (1).
 #: The update is bandwidth-bound in practice (see
-#: :mod:`repro.core.training`); this constant exists so a *flop*
-#: conservation law can cover the whole step, optimizer included.
+#: :meth:`repro.trainstep.step.TrainStepEstimator.optimizer_cost`); this
+#: constant exists so a *flop* conservation law can cover the whole
+#: step, optimizer included.
 ADAM_FLOPS_PER_PARAM = 12
 
 #: Suffixes of backward-pass records derived from a forward matmul.

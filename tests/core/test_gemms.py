@@ -5,10 +5,12 @@ import pytest
 from repro.core.config import TransformerConfig, get_model
 from repro.core.gemms import (
     TransformerGemm,
+    backward_gemms_for,
     layer_gemm_flops,
     layer_gemms,
     logit_gemm,
     model_gemms,
+    training_gemms,
 )
 from repro.errors import ParallelismError
 
@@ -96,3 +98,25 @@ class TestModelGemms:
         op = logit_gemm(cfg)
         assert op.shape_tuple() == (1, 8192, 2560, 50304)
         assert not op.is_bmm
+
+
+class TestBackwardGemms:
+    def test_shapes_are_transposes(self):
+        op = layer_gemms(get_model("gpt3-2.7b"))[0]  # QKV (bs, h)x(h, 3h)
+        dgrad, wgrad = backward_gemms_for(op)
+        assert (dgrad.m, dgrad.k, dgrad.n) == (op.m, op.n, op.k)
+        assert (wgrad.m, wgrad.k, wgrad.n) == (op.k, op.m, op.n)
+
+    def test_equal_flops(self):
+        for op in layer_gemms(get_model("gpt3-2.7b")):
+            for bop in backward_gemms_for(op):
+                assert bop.flops == op.flops
+
+    def test_training_gemms_3x_count_and_flops(self, cfg):
+        fwd_ops = layer_gemms(cfg) * cfg.num_layers
+        train_ops = training_gemms(cfg)
+        assert len(train_ops) == 3 * (len(fwd_ops) + 1)
+        fwd_flops = sum(op.flops for op in fwd_ops)
+        train_flops = sum(op.flops for op in train_ops)
+        logit_flops = train_ops[-3].flops
+        assert train_flops == 3 * (fwd_flops + logit_flops)

@@ -19,7 +19,6 @@ from repro.core.advisor import ShapeAdvisor
 from repro.core.config import list_models
 from repro.core.gemms import backward_gemms_for, layer_gemms, logit_gemm
 from repro.core.latency import LatencyBreakdown, LayerLatencyModel
-from repro.core.training import TrainingStepModel
 
 GPUS = ("A100", "V100", "H100", "MI250X")
 FLASH = (False, True)
@@ -64,28 +63,6 @@ class TestBreakdowns:
         layer, model = pairs[index]
         _same(layer, scalar.layer_breakdown(CONFIGS[index]))
         _same(model, scalar.model_breakdown(CONFIGS[index]))
-
-    def test_backward_breakdown_matches_scalar(self, gpu, flash, index):
-        cfg = CONFIGS[index]
-        step = TrainingStepModel(gpu, flash_attention=flash)
-        model = step.layer_model
-        # The per-op reference: one scalar gemm_perf per backward GEMM.
-        ref = LatencyBreakdown()
-        for op in model.layer_ops(cfg):
-            for bop in backward_gemms_for(op):
-                ref.add(bop.module, model.gemm_perf(bop).latency_s * cfg.num_layers)
-                ref.flops += bop.flops * cfg.num_layers
-        for bop in backward_gemms_for(logit_gemm(cfg)):
-            ref.add(bop.module, model.gemm_perf(bop).latency_s)
-            ref.flops += bop.flops
-        if flash:
-            batch = cfg.microbatch * cfg.num_heads // cfg.tp_degree
-            fp = model.flash_model.evaluate(batch, cfg.seq_len, cfg.head_dim)
-            ref.add("flash_attention.bwd", 2.5 * fp.latency_s * cfg.num_layers)
-            ref.flops += int(2.5 * fp.flops) * cfg.num_layers
-        fwd = model.model_breakdown(cfg)
-        ref.add("pointwise_bwd", fwd.total_s - fwd.gemm_s)
-        _same(step.backward_breakdown(cfg), ref)
 
 
 @pytest.mark.parametrize("gpu", GPUS)

@@ -1,4 +1,5 @@
-"""Tests for the per-GPU memory accounting."""
+"""Tests for the per-GPU memory accounting: the closed forms in
+``core.memory`` and the training-step footprint they feed."""
 
 import pytest
 
@@ -7,10 +8,9 @@ from repro.core.memory import (
     MemoryBudget,
     activation_bytes_per_layer,
     inference_bytes,
-    max_microbatch,
-    training_bytes,
 )
 from repro.errors import ConfigError
+from repro.trainstep import estimate_memory, max_microbatch
 
 
 @pytest.fixture(scope="module")
@@ -41,27 +41,28 @@ class TestActivations:
 
 class TestTraining:
     def test_adam_states_dominate_small_batch(self, cfg):
-        usage = training_bytes(cfg)
+        usage = estimate_memory(cfg)
         # 2.65B params x 16 B = ~42 GB of states.
-        assert usage.weights_and_optimizer == pytest.approx(
-            cfg.param_count() * 16, rel=1e-6
+        states = (
+            usage.parameter_bytes + usage.gradient_bytes + usage.optimizer_state_bytes
         )
-        assert usage.total > 40e9
+        assert states == pytest.approx(cfg.param_count() * 16, rel=1e-6)
+        assert usage.peak_bytes > 40e9
 
     def test_sharding_reduces_footprint(self, cfg):
-        full = training_bytes(cfg).total
-        sharded = training_bytes(cfg.with_overrides(tp_degree=4), pipeline_stages=2).total
+        full = estimate_memory(cfg).peak_bytes
+        sharded = estimate_memory(cfg, tp=4, pipeline_stages=2).peak_bytes
         assert sharded < full / 4
 
     def test_recompute_shrinks_activations(self, cfg):
         big = cfg.with_overrides(microbatch=8)
-        plain = training_bytes(big).activations
-        recomp = training_bytes(big, recompute_activations=True).activations
+        plain = estimate_memory(big).activation_bytes
+        recomp = estimate_memory(big, checkpointing="full").activation_bytes
         assert recomp < plain / 5
 
     def test_invalid_stages_raise(self, cfg):
         with pytest.raises(ConfigError):
-            training_bytes(cfg, pipeline_stages=0)
+            estimate_memory(cfg, pipeline_stages=0)
 
 
 class TestInference:
@@ -100,7 +101,7 @@ class TestBudget:
 
     def test_fits(self, cfg):
         tiny = MemoryBudget(capacity_bytes=1e9)
-        assert not tiny.fits(training_bytes(cfg))
+        assert not estimate_memory(cfg).fits(tiny)
 
     def test_27b_needs_sharding_on_a100_40(self, cfg):
         # The classic reality: a 2.7B model's Adam states alone exceed
@@ -122,6 +123,6 @@ class TestBudget:
         budget = MemoryBudget.for_gpu("A100")
         plain = max_microbatch(sharded, budget, pipeline_stages=4)
         recomp = max_microbatch(
-            sharded, budget, pipeline_stages=4, recompute_activations=True
+            sharded, budget, pipeline_stages=4, checkpointing="full"
         )
         assert recomp > plain

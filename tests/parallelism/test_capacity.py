@@ -9,7 +9,8 @@ fits. Plus the embedding double-count regression under TP.
 import pytest
 
 from repro.core.config import get_model
-from repro.core.memory import ADAM_STATE_BYTES_PER_PARAM, MemoryBudget
+from repro.core.memory import MemoryBudget
+from repro.core.training import ADAM_STATE_BYTES_PER_PARAM
 from repro.errors import CapacityError, ParallelismError
 from repro.parallelism.planner import ParallelPlanner, capacity_matrix
 from repro.trainstep.memory import estimate_memory, module_param_elements

@@ -3,12 +3,8 @@
 import pytest
 
 from repro.core.config import get_model
-from repro.core.memory import (
-    ADAM_STATE_BYTES_PER_PARAM,
-    MemoryBudget,
-    activation_bytes_per_layer,
-    training_bytes,
-)
+from repro.core.memory import MemoryBudget, activation_bytes_per_layer
+from repro.core.training import ADAM_STATE_BYTES_PER_PARAM
 from repro.errors import CapacityError, ConfigError
 from repro.trainstep.memory import (
     BOUNDARY_MODULE,
@@ -83,15 +79,18 @@ class TestActivationWalk:
 
 
 class TestEstimateMemory:
-    def test_matches_core_training_bytes_at_p1(self):
+    def test_matches_closed_form_at_p1(self):
         """At (t, p=1), classic block, no flash/ckpt, the estimator's
-        peak equals the coarse core model exactly."""
+        peak equals the closed form: 16 B of Adam residency per
+        parameter plus L layers of Korthikanti activations."""
         for t in (1, 2, 4):
             cfg = get_model("gpt3-2.7b", tp_degree=t)
-            mem = estimate_memory(cfg)
-            assert mem.peak_bytes == pytest.approx(
-                training_bytes(cfg).total, rel=1e-12
+            closed_form = (
+                cfg.param_count() / t * ADAM_STATE_BYTES_PER_PARAM
+                + cfg.num_layers * activation_bytes_per_layer(cfg)
             )
+            mem = estimate_memory(cfg)
+            assert mem.peak_bytes == pytest.approx(closed_form, rel=1e-12)
 
     def test_backward_is_peak_phase(self):
         mem = estimate_memory(get_model("gpt3-2.7b"))
