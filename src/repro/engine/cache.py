@@ -398,17 +398,22 @@ def spec_key(spec: Any) -> Tuple[Any, ...]:
     return tuple(out)
 
 
+def _tile_key(t: Any) -> Tuple[Any, ...]:
+    return (t.m, t.n, t.k_stage, t.threads, t.peak_fraction)
+
+
 def tile_policy_key(tile: Any, candidates: Any) -> Tuple[Any, ...]:
     """Hashable fingerprint of a (fixed-tile, candidate-pool) policy."""
-
-    def one(t: Any) -> Tuple[Any, ...]:
-        return (t.m, t.n, t.k_stage, t.threads, t.peak_fraction)
-
     if tile is not None:
-        return ("tile", one(tile))
+        return ("tile", _tile_key(tile))
     if candidates is not None:
-        return ("candidates", tuple(one(t) for t in candidates))
+        return ("candidates", tuple(_tile_key(t) for t in candidates))
     return ("auto",)
+
+
+def sweep_policy_key(pool: Any) -> Tuple[Any, ...]:
+    """Fingerprint of a tile sweep: every tile of ``pool`` pinned in turn."""
+    return ("sweep", tuple(_tile_key(t) for t in pool))
 
 
 def digest_key(key: Any) -> str:

@@ -40,11 +40,14 @@ from repro.resilience.faults import fault_site
 from repro.engine.vectorized import (
     _BW_EFFICIENCY,
     BatchResult,
+    default_pool,
     evaluate_batch,
+    evaluate_tile_sweep,
     shape_array,
+    split_sweep,
 )
 from repro.gpu.specs import get_gpu
-from repro.gpu.tiles import TileConfig, candidate_tiles
+from repro.gpu.tiles import TileConfig
 from repro.types import DType
 
 #: Environment variable naming a directory for the default engine's
@@ -83,7 +86,7 @@ class ShapeEngine:
         if (
             tile is None
             and candidates is not None
-            and tuple(candidates) == tuple(candidate_tiles(spec, dtype))
+            and tuple(candidates) == default_pool(spec, dtype)[0]
         ):
             # Spelling out the default pool is the same policy as "auto";
             # collapsing them keeps both callers on one cache entry.
@@ -97,20 +100,9 @@ class ShapeEngine:
             _cache.model_version(),
         )
 
-    # -- public API ---------------------------------------------------------
-
-    def evaluate(
-        self,
-        shapes,
-        gpu,
-        dtype: "str | DType" = DType.FP16,
-        tile: Optional[TileConfig] = None,
-        candidates: Optional[Sequence[TileConfig]] = None,
-        bw_efficiency: float = _BW_EFFICIENCY,
-    ) -> BatchResult:
-        """Evaluate a batch of shapes, consulting both cache levels."""
-        key = self._key(shapes, gpu, dtype, tile, candidates, bw_efficiency)
-        with _span("engine.evaluate", shapes=len(shapes), gpu=str(gpu)) as sp:
+    def _cached(self, key, rows: int, gpu: str, compute) -> BatchResult:
+        """``key``'s result from memory, then disk, else ``compute()`` stored in both."""
+        with _span("engine.evaluate", shapes=rows, gpu=gpu) as sp:
             reg = _metrics()
             hit = self._mem.get(key)
             if hit is not None:
@@ -127,18 +119,11 @@ class ShapeEngine:
                     sp.set(source="disk")
                     reg.counter("engine.evaluate.disk_hits").inc()
                     return result
-            fault_site("engine.batch_eval", digest=digest, gpu=str(gpu))
-            result = evaluate_batch(
-                shapes,
-                gpu,
-                dtype,
-                tile=tile,
-                candidates=candidates,
-                bw_efficiency=bw_efficiency,
-            )
+            fault_site("engine.batch_eval", digest=digest, gpu=gpu)
+            result = compute()
             sp.set(source="compute")
             reg.counter("engine.evaluate.computes").inc()
-            reg.counter("engine.evaluate.shapes_computed").inc(len(shapes))
+            reg.counter("engine.evaluate.shapes_computed").inc(rows)
             self._mem.put(key, result)
             if self._disk is not None:
                 try:
@@ -150,6 +135,33 @@ class ShapeEngine:
                     # failure must never fail an evaluation.
                     log.warning("disk cache write failed, serving from memory: %s", exc)
             return result
+
+    # -- public API ---------------------------------------------------------
+
+    def evaluate(
+        self,
+        shapes,
+        gpu,
+        dtype: "str | DType" = DType.FP16,
+        tile: Optional[TileConfig] = None,
+        candidates: Optional[Sequence[TileConfig]] = None,
+        bw_efficiency: float = _BW_EFFICIENCY,
+    ) -> BatchResult:
+        """Evaluate a batch of shapes, consulting both cache levels."""
+        key = self._key(shapes, gpu, dtype, tile, candidates, bw_efficiency)
+        return self._cached(
+            key,
+            len(shapes),
+            str(gpu),
+            lambda: evaluate_batch(
+                shapes,
+                gpu,
+                dtype,
+                tile=tile,
+                candidates=candidates,
+                bw_efficiency=bw_efficiency,
+            ),
+        )
 
     def latency(self, shapes, gpu, dtype: "str | DType" = DType.FP16, **kw) -> np.ndarray:
         """Latencies (seconds) for a batch of shapes."""
@@ -196,17 +208,19 @@ class ShapeEngine:
         candidates: Optional[Sequence[TileConfig]] = None,
         bw_efficiency: float = _BW_EFFICIENCY,
     ) -> List[Tuple[TileConfig, GridResult]]:
-        """Evaluate a whole grid once per pinned tile candidate.
+        """Evaluate a whole grid with each candidate tile pinned in turn.
 
         The batched primitive behind the kernel-parameter autotuner
-        (:mod:`repro.kernels`): for each candidate the *entire* grid is
-        evaluated as one vectorized call with the tile pinned, so the
-        result is a dense (candidate x shape) latency surface without a
-        single per-shape Python iteration.  The loop below is over tile
-        candidates — the policy axis — never over shapes, and each
-        (tile, grid) pair is independently two-level cached, so
-        re-tuning against an unchanged model is pure cache hits.
+        (:mod:`repro.kernels`): every (candidate, shape) pair is priced
+        in *one* vectorized pass
+        (:func:`~repro.engine.vectorized.evaluate_tile_sweep`), so the
+        result is a dense (candidate x shape) latency surface with no
+        Python loop over shapes or tiles.  The whole sweep is one entry
+        in both cache levels, keyed on the grid and the candidate pool,
+        so re-tuning against an unchanged model is one cache hit.
 
+        Returns one ``(tile, GridResult)`` pair per candidate, each
+        equal bit for bit to ``evaluate_grid(grid, ..., tile=tile)``.
         ``candidates`` defaults to every tile that fits ``gpu`` for
         ``dtype`` (:func:`~repro.gpu.tiles.candidate_tiles`); pass a
         subset to restrict the search space.  Candidate order is
@@ -218,21 +232,33 @@ class ShapeEngine:
         pool = (
             tuple(candidates)
             if candidates is not None
-            else candidate_tiles(spec, parsed)
+            else default_pool(spec, parsed)[0]
+        )
+        shapes = grid.shapes
+        key = (
+            _cache.shapes_digest(shapes),
+            _cache.spec_key(spec),
+            parsed.name,
+            _cache.sweep_policy_key(pool),
+            bw_efficiency,
+            _cache.model_version(),
         )
         with _span(
             "engine.evaluate_tiles", shapes=len(grid), tiles=len(pool),
             gpu=spec.name,
         ):
+            sweep = self._cached(
+                key,
+                len(pool) * len(grid),
+                spec.name,
+                lambda: evaluate_tile_sweep(
+                    shapes, spec, parsed, candidates=candidates,
+                    bw_efficiency=bw_efficiency,
+                ),
+            )
             return [
-                (
-                    tile,
-                    self.evaluate_grid(
-                        grid, spec, parsed, tile=tile,
-                        bw_efficiency=bw_efficiency,
-                    ),
-                )
-                for tile in pool
+                (tile, GridResult(grid, part))
+                for tile, part in zip(pool, split_sweep(sweep))
             ]
 
     def memo_columns(self, kind: str, key, compute) -> "dict[str, np.ndarray]":

@@ -4,7 +4,10 @@
 cuBLAS-like tile selection, wave/tile quantization, Tensor Core
 alignment efficiency, L2-adjusted DRAM traffic, and the roofline
 latency composition — for an entire array of ``(batch, m, n, k)``
-shapes in NumPy array operations.
+shapes in NumPy array operations.  :func:`evaluate_tile_sweep` prices
+the same shapes under every candidate tile at once (the kernel tuner's
+search); both run through one pricing step that takes a per-row tile
+index, so there is a single vectorized cost formula.
 
 Parity contract
 ---------------
@@ -28,10 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engine import cache as _cache
 from repro.errors import GPUModelError, ShapeError
 from repro.gpu import alignment
 from repro.gpu.occupancy import blocks_per_sm
@@ -225,39 +229,64 @@ def _dim_efficiency(d: np.ndarray, dtype: DType, spec: GPUSpec) -> np.ndarray:
     return np.where(p >= full, 1.0, np.where(p < min_elems, sub, mid))
 
 
-def _resolve_pool(
+#: Memo of each spec's default candidate pool and its per-tile
+#: occupancy.  Keyed on the spec's field fingerprint, not its name, so a
+#: calibrated or hand-edited spec that keeps a built-in name never
+#: reuses the built-in's pool.
+_POOLS = _cache.LRUCache(maxsize=64)
+
+
+def _occupancy(
+    spec: GPUSpec, dtype: DType, pool: Sequence[TileConfig]
+) -> np.ndarray:
+    """Blocks per SM for each tile of ``pool``.
+
+    Raises :class:`GPUModelError` for a tile that does not fit, exactly
+    where the scalar path would (selection scoring or evaluate).
+    """
+    return np.array(
+        [
+            blocks_per_sm(spec, t.m, t.n, t.k_stage, t.threads, dtype).blocks_per_sm
+            for t in pool
+        ],
+        dtype=np.int64,
+    )
+
+
+def default_pool(
+    spec: GPUSpec, dtype: DType
+) -> Tuple[Tuple[TileConfig, ...], np.ndarray]:
+    """:func:`~repro.gpu.tiles.candidate_tiles` and its occupancy, memoized."""
+    key = (_cache.spec_key(spec), dtype)
+    hit = _POOLS.get(key)
+    if hit is None:
+        pool = candidate_tiles(spec, dtype)
+        occ = _occupancy(spec, dtype, pool)
+        occ.setflags(write=False)  # shared by every caller
+        hit = (pool, occ)
+        _POOLS.put(key, hit)
+    return hit
+
+
+def _pool_and_occupancy(
     spec: GPUSpec,
     dtype: DType,
     tile: Optional[TileConfig],
     candidates: Optional[Sequence[TileConfig]],
-) -> Tuple[TileConfig, ...]:
+) -> Tuple[Tuple[TileConfig, ...], np.ndarray]:
     if tile is not None:
-        return (tile,)
-    if candidates is not None:
+        pool: Tuple[TileConfig, ...] = (tile,)
+    elif candidates is not None:
         pool = tuple(candidates)
         if not pool:
             raise GPUModelError("empty tile candidate pool")
-        return pool
-    return candidate_tiles(spec, dtype)
+    else:
+        return default_pool(spec, dtype)
+    return pool, _occupancy(spec, dtype, pool)
 
 
-def evaluate_batch(
-    shapes,
-    gpu: "str | GPUSpec",
-    dtype: "str | DType" = DType.FP16,
-    tile: Optional[TileConfig] = None,
-    candidates: Optional[Sequence[TileConfig]] = None,
-    bw_efficiency: float = _BW_EFFICIENCY,
-) -> BatchResult:
-    """Evaluate an (N, 4) array of ``(batch, m, n, k)`` shapes at once.
-
-    Semantics are identical to constructing ``GemmModel(gpu, dtype,
-    tile=tile, candidates=candidates, bw_efficiency=bw_efficiency)`` and
-    calling ``evaluate(m, n, k, batch)`` per row — including raised
-    error types — but the whole batch is computed in array operations.
-    """
-    spec = get_gpu(gpu)
-    dtype = DType.parse(dtype)
+def _shape_rows(shapes, bw_efficiency: float) -> np.ndarray:
+    """Validate ``shapes`` (and ``bw_efficiency``) into an (N, 4) int64 array."""
     if not (0.0 < bw_efficiency <= 1.0):
         raise ShapeError(f"bw_efficiency must be in (0,1]: {bw_efficiency}")
     arr = np.asarray(shapes, dtype=np.int64)
@@ -270,47 +299,56 @@ def evaluate_batch(
     if arr.size and int(arr.min()) <= 0:
         bad = arr[(arr <= 0).any(axis=1)][0]
         raise ShapeError(f"GEMM dims must be positive: {tuple(int(v) for v in bad)}")
+    return arr
 
-    pool = _resolve_pool(spec, dtype, tile, candidates)
-    # Per-tile occupancy; raises GPUModelError for tiles that do not fit,
-    # exactly where the scalar path would (selection scoring or evaluate).
-    occ = np.array(
-        [
-            blocks_per_sm(spec, t.m, t.n, t.k_stage, t.threads, dtype).blocks_per_sm
-            for t in pool
-        ],
-        dtype=np.int64,
-    )
+
+def _select_tiles(
+    arr: np.ndarray, spec: GPUSpec, pool: Tuple[TileConfig, ...]
+) -> np.ndarray:
+    """cuBLAS-like tile selection: the pool index picked for each row.
+
+    Replicates ``tile_score`` for every (tile, shape) pair and takes the
+    first argmin, matching ``min(pool, key=...)``'s first-strict-minimum
+    tie handling.
+    """
+    b, m, n, k = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
+    tile_m = np.array([t.m for t in pool], dtype=np.int64)
+    tile_n = np.array([t.n for t in pool], dtype=np.int64)
+    peak_fraction = np.array([t.peak_fraction for t in pool], dtype=np.float64)
+    gm_all = _ceil_div(m[None, :], tile_m[:, None])
+    gn_all = _ceil_div(n[None, :], tile_n[:, None])
+    blocks_all = b[None, :] * (gm_all * gn_all)
+    waves_all = _ceil_div(blocks_all, spec.num_sms)
+    # tile_score: n_waves * 2.0 * tile.m * tile.n * k / peak_fraction
+    score = (
+        ((waves_all * 2.0) * tile_m[:, None]) * tile_n[:, None]
+    ) * k[None, :] / peak_fraction[:, None]
+    return np.argmin(score, axis=0)
+
+
+def _price(
+    arr: np.ndarray,
+    spec: GPUSpec,
+    dtype: DType,
+    pool: Tuple[TileConfig, ...],
+    occ: np.ndarray,
+    sel: np.ndarray,
+    bw_efficiency: float,
+) -> BatchResult:
+    """The analytic model for row ``i`` of ``arr`` run with ``pool[sel[i]]``.
+
+    The one pricing step behind both :func:`evaluate_batch` (``sel``
+    from selection, or all zeros for a pinned tile) and
+    :func:`evaluate_tile_sweep` (``sel`` enumerating the pool).
+    """
     num_sms = spec.num_sms
     b, m, n, k = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
     N = arr.shape[0]
 
-    tile_m = np.array([t.m for t in pool], dtype=np.int64)
-    tile_n = np.array([t.n for t in pool], dtype=np.int64)
-    tile_ks = np.array([t.k_stage for t in pool], dtype=np.int64)
-    peak_fraction = np.array([t.peak_fraction for t in pool], dtype=np.float64)
-
-    if len(pool) == 1 and tile is not None:
-        # Pinned tile: no selection pass (mirrors GemmModel.fixed_tile).
-        sel = np.zeros(N, dtype=np.int64)
-    else:
-        # cuBLAS-like selection: replicate tile_score for every
-        # (tile, shape) pair and take the first argmin, matching
-        # ``min(pool, key=...)``'s first-strict-minimum tie handling.
-        gm_all = _ceil_div(m[None, :], tile_m[:, None])
-        gn_all = _ceil_div(n[None, :], tile_n[:, None])
-        blocks_all = b[None, :] * (gm_all * gn_all)
-        waves_all = _ceil_div(blocks_all, num_sms)
-        # tile_score: n_waves * 2.0 * tile.m * tile.n * k / peak_fraction
-        score = (
-            ((waves_all * 2.0) * tile_m[:, None]) * tile_n[:, None]
-        ) * k[None, :] / peak_fraction[:, None]
-        sel = np.argmin(score, axis=0)
-
-    tm = tile_m[sel]
-    tn = tile_n[sel]
-    ks = tile_ks[sel]
-    pf = peak_fraction[sel]
+    tm = np.array([t.m for t in pool], dtype=np.int64)[sel]
+    tn = np.array([t.n for t in pool], dtype=np.int64)[sel]
+    ks = np.array([t.k_stage for t in pool], dtype=np.int64)[sel]
+    pf = np.array([t.peak_fraction for t in pool], dtype=np.float64)[sel]
     occ_sel = occ[sel]
 
     gm = _ceil_div(m, tm)
@@ -422,3 +460,82 @@ def evaluate_batch(
         used_matrix_engine=used_matrix,
         tflops=tflops,
     )
+
+
+def evaluate_batch(
+    shapes,
+    gpu: "str | GPUSpec",
+    dtype: "str | DType" = DType.FP16,
+    tile: Optional[TileConfig] = None,
+    candidates: Optional[Sequence[TileConfig]] = None,
+    bw_efficiency: float = _BW_EFFICIENCY,
+) -> BatchResult:
+    """Evaluate an (N, 4) array of ``(batch, m, n, k)`` shapes at once.
+
+    Semantics are identical to constructing ``GemmModel(gpu, dtype,
+    tile=tile, candidates=candidates, bw_efficiency=bw_efficiency)`` and
+    calling ``evaluate(m, n, k, batch)`` per row — including raised
+    error types — but the whole batch is computed in array operations.
+    """
+    spec = get_gpu(gpu)
+    dtype = DType.parse(dtype)
+    arr = _shape_rows(shapes, bw_efficiency)
+    pool, occ = _pool_and_occupancy(spec, dtype, tile, candidates)
+    if tile is not None:
+        # Pinned tile: no selection pass (mirrors GemmModel.fixed_tile).
+        sel = np.zeros(arr.shape[0], dtype=np.int64)
+    else:
+        sel = _select_tiles(arr, spec, pool)
+    return _price(arr, spec, dtype, pool, occ, sel, bw_efficiency)
+
+
+def evaluate_tile_sweep(
+    shapes,
+    gpu: "str | GPUSpec",
+    dtype: "str | DType" = DType.FP16,
+    candidates: Optional[Sequence[TileConfig]] = None,
+    bw_efficiency: float = _BW_EFFICIENCY,
+) -> BatchResult:
+    """Price every (candidate tile, shape) pair in one vectorized pass.
+
+    The result has ``C x N`` rows for ``C`` candidates and ``N`` shapes:
+    row ``c * N + i`` is shape ``i`` with ``pool[c]`` pinned, so
+    :func:`split_sweep` cuts it into the ``C`` results that
+    ``evaluate_batch(shapes, ..., tile=pool[c])`` returns, equal bit
+    for bit.  ``candidates`` defaults to every tile that fits ``gpu``
+    for ``dtype``.
+    """
+    spec = get_gpu(gpu)
+    dtype = DType.parse(dtype)
+    arr = _shape_rows(shapes, bw_efficiency)
+    pool, occ = _pool_and_occupancy(spec, dtype, None, candidates)
+    rows = arr.shape[0]
+    sel = np.repeat(np.arange(len(pool), dtype=np.int64), rows)
+    return _price(
+        np.tile(arr, (len(pool), 1)), spec, dtype, pool, occ, sel, bw_efficiency
+    )
+
+
+def split_sweep(sweep: BatchResult) -> List[BatchResult]:
+    """Cut an :func:`evaluate_tile_sweep` result into per-tile results.
+
+    Each part is what ``evaluate_batch(..., tile=t)`` returns for its
+    tile: a one-tile pool and an all-zero ``tile_index``.  Parts are
+    views into ``sweep``; nothing is copied but the index column.
+    """
+    rows = len(sweep) // len(sweep.pool)
+    sliced = [f for f in BatchResult._ARRAY_FIELDS if f != "tile_index"]
+    parts = []
+    for c, tile in enumerate(sweep.pool):
+        part = slice(c * rows, (c + 1) * rows)
+        parts.append(
+            BatchResult(
+                gpu=sweep.gpu,
+                dtype=sweep.dtype,
+                pool=(tile,),
+                tile_index=np.zeros(rows, dtype=np.int64),
+                overhead_s=sweep.overhead_s,
+                **{name: getattr(sweep, name)[part] for name in sliced},
+            )
+        )
+    return parts

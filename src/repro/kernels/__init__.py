@@ -6,9 +6,9 @@ parameters should run it* (the tritonBLAS direction, PAPERS.md).  The
 pieces:
 
 - :mod:`~repro.kernels.search` — batched analytical search: one SoA
-  grid of tuning shapes evaluated once per pinned tile candidate
-  through :meth:`~repro.engine.core.ShapeEngine.evaluate_tiles`, argmin
-  across the candidate axis, bucketed into a lookup table.
+  grid of tuning shapes priced under every candidate tile in one
+  :meth:`~repro.engine.core.ShapeEngine.evaluate_tiles` evaluation,
+  argmin across the candidate axis, bucketed into a lookup table.
 - :mod:`~repro.kernels.table` — the versioned, checksummed JSON
   artifact (:class:`KernelTable`) those searches export, with an
   explanatory ranked diff (:func:`compare_tables`) for golden-drift

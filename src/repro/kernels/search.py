@@ -2,10 +2,11 @@
 
 :func:`tune_table` is the whole tuner: build *one*
 :class:`~repro.engine.grid.ShapeGrid` covering every tuning shape for a
-(GPU, dtype) pair, evaluate it once per pinned tile candidate through
-:meth:`~repro.engine.core.ShapeEngine.evaluate_tiles` (the SoA
-whole-grid path — no per-shape Python anywhere), take the argmin across
-the candidate axis, and export the per-bucket winners as a
+(GPU, dtype) pair, price every (candidate tile, shape) pair in one
+engine evaluation through
+:meth:`~repro.engine.core.ShapeEngine.evaluate_tiles` (no per-shape or
+per-tile Python anywhere), take the argmin across the candidate axis,
+and export the per-bucket winners as a
 :class:`~repro.kernels.table.KernelTable`.
 
 The tuning grid is the set of bucket representatives: every power of
@@ -25,6 +26,7 @@ yields byte-identical artifacts.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -104,34 +106,44 @@ def _argmin_entries(
     waves = np.stack([result.batch.waves for _tile, result in sweep])
     blocks = np.stack([result.batch.blocks for _tile, result in sweep])
     best = np.argmin(latency, axis=0)
-    shapes = grid.shapes
     cols = np.arange(len(grid))
     # Runner-up: mask the winner out and argmin again (vectorized).
     masked = latency.copy()
     masked[best, cols] = np.inf
     second = np.argmin(masked, axis=0)
+    tiles = [tile for tile, _result in sweep]
+    names = [tile.name for tile in tiles]
+    # One tolist() per column; the loop below only assembles entries.
+    rows = zip(
+        grid.shapes.tolist(),
+        best.tolist(),
+        second.tolist(),
+        latency[best, cols].tolist(),
+        masked[second, cols].tolist(),
+        tflops[best, cols].tolist(),
+        waves[best, cols].tolist(),
+        blocks[best, cols].tolist(),
+    )
     entries = []
-    for row in range(len(grid)):
-        tile = sweep[best[row]][0]
-        win_latency = float(latency[best[row], row])
-        second_latency = float(masked[second[row], row])
-        has_second = np.isfinite(second_latency)
+    for (b, m, n, k), win, sec, win_latency, second_latency, tf, wv, bl in rows:
+        tile = tiles[win]
+        has_second = math.isfinite(second_latency)
         entries.append(
             KernelEntry(
-                batch=int(shapes[row, 0]),
-                m=int(shapes[row, 1]),
-                n=int(shapes[row, 2]),
-                k=int(shapes[row, 3]),
-                tile=tile.name,
+                batch=b,
+                m=m,
+                n=n,
+                k=k,
+                tile=names[win],
                 tile_m=tile.m,
                 tile_n=tile.n,
                 k_stage=tile.k_stage,
                 threads=tile.threads,
-                waves=int(waves[best[row], row]),
-                blocks=int(blocks[best[row], row]),
+                waves=wv,
+                blocks=bl,
                 latency_s=win_latency,
-                tflops=float(tflops[best[row], row]),
-                runner_up=sweep[second[row]][0].name if has_second else None,
+                tflops=tf,
+                runner_up=names[sec] if has_second else None,
                 margin=(
                     second_latency / win_latency
                     if has_second and win_latency > 0
@@ -151,8 +163,8 @@ def tune_table(
 ) -> KernelTable:
     """Tune one (GPU, dtype) table by batched analytical search.
 
-    One whole-grid evaluation per candidate tile; everything else is
-    NumPy reductions over the (candidate x shape) latency surface.
+    One engine evaluation prices the whole (candidate x shape) latency
+    surface; everything else is NumPy reductions over it.
     """
     spec = get_gpu(gpu)
     parsed = DType.parse(dtype)
@@ -197,9 +209,9 @@ def best_for_shape(
     """The analytical fallback: argmin over candidates at one exact shape.
 
     Used by the resolver on table misses and usable standalone; the
-    pick is computed with the *same* per-tile pinned evaluation the
-    tuner uses, so a fallback answer at a representative shape is
-    identical to the table entry tuned there.
+    pick is computed with the *same* tile sweep the tuner uses, so a
+    fallback answer at a representative shape is identical to the table
+    entry tuned there.
     """
     spec = get_gpu(gpu)
     parsed = DType.parse(dtype)

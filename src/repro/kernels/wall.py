@@ -13,8 +13,8 @@ For each sampled validation shape the wall computes:
 - the **simulator ranking**: every candidate tile simulated with the
   tile pinned, ranked by makespan;
 - the **analytical ranking**: the same candidates through the engine's
-  pinned-tile batched path (one whole-grid call per candidate over all
-  validation shapes at once);
+  tile sweep (one call pricing every candidate at every validation
+  shape at once);
 - the **table's pick**: resolved exactly like a serve query (bucket
   lookup, analytical fallback on a miss).
 
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from repro.engine.core import ShapeEngine, default_engine
 from repro.engine.grid import ShapeGrid
@@ -176,6 +175,10 @@ def run_wall(
     engine: Optional[ShapeEngine] = None,
 ) -> WallReport:
     """Run the differential wall for one tuned table."""
+    # Deferred: scipy costs about a second to import, and serving
+    # processes import this package without ever running the wall.
+    from scipy.stats import kendalltau
+
     spec = get_gpu(table.gpu)
     parsed = DType.parse(table.dtype)
     eng = engine if engine is not None else default_engine()
