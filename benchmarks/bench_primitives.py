@@ -2,11 +2,13 @@
 
 These time the building blocks a user pays for when sweeping shapes:
 one analytic GEMM evaluation, one discrete-event simulation, a full
-layer-latency composition, the rule engine, an advisor search, and the
-real NumPy substrates (transformer forward, FlashAttention kernel).
+layer-latency composition, the rule engine, an advisor search, a
+(t, p, d) parallelism plan, and the real NumPy substrates (transformer
+forward, FlashAttention kernel).
 """
 
 import numpy as np
+import pytest
 
 from repro.core.advisor import ShapeAdvisor
 from repro.core.config import get_model
@@ -14,6 +16,7 @@ from repro.core.latency import LayerLatencyModel
 from repro.core.rules import RuleEngine
 from repro.gpu.gemm_model import GemmModel
 from repro.gpu.simulator import SMSimulator
+from repro.parallelism.planner import ParallelPlanner
 from repro.transformer.flash import flash_attention
 from repro.transformer.model import DecoderModel
 from repro.transformer.trace import NullTrace
@@ -56,6 +59,16 @@ def bench_advisor_propose(benchmark):
     cfg = get_model("gpt3-2.7b")
     proposals = benchmark(advisor.propose, cfg)
     assert proposals
+
+
+@pytest.mark.parametrize("system", ["aws-p4d", "ornl-summit"])
+def bench_planner_plan(benchmark, system):
+    # Every (t, p, d) cell of 64 GPUs scored in one array pass; the TP
+    # layer costs are warm engine hits after the first round.
+    planner = ParallelPlanner(system)
+    cfg = get_model("gpt3-6.7b")
+    plans = benchmark(planner.plan, cfg, 64)
+    assert plans and all(plan.fits_memory for plan in plans)
 
 
 def bench_numpy_transformer_forward(benchmark):

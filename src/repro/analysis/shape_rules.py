@@ -613,7 +613,7 @@ class ShapeLinter:
         not a lint finding.
         """
         from repro.core.memory import MemoryBudget
-        from repro.trainstep.memory import estimate_memory
+        from repro.trainstep.memory import estimate_memory, estimate_memory_cells
 
         budget = MemoryBudget.for_gpu(self.spec)
         loc = _loc(cfg, "tp_degree")
@@ -654,19 +654,20 @@ class ShapeLinter:
                 )
             ]
         peak = ckpt.phase(ckpt.peak_phase)
+        # Double t up to 64; price every doubling that divides h in one
+        # array pass and suggest the first that fits (else the last).
         suggested = cfg.tp_degree
+        doublings = []
         while suggested < 64:
             suggested *= 2
-            if cfg.hidden_size % suggested:
-                continue
-            trial = estimate_memory(
-                cfg,
-                tp=suggested,
-                pipeline_stages=pipeline_stages,
-                checkpointing="full",
-            )
-            if trial.fits(budget):
-                break
+            doublings.append(suggested)
+        sharded = [t for t in doublings if cfg.hidden_size % t == 0]
+        if sharded:
+            fits = estimate_memory_cells(
+                cfg, sharded, pipeline_stages, checkpointing="full"
+            ).fits(budget)
+            if fits.any():
+                suggested = sharded[int(fits.argmax())]
         return [
             LintDiagnostic(
                 "shape/memory-capacity",

@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine import cache as _cache
-from repro.engine.grid import GridResult, ShapeGrid
+from repro.engine.grid import GridResult, ShapeGrid, TileSweep
 from repro.errors import CacheError
 from repro.observability import metrics as _metrics
 from repro.observability import span as _span
@@ -44,7 +44,6 @@ from repro.engine.vectorized import (
     evaluate_batch,
     evaluate_tile_sweep,
     shape_array,
-    split_sweep,
 )
 from repro.gpu.specs import get_gpu
 from repro.gpu.tiles import TileConfig
@@ -207,7 +206,7 @@ class ShapeEngine:
         dtype: "str | DType" = DType.FP16,
         candidates: Optional[Sequence[TileConfig]] = None,
         bw_efficiency: float = _BW_EFFICIENCY,
-    ) -> List[Tuple[TileConfig, GridResult]]:
+    ) -> TileSweep:
         """Evaluate a whole grid with each candidate tile pinned in turn.
 
         The batched primitive behind the kernel-parameter autotuner
@@ -219,12 +218,14 @@ class ShapeEngine:
         in both cache levels, keyed on the grid and the candidate pool,
         so re-tuning against an unchanged model is one cache hit.
 
-        Returns one ``(tile, GridResult)`` pair per candidate, each
-        equal bit for bit to ``evaluate_grid(grid, ..., tile=tile)``.
+        Returns a :class:`~repro.engine.grid.TileSweep` over the cached
+        sweep: :meth:`~repro.engine.grid.TileSweep.matrix` reads a field
+        as a (candidate x shape) view whose row ``c`` equals
+        ``evaluate_grid(grid, ..., tile=pool[c])`` bit for bit.
         ``candidates`` defaults to every tile that fits ``gpu`` for
         ``dtype`` (:func:`~repro.gpu.tiles.candidate_tiles`); pass a
         subset to restrict the search space.  Candidate order is
-        preserved in the returned pairs, which makes downstream argmin
+        preserved in the sweep's rows, which makes downstream argmin
         tie-breaks deterministic.
         """
         spec = get_gpu(gpu)
@@ -256,10 +257,7 @@ class ShapeEngine:
                     bw_efficiency=bw_efficiency,
                 ),
             )
-            return [
-                (tile, GridResult(grid, part))
-                for tile, part in zip(pool, split_sweep(sweep))
-            ]
+        return TileSweep(grid, sweep)
 
     def memo_columns(self, kind: str, key, compute) -> "dict[str, np.ndarray]":
         """Two-level cached columnar result of a pure computation.

@@ -31,11 +31,12 @@ Layout contract:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.engine.vectorized import BatchResult
+from repro.gpu.tiles import TileConfig
 
 #: The four mandatory shape columns, in canonical ``shape_array`` order.
 SHAPE_COLUMNS = ("batch", "m", "n", "k")
@@ -173,3 +174,36 @@ class GridResult:
         """Materialize rows ``[(col0, col1, ...), ...]`` for a table."""
         cols = self.columns(names)
         return list(zip(*(cols[n] for n in names)))
+
+
+class TileSweep:
+    """A :class:`ShapeGrid` priced with each candidate tile pinned in turn.
+
+    ``batch`` holds ``C x N`` rows for ``C`` tiles and ``N`` grid
+    shapes, tile-major: row ``c * N + i`` is shape ``i`` with
+    ``pool[c]`` pinned.  :meth:`matrix` reads one field as a ``(C, N)``
+    view, with no copy; row ``c`` equals that field of
+    ``evaluate_grid(grid, ..., tile=pool[c])`` bit for bit.
+    """
+
+    __slots__ = ("grid", "batch")
+
+    def __init__(self, grid: ShapeGrid, batch: BatchResult) -> None:
+        if len(batch) != len(batch.pool) * len(grid):
+            raise ValueError(
+                f"sweep has {len(batch)} rows, expected "
+                f"{len(batch.pool)} tiles x {len(grid)} shapes"
+            )
+        self.grid = grid
+        self.batch = batch
+
+    @property
+    def pool(self) -> Tuple[TileConfig, ...]:
+        return self.batch.pool
+
+    def __len__(self) -> int:
+        return len(self.batch.pool)
+
+    def matrix(self, name: str) -> np.ndarray:
+        """Array field ``name`` as a ``(tiles, shapes)`` view."""
+        return getattr(self.batch, name).reshape(len(self), len(self.grid))

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -499,11 +499,12 @@ def evaluate_tile_sweep(
     """Price every (candidate tile, shape) pair in one vectorized pass.
 
     The result has ``C x N`` rows for ``C`` candidates and ``N`` shapes:
-    row ``c * N + i`` is shape ``i`` with ``pool[c]`` pinned, so
-    :func:`split_sweep` cuts it into the ``C`` results that
-    ``evaluate_batch(shapes, ..., tile=pool[c])`` returns, equal bit
-    for bit.  ``candidates`` defaults to every tile that fits ``gpu``
-    for ``dtype``.
+    row ``c * N + i`` is shape ``i`` with ``pool[c]`` pinned, so row
+    block ``c`` equals ``evaluate_batch(shapes, ..., tile=pool[c])``
+    bit for bit but for ``tile_index``, which holds ``c`` here
+    (:class:`~repro.engine.grid.TileSweep` reads the blocks as ``(C, N)``
+    views).  ``candidates``
+    defaults to every tile that fits ``gpu`` for ``dtype``.
     """
     spec = get_gpu(gpu)
     dtype = DType.parse(dtype)
@@ -514,28 +515,3 @@ def evaluate_tile_sweep(
     return _price(
         np.tile(arr, (len(pool), 1)), spec, dtype, pool, occ, sel, bw_efficiency
     )
-
-
-def split_sweep(sweep: BatchResult) -> List[BatchResult]:
-    """Cut an :func:`evaluate_tile_sweep` result into per-tile results.
-
-    Each part is what ``evaluate_batch(..., tile=t)`` returns for its
-    tile: a one-tile pool and an all-zero ``tile_index``.  Parts are
-    views into ``sweep``; nothing is copied but the index column.
-    """
-    rows = len(sweep) // len(sweep.pool)
-    sliced = [f for f in BatchResult._ARRAY_FIELDS if f != "tile_index"]
-    parts = []
-    for c, tile in enumerate(sweep.pool):
-        part = slice(c * rows, (c + 1) * rows)
-        parts.append(
-            BatchResult(
-                gpu=sweep.gpu,
-                dtype=sweep.dtype,
-                pool=(tile,),
-                tile_index=np.zeros(rows, dtype=np.int64),
-                overhead_s=sweep.overhead_s,
-                **{name: getattr(sweep, name)[part] for name in sliced},
-            )
-        )
-    return parts

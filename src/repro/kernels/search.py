@@ -32,11 +32,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.core import ShapeEngine, default_engine
-from repro.engine.grid import ShapeGrid
+from repro.engine.grid import ShapeGrid, TileSweep
 from repro.engine.cache import model_version
 from repro.errors import KernelTableError
 from repro.gpu.specs import get_gpu
-from repro.gpu.tiles import TileConfig, candidate_tiles
+from repro.gpu.tiles import candidate_tiles
 from repro.kernels.table import SCHEMA_VERSION, KernelEntry, KernelTable
 from repro.observability import span as _span
 from repro.types import DType
@@ -94,24 +94,20 @@ def tune_grid(
     )
 
 
-def _argmin_entries(
-    grid: ShapeGrid,
-    sweep: "Sequence[Tuple[TileConfig, object]]",
-) -> Tuple[KernelEntry, ...]:
-    """Per-shape winners (and runners-up) from a per-tile sweep."""
-    latency = np.stack(
-        [result.batch.latency_s for _tile, result in sweep]
-    )  # (candidates, shapes)
-    tflops = np.stack([result.batch.tflops for _tile, result in sweep])
-    waves = np.stack([result.batch.waves for _tile, result in sweep])
-    blocks = np.stack([result.batch.blocks for _tile, result in sweep])
+def _argmin_entries(grid: ShapeGrid, sweep: TileSweep) -> Tuple[KernelEntry, ...]:
+    """Per-shape winners (and runners-up) from a tile sweep."""
+    # (candidates, shapes) views of the sweep; nothing is copied.
+    latency = sweep.matrix("latency_s")
+    tflops = sweep.matrix("tflops")
+    waves = sweep.matrix("waves")
+    blocks = sweep.matrix("blocks")
     best = np.argmin(latency, axis=0)
     cols = np.arange(len(grid))
     # Runner-up: mask the winner out and argmin again (vectorized).
     masked = latency.copy()
     masked[best, cols] = np.inf
     second = np.argmin(masked, axis=0)
-    tiles = [tile for tile, _result in sweep]
+    tiles = sweep.pool
     names = [tile.name for tile in tiles]
     # One tolist() per column; the loop below only assembles entries.
     rows = zip(

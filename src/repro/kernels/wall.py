@@ -193,9 +193,8 @@ def run_wall(
     grid = ShapeGrid.from_columns(
         batch=arr[:, 0], m=arr[:, 1], n=arr[:, 2], k=arr[:, 3]
     )
-    sweep = eng.evaluate_tiles(grid, spec, parsed, candidates=pool)
-    analytic = np.stack(
-        [result.batch.latency_s for _tile, result in sweep]
+    analytic = eng.evaluate_tiles(grid, spec, parsed, candidates=pool).matrix(
+        "latency_s"
     )  # (candidates, shapes)
 
     report = WallReport(gpu=spec.name, dtype=parsed.name)

@@ -14,6 +14,7 @@ the connecting interconnect.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import ParallelismError
 
@@ -30,6 +31,15 @@ def ring_allreduce_s(nbytes: float, ranks: int, bw_bytes_s: float, alpha_s: floa
     _check(nbytes, ranks)
     if ranks == 1:
         return 0.0
+    return ring_allreduce_cost(nbytes, ranks, bw_bytes_s, alpha_s)
+
+
+def ring_allreduce_cost(nbytes: Any, ranks: Any, bw_bytes_s: Any, alpha_s: Any) -> Any:
+    """The unchecked ring all-reduce formula, for ``ranks >= 2``.
+
+    Elementwise over NumPy arrays as well as scalars, so array callers
+    (the planner's cell pass) share :func:`ring_allreduce_s`'s arithmetic.
+    """
     steps = 2 * (ranks - 1)
     return steps * alpha_s + 2 * (ranks - 1) / ranks * nbytes / bw_bytes_s
 
@@ -46,6 +56,11 @@ def ring_allgather_s(nbytes: float, ranks: int, bw_bytes_s: float, alpha_s: floa
 def point_to_point_s(nbytes: float, bw_bytes_s: float, alpha_s: float) -> float:
     """Single point-to-point transfer (pipeline stage boundary)."""
     _check(nbytes, 1)
+    return point_to_point_cost(nbytes, bw_bytes_s, alpha_s)
+
+
+def point_to_point_cost(nbytes: Any, bw_bytes_s: Any, alpha_s: Any) -> Any:
+    """The unchecked point-to-point formula, elementwise over arrays."""
     return alpha_s + nbytes / bw_bytes_s
 
 

@@ -9,38 +9,64 @@ show how Summit's 6-GPU nodes push designs toward t=6 and what that
 costs when ``h/6`` loses its power-of-two factor.
 
 Capacity comes from the training-step memory estimator
-(:func:`repro.trainstep.memory.estimate_memory`): a per-phase timeline
-of parameter, gradient, fp32 Adam-state, and activation bytes on the
-heaviest pipeline stage.  The estimator walks the model per module —
-so tied embeddings are counted once, the embedding stays resident on
-its stage rather than being diluted by ``p``, and the planner can trade
-**full activation checkpointing** (boundary-only activations) against
-its recompute cost (one extra forward pass per layer).
+(:mod:`repro.trainstep.memory`): a per-phase timeline of parameter,
+gradient, fp32 Adam-state, and activation bytes on the heaviest
+pipeline stage.  The estimator walks the model per module — so tied
+embeddings are counted once, the embedding stays resident on its stage
+rather than being diluted by ``p``, and the planner can trade **full
+activation checkpointing** (boundary-only activations) against its
+recompute cost (one extra forward pass per layer).
+
+:meth:`ParallelPlanner.plan` prices every (t, p, d) cell in one array
+pass: the TP layer costs come from one engine grid, the memory of every
+cell under each policy from one
+:func:`~repro.trainstep.memory.estimate_memory_cells` call, and the
+pipeline clock, data-parallel all-reduce and communication share as
+arrays over the cells.  :meth:`~ParallelPlanner.evaluate` is the one-cell
+call of the same scorer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.config import TransformerConfig
-from repro.core.formulas import kv_cache_bytes  # noqa: F401  (re-exported convenience)
 from repro.core.memory import MemoryBudget
-from repro.errors import CapacityError, ParallelismError
-from repro.parallelism.pipeline import PipelinePlan
+from repro.errors import ParallelismError
+from repro.parallelism.comm import point_to_point_cost, ring_allreduce_cost
 from repro.parallelism.tensor_parallel import (
     TensorParallelLayer,
     TPLayerCost,
     validate_tp_feasible,
 )
 from repro.parallelism.topology import NodeTopology, get_system
-from repro.trainstep.memory import TrainStepMemory, estimate_memory
+from repro.trainstep.memory import (
+    PHASES,
+    TrainStepMemory,
+    estimate_memory,
+    estimate_memory_cells,
+)
 from repro.types import DType
 
 #: Extra forward passes full activation checkpointing adds per layer:
 #: every checkpointed layer re-runs its forward during backward, so the
 #: modelled per-layer (forward) schedule time doubles.
 _RECOMPUTE_FACTOR = 2.0
+
+
+def _links(
+    topo: NodeTopology, ranks: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(bandwidth, alpha)`` per entry of ``ranks``, from one
+    :meth:`~NodeTopology.comm_for` call per distinct group size."""
+    sizes, inverse = np.unique(ranks, return_inverse=True)
+    comms = [topo.comm_for(n) for n in sizes.tolist()]
+    bw = np.array([c.bw_bytes_s for c in comms])
+    alpha = np.array([c.alpha_s for c in comms])
+    return bw[inverse], alpha[inverse]
 
 
 @dataclass(frozen=True)
@@ -156,60 +182,107 @@ class ParallelPlanner:
     ) -> ParallelPlan:
         """Score one decomposition (raises if TP is infeasible)."""
         layer = self.tp_model.layer_cost(cfg, t)
-        return self._score(cfg, t, p, d, checkpointing, layer)
+        _check_stages(cfg, p)
+        (plan,) = self._score_cells(
+            cfg, [(t, p, d)], {t: layer}, (checkpointing,), require_fit=False
+        )
+        return plan
 
-    def _score(
+    def _score_cells(
         self,
         cfg: TransformerConfig,
-        t: int,
-        p: int,
-        d: int,
-        checkpointing: str,
-        layer: TPLayerCost,
-    ) -> ParallelPlan:
-        """Score one decomposition given its TP layer cost."""
-        if cfg.num_layers < p:
-            raise ParallelismError(
-                f"{p} pipeline stages exceed {cfg.num_layers} layers"
-            )
-        layer_time = layer.total_s
-        if checkpointing == "full":
-            layer_time *= _RECOMPUTE_FACTOR
+        cells: Sequence[Tuple[int, int, int]],
+        layers: Dict[int, TPLayerCost],
+        policies: Sequence[str],
+        require_fit: bool,
+    ) -> List[ParallelPlan]:
+        """Score (t, p, d) cells as arrays; one plan per admitted cell,
+        in cell order.
+
+        Each cell takes the first of ``policies`` whose step fits the
+        budget, or the first outright when ``require_fit`` is false;
+        cells no policy admits are dropped.  Every cell needs
+        ``1 <= p <= num_layers`` and a layer cost for its ``t``.
+        """
+        if not cells:
+            return []
+        t, p, d = (np.array(col, dtype=np.int64) for col in zip(*cells))
+        usable = self.budget().usable_bytes
+        policy = np.full(len(cells), -1)
+        peak = np.zeros(len(cells))
+        peak_phase = np.zeros(len(cells), dtype=np.int64)
+        for i, name in enumerate(policies):
+            memory = estimate_memory_cells(cfg, t, p, name)
+            take = policy < 0
+            if require_fit:
+                take &= memory.peak_bytes <= usable
+            policy[take] = i
+            peak[take] = memory.peak_bytes[take]
+            peak_phase[take] = memory.peak_index[take]
+            if (policy >= 0).all():
+                break
+        keep = policy >= 0
+        t, p, d, policy = t[keep], p[keep], d[keep], policy[keep]
+        peak, peak_phase = peak[keep], peak_phase[keep]
+
+        L = cfg.num_layers
+        m = self.num_microbatches
+        topo = self.topology
+        layer_time = np.array([layers[x].total_s for x in t.tolist()])
+        recompute = np.array([name == "full" for name in policies])[policy]
+        layer_time = np.where(
+            recompute, layer_time * _RECOMPUTE_FACTOR, layer_time
+        )
         boundary_bytes = (
             cfg.microbatch * cfg.seq_len * cfg.hidden_size * self.dtype.bytes
         )
-        boundary = (
-            self.topology.comm_for(t * p).send(boundary_bytes) if p > 1 else 0.0
+        bw, alpha = _links(topo, t * p)
+        boundary = np.where(
+            p > 1, point_to_point_cost(boundary_bytes, bw, alpha), 0.0
         )
-        plan = PipelinePlan(
-            num_layers=cfg.num_layers,
-            num_stages=p,
-            num_microbatches=self.num_microbatches,
-            layer_time_s=layer_time,
-            stage_boundary_s=boundary,
-        )
-        iteration = plan.iteration_time_s
+        # 1F1B clock: the slowest stage holds ceil(L / p) layers.
+        layers_per_stage = -(-L // p)
+        iteration_s = (m + p - 1) * (layers_per_stage * layer_time + boundary)
         # Data-parallel gradient all-reduce, overlapped poorly at small
         # scale: count half its ring time.
-        if d > 1:
-            grad_bytes = cfg.param_count() / (t * p) * self.dtype.bytes
-            comm = self.topology.comm_for(d * t * p)
-            iteration += 0.5 * comm.allreduce(grad_bytes, d)
-        comm_s = layer.comm_s * cfg.num_layers / p * self.num_microbatches
-        comm_frac = min(1.0, comm_s / iteration) if iteration else 0.0
-        memory = self.memory_report(cfg, t, p, checkpointing)
-        return ParallelPlan(
-            tp=t,
-            pp=p,
-            dp=d,
-            iteration_time_s=iteration,
-            comm_fraction=comm_frac,
-            fits_memory=memory.fits(self.budget()),
-            balanced_pipeline=plan.balanced,
-            checkpointing=checkpointing,
-            peak_memory_bytes=memory.peak_bytes,
-            peak_memory_phase=memory.peak_phase,
-        )
+        data_parallel = d > 1
+        if data_parallel.any():
+            td, pd, dd = t[data_parallel], p[data_parallel], d[data_parallel]
+            grad_bytes = cfg.param_count() / (td * pd) * self.dtype.bytes
+            bw, alpha = _links(topo, dd * td * pd)
+            iteration_s[data_parallel] += 0.5 * ring_allreduce_cost(
+                grad_bytes, dd, bw, alpha
+            )
+        layer_comm = np.array([layers[x].comm_s for x in t.tolist()])
+        comm_s = layer_comm * L / p * m
+        with np.errstate(divide="ignore", invalid="ignore"):
+            comm_frac = np.where(
+                iteration_s != 0, np.minimum(1.0, comm_s / iteration_s), 0.0
+            )
+        return [
+            ParallelPlan(
+                tp=tp,
+                pp=pp,
+                dp=dp,
+                iteration_time_s=it,
+                comm_fraction=cf,
+                fits_memory=pk <= usable,
+                balanced_pipeline=L % pp == 0,
+                checkpointing=policies[pol],
+                peak_memory_bytes=pk,
+                peak_memory_phase=PHASES[ph],
+            )
+            for tp, pp, dp, it, cf, pk, pol, ph in zip(
+                t.tolist(),
+                p.tolist(),
+                d.tolist(),
+                iteration_s.tolist(),
+                comm_frac.tolist(),
+                peak.tolist(),
+                policy.tolist(),
+                peak_phase.tolist(),
+            )
+        ]
 
     def plan(
         self,
@@ -233,20 +306,18 @@ class ParallelPlanner:
             ("none", "full") if checkpointing == "auto" else (checkpointing,)
         )
         # TP across nodes is never competitive; price every remaining
-        # degree's layer in one engine grid up front.
+        # degree's layer in one engine grid, then every cell in one
+        # array pass.
         degrees = [t for t in _divisors(num_gpus) if t <= self.topology.gpus_per_node]
-        plans = []
-        for t, layer in self.tp_model.layer_costs(cfg, degrees).items():
-            for p in _divisors(num_gpus // t):
-                d = num_gpus // (t * p)
-                for policy in policies:
-                    try:
-                        plan = self._score(cfg, t, p, d, policy, layer)
-                    except ParallelismError:
-                        break  # infeasible for reasons checkpointing can't fix
-                    if plan.fits_memory or not require_fit:
-                        plans.append(plan)
-                        break  # first (cheapest) policy that fits wins
+        layers = self.tp_model.layer_costs(cfg, degrees)
+        cells = [
+            (t, p, num_gpus // (t * p))
+            for t in layers
+            for p in _divisors(num_gpus // t)
+            # More stages than layers is infeasible under any policy.
+            if p <= cfg.num_layers
+        ]
+        plans = self._score_cells(cfg, cells, layers, policies, require_fit)
         plans.sort(key=lambda pl: pl.iteration_time_s)
         return plans
 
@@ -268,52 +339,53 @@ def capacity_matrix(
 ) -> List[dict]:
     """Fits/rejects matrix over a (t, p) sweep, one row per cell.
 
-    Each row carries the verdict and, for rejects, the typed
-    :class:`~repro.errors.CapacityError`'s overflowing phase — the
-    harness snapshots this as the OOM-wall golden.
+    Each row carries the verdict and the peak phase — for rejects, the
+    overflowing phase :meth:`ParallelPlanner.check_capacity`'s typed
+    :class:`~repro.errors.CapacityError` names — and the harness
+    snapshots this as the OOM-wall golden.  Every feasible cell is
+    priced in one :func:`~repro.trainstep.memory.estimate_memory_cells`
+    call.
     """
-    rows: List[dict] = []
     budget = planner.budget()
+    cells: List[Tuple[int, int]] = []
     for t in tp_degrees:
         for p in pipeline_stages:
             try:
                 validate_tp_feasible(cfg, t)
-                if cfg.num_layers < p:
-                    raise ParallelismError(
-                        f"{p} pipeline stages exceed {cfg.num_layers} layers"
-                    )
-                report = planner.check_capacity(cfg, t, p, checkpointing)
-            except CapacityError as exc:
-                rows.append(
-                    {
-                        "tp": t,
-                        "pp": p,
-                        "fits": False,
-                        "phase": exc.phase,
-                        "peak_gb": exc.required_bytes / 1e9,
-                        "budget_gb": budget.usable_bytes / 1e9,
-                    }
-                )
+                _check_stages(cfg, p)
             except ParallelismError:
-                rows.append(
-                    {
-                        "tp": t,
-                        "pp": p,
-                        "fits": False,
-                        "phase": "infeasible",
-                        "peak_gb": 0.0,
-                        "budget_gb": budget.usable_bytes / 1e9,
-                    }
-                )
-            else:
-                rows.append(
-                    {
-                        "tp": t,
-                        "pp": p,
-                        "fits": True,
-                        "phase": report.peak_phase,
-                        "peak_gb": report.peak_bytes / 1e9,
-                        "budget_gb": budget.usable_bytes / 1e9,
-                    }
-                )
+                continue
+            cells.append((t, p))
+    verdicts: Dict[Tuple[int, int], Tuple[float, str]] = {}
+    if cells:
+        memory = estimate_memory_cells(
+            cfg, [t for t, _p in cells], [p for _t, p in cells], checkpointing
+        )
+        verdicts = dict(
+            zip(cells, zip(memory.peak_bytes.tolist(), memory.peak_phase))
+        )
+    rows: List[dict] = []
+    for t in tp_degrees:
+        for p in pipeline_stages:
+            peak, phase = verdicts.get((t, p), (0.0, "infeasible"))
+            rows.append(
+                {
+                    "tp": t,
+                    "pp": p,
+                    "fits": (t, p) in verdicts and peak <= budget.usable_bytes,
+                    "phase": phase,
+                    "peak_gb": peak / 1e9,
+                    "budget_gb": budget.usable_bytes / 1e9,
+                }
+            )
     return rows
+
+
+def _check_stages(cfg: TransformerConfig, p: int) -> None:
+    """Raise :class:`ParallelismError` unless ``1 <= p <= num_layers``."""
+    if p <= 0:
+        raise ParallelismError(f"pipeline stages must be positive, got {p}")
+    if cfg.num_layers < p:
+        raise ParallelismError(
+            f"{p} pipeline stages exceed {cfg.num_layers} layers"
+        )

@@ -14,7 +14,12 @@ The accounting is:
   the overflowing phase instead of one opaque total,
 - **under a checkpointing policy** — ``"none"`` stores every per-layer
   activation; ``"full"`` keeps only the 2sbh/t layer-boundary tensors
-  plus one live layer's activations during recomputation.
+  plus one live layer's activations during recomputation,
+- **over one cell or many** — the per-module arithmetic takes t and p
+  as ints or as int arrays, so :func:`estimate_memory` (one (t, p) cell,
+  with its per-module rows) and :func:`estimate_memory_cells` (the
+  per-phase totals of a whole cell array in one NumPy pass) are the same
+  code and agree bit for bit.
 
 Accounting identities (pinned by the conservation-law suite):
 
@@ -35,7 +40,9 @@ Mixed-precision Adam residency per parameter element: fp16 weight (2 B)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple, Union
+
+import numpy as np
 
 from repro.core.config import TransformerConfig
 from repro.core.memory import MemoryBudget
@@ -57,6 +64,10 @@ CHECKPOINTING_POLICIES = ("none", "full")
 #: Synthetic module label holding the stored layer-boundary activations
 #: under full checkpointing.
 BOUNDARY_MODULE = "layer_boundary"
+
+#: A tensor or pipeline degree: an int for one (t, p) cell, or an int
+#: array with one entry per cell.
+Degree = Union[int, np.ndarray]
 
 
 def _check_sharding(t: int, p: int) -> None:
@@ -126,8 +137,8 @@ def module_param_elements(
 
 
 def module_activation_bytes(
-    cfg: TransformerConfig, t: int, flash_attention: bool = False
-) -> Dict[str, float]:
+    cfg: TransformerConfig, t: Degree, flash_attention: bool = False
+) -> Dict[str, Any]:
     """Stored activation bytes of one layer per module, per (t,) rank.
 
     The per-module split of Korthikanti et al.'s unfused-transformer
@@ -136,7 +147,8 @@ def module_activation_bytes(
     per element).  For the classic GPT block (2-matrix MLP,
     ``d_ff = 4h``) the values sum exactly to ``(34 s b h + 5 a s^2 b)/t``;
     SwiGLU and MoE blocks generalize the MLP terms honestly instead of
-    forcing the classic total.
+    forcing the classic total.  With an array ``t`` each value is an
+    array over the degrees.
     """
     s, b, h, a = cfg.seq_len, cfg.microbatch, cfg.hidden_size, cfg.num_heads
     d = cfg.d_ff
@@ -177,10 +189,93 @@ def module_activation_bytes(
     return {name: bytes_ / t for name, bytes_ in out.items()}
 
 
-def boundary_bytes_per_layer(cfg: TransformerConfig, t: int) -> float:
+def boundary_bytes_per_layer(cfg: TransformerConfig, t: Degree) -> Any:
     """The fp16 layer-input tensor kept per layer under full
     checkpointing: ``2 s b h / t`` bytes."""
     return 2.0 * cfg.seq_len * cfg.microbatch * cfg.hidden_size / t
+
+
+def _total(
+    parameter: Any, gradient: Any, optimizer_state: Any, activation: Any,
+    kv_cache: Any = 0.0,
+) -> Any:
+    """Resident bytes of one module or phase, summed in one fixed order."""
+    return parameter + gradient + optimizer_state + activation + kv_cache
+
+
+def _module_terms(
+    cfg: TransformerConfig,
+    t: Degree,
+    p: Degree,
+    checkpointing: str,
+    flash_attention: bool,
+) -> List[Tuple[str, Any, Any]]:
+    """``(module, parameter elements, activation bytes)`` per module on
+    the heaviest stage's rank, in module order.
+
+    Scalar ``t``/``p`` give floats; array ones give one array entry per
+    cell.  Under ``"full"`` the last row is :data:`BOUNDARY_MODULE`,
+    whose bytes are exactly 0.0 where a stage holds a single layer.
+    """
+    L = cfg.num_layers
+    # ceil(L / p): at least one layer for L, p >= 1.
+    lps = -(-L // p)
+    layer_shards = L * t
+    param_elems = module_param_elements(cfg)
+    act_layer = module_activation_bytes(cfg, t, flash_attention)
+    rows: List[Tuple[str, Any, Any]] = []
+    # Union of labels: weighted modules plus activation-only ones (the
+    # attention BMMs store scores/probs but own no learned tensors).
+    names = list(param_elems)
+    names += [n for n in act_layer if n not in param_elems]
+    for name in names:
+        elems = param_elems.get(name, 0)
+        if name in ("embedding", "logit"):
+            # Vocab-sharded across t; resident in full on its stage (the
+            # logit entry is zero under tied dedup).
+            elems_rank = elems / t
+        else:
+            # Per-layer weights: t-sharded, layers split over stages.
+            elems_rank = elems * lps / layer_shards
+        act = act_layer.get(name, 0.0)
+        if checkpointing != "full":
+            # Under "full" only the live (recomputing) layer's
+            # activations exist.
+            act = act * lps
+        rows.append((name, elems_rank, act))
+    if checkpointing == "full":
+        rows.append(
+            (BOUNDARY_MODULE, 0.0, boundary_bytes_per_layer(cfg, t) * (lps - 1))
+        )
+    return rows
+
+
+def _phase_parts(
+    rows: List[Tuple[str, Any, Any]],
+) -> Tuple[Tuple[str, Any, Any, Any, Any], ...]:
+    """``(phase, parameter, gradient, optimizer-state, activation)``
+    bytes of each phase, from the module rows summed left to right."""
+    # Plain adds, not sum(): from Python 3.12 sum() compensates float
+    # rounding, which the same adds over arrays would not match.
+    params: Any = 0
+    grads: Any = 0
+    opt: Any = 0
+    acts: Any = 0
+    for _name, elems, act in rows:
+        params = params + elems * PARAM_BYTES
+        grads = grads + elems * GRADIENT_BYTES
+        opt = opt + elems * OPTIMIZER_STATE_BYTES
+        acts = acts + act
+    return (
+        # Forward: weights + persistent optimizer states, activations
+        # accumulating to their full footprint.
+        ("forward", params, 0.0, opt, acts),
+        # Backward start: activations still live, gradients now too —
+        # the step's peak.
+        ("backward", params, grads, opt, acts),
+        # Optimizer: activations freed, gradients consumed in place.
+        ("optimizer", params, grads, opt, 0.0),
+    )
 
 
 @dataclass(frozen=True)
@@ -196,12 +291,14 @@ class ModuleMemory:
 
     @property
     def total_bytes(self) -> float:
-        return (
-            self.parameter_bytes
-            + self.gradient_bytes
-            + self.optimizer_state_bytes
-            + self.activation_bytes
-            + self.kv_cache_bytes
+        return float(
+            _total(
+                self.parameter_bytes,
+                self.gradient_bytes,
+                self.optimizer_state_bytes,
+                self.activation_bytes,
+                self.kv_cache_bytes,
+            )
         )
 
 
@@ -218,12 +315,14 @@ class PhaseMemory:
 
     @property
     def total_bytes(self) -> float:
-        return (
-            self.parameter_bytes
-            + self.gradient_bytes
-            + self.optimizer_state_bytes
-            + self.activation_bytes
-            + self.kv_cache_bytes
+        return float(
+            _total(
+                self.parameter_bytes,
+                self.gradient_bytes,
+                self.optimizer_state_bytes,
+                self.activation_bytes,
+                self.kv_cache_bytes,
+            )
         )
 
     def gb(self) -> float:
@@ -322,77 +421,96 @@ def estimate_memory(
     _check_sharding(t, p)
     _check_policy(checkpointing)
 
-    L = cfg.num_layers
-    layers_per_stage = max(1, -(-L // p))
-    param_elems = module_param_elements(cfg)
-    act_layer = module_activation_bytes(cfg, t, flash_attention)
-
-    modules: List[ModuleMemory] = []
-    # Union of labels: weighted modules plus activation-only ones (the
-    # attention BMMs store scores/probs but own no learned tensors).
-    names = list(param_elems)
-    names += [n for n in act_layer if n not in param_elems]
-    for name in names:
-        elems = param_elems.get(name, 0)
-        if name == "embedding":
-            # Vocab-sharded across t; resident in full on its stage.
-            elems_rank = elems / t
-        elif name == "logit":
-            elems_rank = elems / t  # zero under tied dedup
-        else:
-            # Per-layer weights: t-sharded, layers split over stages.
-            elems_rank = elems * layers_per_stage / (L * t)
-        act = act_layer.get(name, 0.0)
-        if checkpointing == "full":
-            # Only the live (recomputing) layer's activations exist.
-            act_rank = act
-        else:
-            act_rank = act * layers_per_stage
-        modules.append(
-            ModuleMemory(
-                module=name,
-                parameter_bytes=elems_rank * PARAM_BYTES,
-                gradient_bytes=elems_rank * GRADIENT_BYTES,
-                optimizer_state_bytes=elems_rank * OPTIMIZER_STATE_BYTES,
-                activation_bytes=act_rank,
-                kv_cache_bytes=0.0,  # no decode cache during training
-            )
+    layers_per_stage = -(-cfg.num_layers // p)
+    rows = [
+        row
+        for row in _module_terms(cfg, t, p, checkpointing, flash_attention)
+        # A one-layer stage stores no boundary tensors: no row for them.
+        if row[0] != BOUNDARY_MODULE or layers_per_stage > 1
+    ]
+    modules = tuple(
+        ModuleMemory(
+            module=name,
+            parameter_bytes=elems * PARAM_BYTES,
+            gradient_bytes=elems * GRADIENT_BYTES,
+            optimizer_state_bytes=elems * OPTIMIZER_STATE_BYTES,
+            activation_bytes=act,
+            kv_cache_bytes=0.0,  # no decode cache during training
         )
-    if checkpointing == "full" and layers_per_stage > 1:
-        modules.append(
-            ModuleMemory(
-                module=BOUNDARY_MODULE,
-                parameter_bytes=0.0,
-                gradient_bytes=0.0,
-                optimizer_state_bytes=0.0,
-                activation_bytes=(
-                    boundary_bytes_per_layer(cfg, t) * (layers_per_stage - 1)
-                ),
-            )
-        )
-
-    params = sum(m.parameter_bytes for m in modules)
-    grads = sum(m.gradient_bytes for m in modules)
-    opt = sum(m.optimizer_state_bytes for m in modules)
-    acts = sum(m.activation_bytes for m in modules)
-    phases = (
-        # Forward: weights + persistent optimizer states, activations
-        # accumulating to their full footprint.
-        PhaseMemory("forward", params, 0.0, opt, acts),
-        # Backward start: activations still live, gradients now too —
-        # the step's peak.
-        PhaseMemory("backward", params, grads, opt, acts),
-        # Optimizer: activations freed, gradients consumed in place.
-        PhaseMemory("optimizer", params, grads, opt, 0.0),
+        for name, elems, act in rows
     )
+    phases = tuple(PhaseMemory(*part) for part in _phase_parts(rows))
     return TrainStepMemory(
         model=cfg.name,
         tp=t,
         pipeline_stages=p,
         checkpointing=checkpointing,
-        modules=tuple(modules),
+        modules=modules,
         phases=phases,
     )
+
+
+@dataclass(frozen=True)
+class MemoryCells:
+    """Per-phase totals of many (t, p) cells under one policy.
+
+    Column ``i`` of :attr:`phase_bytes` holds, in :data:`PHASES` order,
+    the phase totals ``estimate_memory(cfg, tp[i], pipeline_stages[i],
+    checkpointing)`` reports, equal bit for bit.
+    """
+
+    #: ``(len(PHASES), cells)`` total bytes per phase and cell.
+    phase_bytes: np.ndarray
+
+    @property
+    def peak_bytes(self) -> np.ndarray:
+        return self.phase_bytes.max(axis=0)
+
+    @property
+    def peak_index(self) -> np.ndarray:
+        """Index into :data:`PHASES` of each cell's peak (first on ties,
+        as :attr:`TrainStepMemory.peak_phase`)."""
+        return self.phase_bytes.argmax(axis=0)
+
+    @property
+    def peak_phase(self) -> List[str]:
+        return [PHASES[i] for i in self.peak_index.tolist()]
+
+    def fits(self, budget: MemoryBudget) -> np.ndarray:
+        return self.peak_bytes <= budget.usable_bytes
+
+
+def estimate_memory_cells(
+    cfg: TransformerConfig,
+    tp: "int | List[int] | np.ndarray",
+    pipeline_stages: "int | List[int] | np.ndarray",
+    checkpointing: str = "none",
+) -> MemoryCells:
+    """:func:`estimate_memory`'s phase totals over a cell array at once.
+
+    ``tp`` and ``pipeline_stages`` broadcast against each other to one
+    1-D cell array.  The per-module arithmetic is
+    :func:`estimate_memory`'s own, run once over whole arrays, so
+    callers that sweep (t, p) — the planner, ``capacity_matrix``, the
+    capacity lint's fix-it — price every cell in one pass.  Results are
+    bit-identical to the one-cell view while per-module element counts
+    times layers per stage stay below 2**53.
+    """
+    t, p = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(tp, dtype=np.int64)),
+        np.atleast_1d(np.asarray(pipeline_stages, dtype=np.int64)),
+    )
+    if t.ndim != 1:
+        raise ConfigError(f"cells must be 1-D, got shape {t.shape}")
+    if (t <= 0).any() or (p <= 0).any():
+        raise ConfigError(
+            f"tp and pipeline_stages must be positive, got ({t.tolist()}, "
+            f"{p.tolist()})"
+        )
+    _check_policy(checkpointing)
+    parts = _phase_parts(_module_terms(cfg, t, p, checkpointing, False))
+    totals = [_total(*part[1:]) for part in parts]
+    return MemoryCells(np.stack(np.broadcast_arrays(*totals)))
 
 
 def max_microbatch(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.engine.core import ShapeEngine, random_shapes
-from repro.engine.grid import ShapeGrid
+from repro.engine.grid import ShapeGrid, TileSweep
 from repro.engine.vectorized import BatchResult, evaluate_batch
 from repro.errors import GPUModelError
 from repro.gpu.specs import get_gpu, list_gpus
@@ -38,6 +38,33 @@ def _counter(name: str) -> int:
     return metrics().counter(name).value
 
 
+def _per_tile(sweep: TileSweep):
+    """``(tile, BatchResult)`` per candidate, each shaped as
+    ``evaluate_batch(..., tile=tile)`` returns it: a one-tile pool and
+    an all-zero ``tile_index``.  The sweep's own ``tile_index`` must
+    name each row's block."""
+    batch = sweep.batch
+    rows = len(sweep.grid)
+    parts = []
+    for c, tile in enumerate(sweep.pool):
+        assert (sweep.matrix("tile_index")[c] == c).all()
+        block = slice(c * rows, (c + 1) * rows)
+        fields = {
+            name: getattr(batch, name)[block]
+            for name in BatchResult._ARRAY_FIELDS
+            if name != "tile_index"
+        }
+        parts.append((tile, BatchResult(
+            gpu=batch.gpu,
+            dtype=batch.dtype,
+            pool=(tile,),
+            tile_index=np.zeros(rows, dtype=np.int64),
+            overhead_s=batch.overhead_s,
+            **fields,
+        )))
+    return parts
+
+
 def _assert_same(got: BatchResult, want: BatchResult) -> None:
     assert got.gpu == want.gpu
     assert got.dtype == want.dtype
@@ -60,11 +87,9 @@ class TestSweepParity:
         shapes = random_shapes(np.random.default_rng(seed), 64)
         sweep = ShapeEngine().evaluate_tiles(_grid(shapes), gpu, dtype)
         pool = candidate_tiles(get_gpu(gpu), dtype)
-        assert [tile for tile, _result in sweep] == list(pool)
-        for tile, result in sweep:
-            _assert_same(
-                result.batch, evaluate_batch(shapes, gpu, dtype, tile=tile)
-            )
+        assert list(sweep.pool) == list(pool)
+        for tile, result in _per_tile(sweep):
+            _assert_same(result, evaluate_batch(shapes, gpu, dtype, tile=tile))
 
     def test_explicit_subset_keeps_order(self):
         shapes = random_shapes(np.random.default_rng(1), 16)
@@ -73,10 +98,10 @@ class TestSweepParity:
         sweep = ShapeEngine().evaluate_tiles(
             _grid(shapes), "A100", "fp16", candidates=subset
         )
-        assert tuple(tile for tile, _result in sweep) == subset
-        for tile, result in sweep:
+        assert sweep.pool == subset
+        for tile, result in _per_tile(sweep):
             _assert_same(
-                result.batch, evaluate_batch(shapes, "A100", "fp16", tile=tile)
+                result, evaluate_batch(shapes, "A100", "fp16", tile=tile)
             )
 
     def test_no_math_path_raises_like_per_tile(self):
@@ -90,6 +115,29 @@ class TestSweepParity:
             )
         with pytest.raises(GPUModelError):
             ShapeEngine().evaluate_tiles(_grid(shapes), "V100", "tf32")
+
+
+class TestSweepMatrix:
+    def test_matrix_is_a_view_of_the_stacked_tiles(self):
+        shapes = random_shapes(np.random.default_rng(6), 12)
+        sweep = ShapeEngine().evaluate_tiles(_grid(shapes), "A100", "fp16")
+        assert len(sweep) == len(sweep.pool)
+        for name in ("latency_s", "tflops", "waves", "blocks"):
+            matrix = sweep.matrix(name)
+            assert matrix.shape == (len(sweep), 12)
+            assert np.shares_memory(matrix, getattr(sweep.batch, name))
+            stacked = np.stack([
+                getattr(evaluate_batch(shapes, "A100", "fp16", tile=t), name)
+                for t in sweep.pool
+            ])
+            assert matrix.dtype == stacked.dtype
+            assert np.array_equal(matrix, stacked)
+
+    def test_row_count_must_match_tiles_times_shapes(self):
+        shapes = random_shapes(np.random.default_rng(7), 4)
+        sweep = ShapeEngine().evaluate_tiles(_grid(shapes), "H100", "fp16")
+        with pytest.raises(ValueError):
+            TileSweep(_grid(shapes[:3]), sweep.batch)
 
 
 class TestSweepCaching:
@@ -106,9 +154,7 @@ class TestSweepCaching:
         warm = engine.evaluate_tiles(grid, "H100", "fp16")
         assert _counter("engine.evaluate.computes") == computes + 1
         assert _counter("engine.evaluate.memory_hits") == hits + 1
-        for (t_cold, r_cold), (t_warm, r_warm) in zip(cold, warm):
-            assert t_cold == t_warm
-            _assert_same(r_warm.batch, r_cold.batch)
+        _assert_same(warm.batch, cold.batch)
 
     def test_default_pool_spelled_out_shares_the_entry(self):
         grid = _grid(random_shapes(np.random.default_rng(4), 8))
@@ -129,6 +175,4 @@ class TestSweepCaching:
         assert _counter("engine.evaluate.computes") == computes
         assert _counter("engine.evaluate.disk_hits") == disk_hits + 1
         assert len(fresh._disk) == 1
-        assert [t for t, _r in again] == [t for t, _r in first]
-        for (_t, r_disk), (_t2, r_mem) in zip(again, first):
-            _assert_same(r_disk.batch, r_mem.batch)
+        _assert_same(again.batch, first.batch)

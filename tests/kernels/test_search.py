@@ -43,10 +43,8 @@ def _pinned_latency(tile, batch, m, n, k, spec, dtype):
         n=np.asarray([n], dtype=np.int64),
         k=np.asarray([k], dtype=np.int64),
     )
-    ((_tile, result),) = _ENGINE.evaluate_tiles(
-        grid, spec, dtype, candidates=(tile,)
-    )
-    return float(result.batch.latency_s[0])
+    sweep = _ENGINE.evaluate_tiles(grid, spec, dtype, candidates=(tile,))
+    return float(sweep.matrix("latency_s")[0, 0])
 
 
 class TestPickMembership:
