@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import cache as engine_cache
 from repro.engine import default_engine
 from repro.harness.runner import run_experiment
 
@@ -28,23 +27,18 @@ def regenerate(benchmark, capsys):
     All regeneration flows through the shared shape-evaluation engine
     (``repro.engine.default_engine``): the first run populates its
     caches, so the timed loop measures the warm path a user iterating
-    on shapes actually pays.  The engine/memo hit counts for the first
-    run are printed alongside the table.
+    on shapes actually pays.  The engine hit counts for the first run
+    are printed alongside the table.
     """
 
     def _run(exp_id: str, max_rows: int = 20):
         engine_before = default_engine().memory_stats.snapshot()
-        memo_before = engine_cache.scalar_memo_stats().snapshot()
         report = run_experiment(exp_id)
         engine_delta = default_engine().memory_stats.delta(engine_before)
-        memo_delta = engine_cache.scalar_memo_stats().delta(memo_before)
         with capsys.disabled():
             print()
             print(report.render(max_rows=max_rows))
-            print(
-                f"[engine batches: {engine_delta.describe()}; "
-                f"scalar memo: {memo_delta.describe()}]"
-            )
+            print(f"[engine batches: {engine_delta.describe()}]")
         assert report.passed, f"{exp_id}: {report.check.details}"
         # Time the regeneration itself (table construction + cached
         # engine lookups), which is what a user iterating on shapes pays.

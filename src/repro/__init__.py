@@ -40,7 +40,7 @@ from repro.errors import (
     ReproError,
     ShapeError,
 )
-from repro.gpu.bmm_model import BmmModel, BmmShape
+from repro.gpu.bmm_model import BmmShape
 from repro.gpu.gemm_model import GemmModel, GemmPerf
 from repro.gpu.simulator import SimResult, SMSimulator
 from repro.gpu.specs import GPUSpec, get_gpu, list_gpus
@@ -70,7 +70,6 @@ __all__ = [
     "list_gpus",
     "GemmModel",
     "GemmPerf",
-    "BmmModel",
     "BmmShape",
     "SMSimulator",
     "SimResult",

@@ -10,9 +10,9 @@ source rather than running it:
   vectorized; a scalar call per iteration silently forfeits both.  The
   rule also flags a single-config :class:`LayerLatencyModel` method
   (``layer_breakdown`` / ``layer_latency`` / ``model_breakdown`` /
-  ``model_latency`` / ``gemm_perf`` / ``layer_throughput_tflops``) in a
-  loop: sweeps price every config in one grid through
-  ``layer_breakdowns`` / ``model_breakdowns`` / ``gemm_perfs``.
+  ``model_latency`` / ``layer_throughput_tflops``) in a loop: each is
+  a one-config grid, and sweeps price every config in one grid
+  through ``layer_breakdowns`` / ``model_breakdowns``.
 - ``self/engine-eval-in-loop`` — an engine batch method (``evaluate``
   / ``latency`` / ``tflops`` / ``evaluate_grid`` / ``evaluate_tiles``)
   called on a :class:`ShapeEngine` (or a ``default_engine()`` result)
@@ -61,14 +61,13 @@ RULE_DATACLASS_DOC = "self/dataclass-docstring"
 _SCALAR_METHODS = frozenset({"evaluate", "latency", "tflops"})
 
 #: Single-config LayerLatencyModel methods with a batched equivalent
-#: (``layer_breakdowns`` / ``model_breakdowns`` / ``gemm_perfs``).
+#: (``layer_breakdowns`` / ``model_breakdowns``).
 _LAYER_MODEL_METHODS = frozenset(
     {
         "layer_breakdown",
         "layer_latency",
         "model_breakdown",
         "model_latency",
-        "gemm_perf",
         "layer_throughput_tflops",
     }
 )
@@ -265,9 +264,9 @@ class _LayerModelLoopVisitor(_ScalarLoopVisitor):
 
     Same binding machinery as :class:`_ScalarLoopVisitor`, retargeted
     at :class:`~repro.core.latency.LayerLatencyModel` receivers: a sweep
-    that prices one config per iteration makes one scalar call per GEMM,
-    where ``layer_breakdowns`` / ``model_breakdowns`` / ``gemm_perfs``
-    price the whole sweep in one engine grid.
+    that prices one config per iteration makes one engine call per
+    config, where ``layer_breakdowns`` / ``model_breakdowns`` price the
+    whole sweep in one engine grid.
     """
 
     _CTOR_NAMES = frozenset({"LayerLatencyModel"})
@@ -379,7 +378,7 @@ class SelfLinter:
                 _LayerModelLoopVisitor(),
                 "single-config LayerLatencyModel call `{}(...)` inside a "
                 "loop; price the whole sweep in one grid with "
-                "layer_breakdowns / model_breakdowns / gemm_perfs instead",
+                "layer_breakdowns / model_breakdowns instead",
             ),
         )
         out = []

@@ -22,7 +22,6 @@ from repro.autotune.search import SearchResult, search_dimension
 from repro.engine import default_engine, shape_array
 from repro.errors import ConfigError
 from repro.gpu.alignment import largest_pow2_divisor
-from repro.gpu.gemm_model import GemmModel
 from repro.gpu.specs import GPUSpec
 from repro.types import DType
 
@@ -51,22 +50,6 @@ class SwiGLUCandidate:
             f"{self.latency_s * 1e6:.1f} us, beats {100 * self.percentile:.0f}% "
             "of range"
         )
-
-
-def mlp_block_latency(
-    h: int,
-    d_ff: int,
-    tokens: int,
-    model: GemmModel,
-    tp_degree: int = 1,
-) -> float:
-    """Latency of one SwiGLU MLP block: two up GEMMs + one down GEMM."""
-    if d_ff % tp_degree:
-        raise ConfigError(f"d_ff {d_ff} not divisible by t={tp_degree}")
-    shard = d_ff // tp_degree
-    up = model.latency(tokens, shard, h)
-    down = model.latency(tokens, h, shard)
-    return 2 * up + down
 
 
 def swiglu_intermediate_search(
@@ -125,11 +108,6 @@ def swiglu_intermediate_search(
         batch_latency_fn=batch_per_flop,
     )
     return [_to_candidate(res, h, block_latency[res.value]) for res in results]
-
-
-def mlp_matrices_flops(h: int, d_ff: int, tokens: int) -> int:
-    """Multiply-adds of the three SwiGLU matmuls: 3 * tokens * h * d."""
-    return 3 * tokens * h * d_ff
 
 
 def _to_candidate(res: SearchResult, h: int, latency_s: float) -> SwiGLUCandidate:

@@ -52,7 +52,7 @@ from repro.core.config import get_model, list_models
 from repro.core.latency import LayerLatencyModel
 from repro.core.rules import RuleEngine
 from repro.errors import ReproError
-from repro.gpu.specs import list_gpus
+from repro.gpu.specs import get_gpu, list_gpus
 from repro.harness.figures import list_experiments
 from repro.harness.runner import run_experiment
 
@@ -679,18 +679,19 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_gemm(args: argparse.Namespace) -> int:
+    from repro.engine import default_engine, shape_array
     from repro.gpu.alignment import largest_pow2_divisor
-    from repro.gpu.gemm_model import GemmModel
     from repro.gpu.roofline import RooflinePoint
     from repro.gpu.tiles import candidate_tiles, tile_score
     from repro.types import DType
 
     dtype = DType.parse(args.dtype)
-    model = GemmModel(args.gpu, dtype)
-    perf = model.evaluate(args.m, args.n, args.k, batch=args.batch)
+    spec = get_gpu(args.gpu)
+    shapes = shape_array(args.m, args.n, args.k, args.batch)
+    perf = default_engine().evaluate(shapes, spec, dtype).perf(0)
     print(perf.describe())
     point = RooflinePoint.for_gemm(
-        args.m, args.n, args.k, model.spec, dtype, batch=args.batch
+        args.m, args.n, args.k, spec, dtype, batch=args.batch
     )
     print(
         f"roofline: intensity {point.intensity:.1f} FLOP/B, "
@@ -703,13 +704,13 @@ def cmd_gemm(args: argparse.Namespace) -> int:
     )
     print(
         f"grid: {perf.blocks} blocks, {perf.waves} waves of "
-        f"{model.spec.num_sms} SMs (wave efficiency {perf.wave_eff:.2f}, "
+        f"{spec.num_sms} SMs (wave efficiency {perf.wave_eff:.2f}, "
         f"tile waste {100 * perf.tile_waste:.1f}%)"
     )
     print("\ntile candidates (model's relative compute scores, lower wins):")
     scores = [
-        (tile_score(t, args.m, args.n, args.k, model.spec, dtype, args.batch), t)
-        for t in candidate_tiles(model.spec, dtype)
+        (tile_score(t, args.m, args.n, args.k, spec, dtype, args.batch), t)
+        for t in candidate_tiles(spec, dtype)
     ]
     best = min(s for s, _ in scores)
     for score, tile in sorted(scores, key=lambda st: (st[0], st[1].name)):

@@ -21,12 +21,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.autotune.vocab import pad_vocab
 from repro.core.config import TransformerConfig
 from repro.core.latency import LayerLatencyModel
 from repro.errors import ConfigError
 from repro.gpu.alignment import largest_pow2_divisor
 from repro.gpu.specs import GPUSpec
 from repro.types import DType
+
+
+def head_counts_near(cfg: TransformerConfig) -> List[int]:
+    """Head counts other than ``a`` that divide h, within 2x of ``a``.
+
+    The head neighbourhood the advisor and the what-if analyzer share.
+    """
+    h, a0 = cfg.hidden_size, cfg.num_heads
+    return [
+        a for a in range(max(1, a0 // 2), 2 * a0 + 1) if a != a0 and h % a == 0
+    ]
+
+
+def padded_vocab(cfg: TransformerConfig) -> Optional[int]:
+    """The vocabulary padded to a multiple of 64, or None if aligned."""
+    padded = pad_vocab(cfg.vocab_size)
+    return padded if padded != cfg.vocab_size else None
 
 
 @dataclass(frozen=True)
@@ -78,23 +96,15 @@ class ShapeAdvisor:
         are memory-bound in h/a, but larger a candidates are scored too
         so the ranking demonstrates why.
         """
-        h, a0 = cfg.hidden_size, cfg.num_heads
-        out = []
-        for a in range(max(1, a0 // 2), 2 * a0 + 1):
-            if a == a0 or h % a:
-                continue
-            out.append(
-                cfg.with_overrides(
-                    name=f"{cfg.name}/a{a}", num_heads=a
-                )
-            )
-        return out
+        return [
+            cfg.with_overrides(name=f"{cfg.name}/a{a}", num_heads=a)
+            for a in head_counts_near(cfg)
+        ]
 
     def _vocab_candidate(self, cfg: TransformerConfig) -> Optional[TransformerConfig]:
-        v = cfg.vocab_size
-        if v % 64 == 0:
+        padded = padded_vocab(cfg)
+        if padded is None:
             return None
-        padded = -(-v // 64) * 64
         return cfg.with_overrides(name=f"{cfg.name}/v{padded}", vocab_size=padded)
 
     def _swiglu_candidates(self, cfg: TransformerConfig) -> List[TransformerConfig]:

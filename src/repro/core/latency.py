@@ -1,8 +1,9 @@
 """Per-layer / per-model latency composition (paper Sec VI-A).
 
 Composes the GPU substrate's kernel estimates into transformer-level
-latency: every Table II GEMM/BMM is evaluated by the analytic models,
-and the non-GEMM remainder (layer norms, softmax, activations, residual
+latency: every Table II GEMM/BMM is priced by the shape engine — one
+grid per call, whether it holds one config or a whole sweep — and the
+non-GEMM remainder (layer norms, softmax, activations, residual
 adds, rotary rotations) is costed as memory-bound pointwise kernels —
 bytes moved over effective bandwidth plus launch overhead.  This
 breakdown is exactly what the paper's Figs 1, 2 and 11 report.
@@ -20,7 +21,6 @@ from repro.core.gemms import TransformerGemm, layer_gemms, logit_gemm
 from repro.engine.core import default_engine
 from repro.engine.vectorized import BatchResult
 from repro.errors import ConfigError
-from repro.gpu.gemm_model import GemmModel, GemmPerf
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.transformer.flash import FlashAttentionModel
 from repro.types import DType, teraflops
@@ -140,7 +140,6 @@ class LayerLatencyModel:
         self.spec = get_gpu(gpu)
         self.dtype = DType.parse(dtype)
         self.flash = flash_attention
-        self.gemm_model = GemmModel(self.spec, self.dtype)
         self.flash_model = FlashAttentionModel(self.spec, self.dtype)
 
     # -- pointwise kernels ------------------------------------------------------
@@ -193,15 +192,11 @@ class LayerLatencyModel:
 
     # -- GEMM components ----------------------------------------------------------
 
-    def gemm_perf(self, op: TransformerGemm) -> GemmPerf:
-        """Evaluate one Table II operator on the GPU substrate."""
-        return self.gemm_model.evaluate(op.m, op.n, op.k, batch=op.batch)
-
     def gemm_perfs(self, ops: Sequence[TransformerGemm]) -> BatchResult:
         """Evaluate many Table II operators in one engine call.
 
-        Row ``i`` prices ``ops[i]``; its latency and TFLOP/s equal
-        :meth:`gemm_perf` bit-for-bit.
+        Row ``i`` prices ``ops[i]``; its latency and TFLOP/s equal the
+        scalar ``GemmModel.evaluate`` oracle bit-for-bit.
         """
         shapes = np.array(
             [(op.batch, op.m, op.n, op.k) for op in ops], dtype=np.int64
@@ -227,9 +222,10 @@ class LayerLatencyModel:
     ) -> LatencyBreakdown:
         """One layer's breakdown from its priced :meth:`layer_ops`.
 
-        ``gemm_latencies[i]`` is the latency of ``ops[i]`` in seconds,
-        from the scalar model or the engine alike (the two agree
-        bit-for-bit), so every caller composes the same totals.
+        ``gemm_latencies[i]`` is the latency of ``ops[i]`` in seconds.
+        :meth:`_priced_layers` passes the engine's grid latencies; the
+        differential tests pass the scalar oracle's, which agree
+        bit-for-bit, so both compose the same totals.
         """
         bd = LatencyBreakdown()
         for op, seconds in zip(ops, gemm_latencies):
@@ -284,19 +280,12 @@ class LayerLatencyModel:
 
     def layer_breakdown(self, cfg: TransformerConfig) -> LatencyBreakdown:
         """Latency breakdown of a single transformer layer."""
-        ops = self.layer_ops(cfg)
-        return self.compose_layer(
-            cfg, ops, [self.gemm_perf(op).latency_s for op in ops]
-        )
+        return self.layer_breakdowns([cfg])[0]
 
     def layer_breakdowns(
         self, cfgs: Sequence[TransformerConfig]
     ) -> List[LatencyBreakdown]:
-        """:meth:`layer_breakdown` of every config, priced in one grid.
-
-        Sweeps use this instead of one scalar call per GEMM; the totals
-        are bit-identical to :meth:`layer_breakdown`.
-        """
+        """:meth:`layer_breakdown` of every config, priced in one grid."""
         return self._priced_layers(cfgs, with_logit=False)[0]
 
     def layer_latency(self, cfg: TransformerConfig) -> float:
@@ -310,9 +299,7 @@ class LayerLatencyModel:
 
     def model_breakdown(self, cfg: TransformerConfig) -> LatencyBreakdown:
         """Whole-model forward breakdown: L layers + embedding + logits."""
-        layer = self.layer_breakdown(cfg)
-        logit_s = self.gemm_perf(logit_gemm(cfg)).latency_s
-        return self.compose_model(cfg, layer, logit_s)
+        return self.model_breakdowns([cfg])[0]
 
     def layer_and_model_breakdowns(
         self, cfgs: Sequence[TransformerConfig]

@@ -3,10 +3,10 @@
 :class:`~repro.transformer.trace.OpTrace` records what a NumPy model
 *actually executed* — including the backward pass, tensor-parallel
 shards, GQA widths, whatever the run did.  This module bridges that
-record to the performance substrate: every traced matmul is priced by
-the analytic GEMM model, producing the per-module latency profile a
-GPU profiler (nsight) would show for the same computation on real
-hardware.
+record to the performance substrate: the trace's distinct matmul shapes
+are priced in one shape-engine evaluation, producing the per-module
+latency profile a GPU profiler (nsight) would show for the same
+computation on real hardware.
 
 This closes the loop the paper draws in Fig 2/11: from *executed
 operations* to *modelled kernel time*, without trusting any hand-derived
@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.engine import default_engine, shape_array
 from repro.errors import ExperimentError
-from repro.gpu.gemm_model import GemmModel
-from repro.gpu.specs import GPUSpec
+from repro.gpu.specs import GPUSpec, get_gpu
 from repro.harness.results import ResultTable
 from repro.observability import metrics as _metrics
 from repro.observability import span as _span
@@ -48,20 +48,27 @@ class TraceProfiler:
     def __init__(
         self, gpu: "str | GPUSpec" = "A100", dtype: "str | DType" = DType.FP16
     ) -> None:
-        self.model = GemmModel(gpu, dtype)
-        # Identical shapes recur L times per trace; memoize evaluations.
-        self._cache: Dict[tuple, float] = {}
+        self.spec = get_gpu(gpu)
+        self.dtype = DType.parse(dtype)
 
-    def _latency(self, batch: int, m: int, k: int, n: int) -> float:
-        key = (batch, m, k, n)
-        if key not in self._cache:
-            self._cache[key] = self.model.evaluate(m, n, k, batch=batch).latency_s
-        return self._cache[key]
+    def _latencies(self, trace: OpTrace) -> Dict[tuple, float]:
+        """Seconds per distinct ``(batch, m, k, n)`` shape of the trace.
+
+        Identical shapes recur L times per trace, so each is priced
+        once, all in one engine evaluation.
+        """
+        keys = list(dict.fromkeys(rec.shape_tuple() for rec in trace))
+        batch, m, k, n = zip(*keys)
+        latency = default_engine().latency(
+            shape_array(m, n, k, batch), self.spec, self.dtype
+        )
+        return dict(zip(keys, latency.tolist()))
 
     def profile(self, trace: OpTrace) -> List[ProfiledModule]:
         """Aggregate the trace per module label, largest latency first."""
         if len(trace) == 0:
             raise ExperimentError("cannot profile an empty trace")
+        latencies = self._latencies(trace)
         by_module: Dict[str, List] = {}
         for rec in trace:
             by_module.setdefault(rec.module, []).append(rec)
@@ -74,7 +81,7 @@ class TraceProfiler:
                 latency = 0.0
                 flops = 0
                 for rec in recs:
-                    latency += self._latency(rec.batch, rec.m, rec.k, rec.n)
+                    latency += latencies[rec.shape_tuple()]
                     flops += rec.flops
                 sp.set(
                     calls=len(recs), flops=flops, modelled_latency_s=latency
@@ -99,7 +106,7 @@ class TraceProfiler:
         table = ResultTable(
             title,
             ["module", "calls", "latency_ms", "share", "tflops"],
-            notes=f"priced on {self.model.spec.name} ({self.model.dtype.name})",
+            notes=f"priced on {self.spec.name} ({self.dtype.name})",
         )
         for p in profiles:
             table.add(p.module, p.calls, p.latency_s * 1e3, p.latency_s / total, p.tflops)

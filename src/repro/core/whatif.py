@@ -19,15 +19,28 @@ wants from the paper: a to-do list sorted by payoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
+from repro.core.advisor import head_counts_near, padded_vocab
 from repro.core.config import TransformerConfig
 from repro.core.latency import LayerLatencyModel
 from repro.core.memory import MemoryBudget
-from repro.errors import ConfigError
 from repro.gpu.specs import GPUSpec
 from repro.trainstep.memory import estimate_memory
 from repro.types import DType
+
+#: One candidate: a human-readable move and the config it produces.
+Move = Tuple[str, TransformerConfig]
+
+_KEEP = "keep as is"
+
+
+class Knob(NamedTuple):
+    """One shape knob: its name, what it reports with no move, its moves."""
+
+    name: str
+    idle: str
+    moves: List[Move]
 
 
 @dataclass(frozen=True)
@@ -65,75 +78,22 @@ class WhatIfAnalyzer:
         self.model = LayerLatencyModel(gpu, dtype, flash_attention=flash_attention)
         self.budget = memory_budget or MemoryBudget.for_gpu(self.model.spec)
 
-    # -- knob explorations ---------------------------------------------------------
+    # -- knob neighbourhoods ---------------------------------------------------------
 
-    def _latency(self, cfg: TransformerConfig) -> float:
-        return self.model.model_latency(cfg)
+    def _heads(self, cfg: TransformerConfig) -> List[Move]:
+        return [
+            (f"a: {cfg.num_heads} -> {a}", cfg.with_overrides(num_heads=a))
+            for a in head_counts_near(cfg)
+        ]
 
-    def _explore(
-        self,
-        base_latency: float,
-        candidates: "List[Tuple[str, TransformerConfig]]",
-        knob: str,
-    ) -> Sensitivity:
-        best_speedup, best_move, best_cfg = 1.0, "keep as is", None
-        for move, cand in candidates:
-            try:
-                speedup = base_latency / self._latency(cand)
-            except ConfigError:
-                continue
-            if speedup > best_speedup:
-                best_speedup, best_move, best_cfg = speedup, move, cand
-        return Sensitivity(
-            knob=knob, best_move=best_move, speedup=best_speedup, config=best_cfg
-        )
+    def _vocabulary(self, cfg: TransformerConfig) -> List[Move]:
+        padded = padded_vocab(cfg)
+        if padded is None:
+            return []
+        return [(f"v: {cfg.vocab_size} -> {padded}", cfg.with_overrides(vocab_size=padded))]
 
-    def heads(self, cfg: TransformerConfig, base: float) -> Sensitivity:
-        candidates = []
-        for a in range(max(1, cfg.num_heads // 2), 2 * cfg.num_heads + 1):
-            if a != cfg.num_heads and cfg.hidden_size % a == 0:
-                candidates.append(
-                    (f"a: {cfg.num_heads} -> {a}", cfg.with_overrides(num_heads=a))
-                )
-        return self._explore(base, candidates, "heads")
-
-    def vocabulary(self, cfg: TransformerConfig, base: float) -> Sensitivity:
-        padded = -(-cfg.vocab_size // 64) * 64
-        candidates = []
-        if padded != cfg.vocab_size:
-            candidates.append(
-                (
-                    f"v: {cfg.vocab_size} -> {padded}",
-                    cfg.with_overrides(vocab_size=padded),
-                )
-            )
-        return self._explore(base, candidates, "vocabulary")
-
-    def microbatch(self, cfg: TransformerConfig, base: float) -> Sensitivity:
-        """Doubling b, gated by the training-memory budget.
-
-        Measured per token: latency/token, since doubling b doubles the
-        work.
-        """
-        doubled = cfg.with_overrides(microbatch=2 * cfg.microbatch)
-        if not estimate_memory(doubled).fits(self.budget):
-            return Sensitivity(
-                knob="microbatch",
-                best_move=f"b={2 * cfg.microbatch} exceeds the memory budget",
-                speedup=1.0,
-                config=None,
-            )
-        per_token_base = base / cfg.tokens_per_microbatch
-        per_token_new = self._latency(doubled) / doubled.tokens_per_microbatch
-        return Sensitivity(
-            knob="microbatch",
-            best_move=f"b: {cfg.microbatch} -> {2 * cfg.microbatch}",
-            speedup=per_token_base / per_token_new,
-            config=doubled,
-        )
-
-    def hidden(self, cfg: TransformerConfig, base: float) -> Sensitivity:
-        candidates = []
+    def _hidden(self, cfg: TransformerConfig) -> List[Move]:
+        moves = []
         for h in (cfg.hidden_size - 64, cfg.hidden_size + 64):
             if h <= 0 or h % cfg.num_heads:
                 continue
@@ -143,42 +103,77 @@ class WhatIfAnalyzer:
                     12 * cfg.hidden_size**2 * cfg.num_layers / (12 * h * h)
                 ),
             )
-            candidates.append(
+            moves.append(
                 (
                     f"h: {cfg.hidden_size} -> {h} (L -> {L})",
                     cfg.with_overrides(hidden_size=h, num_layers=L),
                 )
             )
-        return self._explore(base, candidates, "hidden")
+        return moves
 
-    def swiglu_width(self, cfg: TransformerConfig, base: float) -> Sensitivity:
-        if cfg.mlp_kind != "swiglu":
-            return Sensitivity(
-                knob="swiglu_width",
-                best_move="not a SwiGLU model",
-                speedup=1.0,
-                config=None,
-            )
-        candidates = []
-        for d in (cfg.d_ff - 256, cfg.d_ff + 256):
-            if d > 0:
-                candidates.append(
-                    (f"d_ff: {cfg.d_ff} -> {d}", cfg.with_overrides(intermediate_size=d))
-                )
-        return self._explore(base, candidates, "swiglu_width")
+    def _swiglu_width(self, cfg: TransformerConfig) -> List[Move]:
+        return [
+            (f"d_ff: {cfg.d_ff} -> {d}", cfg.with_overrides(intermediate_size=d))
+            for d in (cfg.d_ff - 256, cfg.d_ff + 256)
+            if d > 0
+        ]
+
+    def knobs(self, cfg: TransformerConfig) -> List[Knob]:
+        """Every knob's candidate moves, in report order.
+
+        Doubling the microbatch is a move only when the doubled config
+        fits the training-memory budget.
+        """
+        b = cfg.microbatch
+        doubled = cfg.with_overrides(microbatch=2 * b)
+        fits = estimate_memory(doubled).fits(self.budget)
+        swiglu = cfg.mlp_kind == "swiglu"
+        return [
+            Knob("heads", _KEEP, self._heads(cfg)),
+            Knob("vocabulary", _KEEP, self._vocabulary(cfg)),
+            Knob(
+                "microbatch",
+                f"b={2 * b} exceeds the memory budget",
+                [(f"b: {b} -> {2 * b}", doubled)] if fits else [],
+            ),
+            Knob("hidden", _KEEP, self._hidden(cfg)),
+            Knob(
+                "swiglu_width",
+                _KEEP if swiglu else "not a SwiGLU model",
+                self._swiglu_width(cfg) if swiglu else [],
+            ),
+        ]
 
     # -- public API -------------------------------------------------------------------
 
     def rank(self, cfg: TransformerConfig) -> List[Sensitivity]:
-        """All knobs, largest payoff first."""
-        base = self._latency(cfg)
-        results = [
-            self.heads(cfg, base),
-            self.vocabulary(cfg, base),
-            self.microbatch(cfg, base),
-            self.hidden(cfg, base),
-            self.swiglu_width(cfg, base),
-        ]
+        """All knobs, largest payoff first.
+
+        The base config and every knob's moves are priced in one grid.
+        Each knob keeps its first move with the strictly largest
+        speedup; the microbatch move is measured per token (doubling b
+        doubles the work) and is reported whatever its speedup.
+        """
+        knobs = self.knobs(cfg)
+        moves = [move for knob in knobs for move in knob.moves]
+        base, *priced = self.model.model_breakdowns(
+            [cfg] + [cand for _, cand in moves]
+        )
+        latency = iter(bd.total_s for bd in priced)
+        results = []
+        for knob in knobs:
+            best = Sensitivity(knob.name, knob.idle, speedup=1.0, config=None)
+            for move, cand in knob.moves:
+                cand_s = next(latency)
+                if knob.name == "microbatch":
+                    per_token_base = base.total_s / cfg.tokens_per_microbatch
+                    per_token_new = cand_s / cand.tokens_per_microbatch
+                    best = Sensitivity(
+                        knob.name, move, per_token_base / per_token_new, cand
+                    )
+                elif base.total_s / cand_s > best.speedup:
+                    best = Sensitivity(knob.name, move, base.total_s / cand_s, cand)
+            results.append(best)
         return sorted(results, key=lambda s: -s.speedup)
 
     def report(self, cfg: TransformerConfig) -> str:

@@ -1,23 +1,19 @@
-"""Batched matrix multiplication (BMM) performance model.
+"""Batched matrix multiplication (BMM) shapes.
 
 The attention score (``KQ^T``) and attention-over-value computations are
 BMMs of ``b*a/t`` independent small GEMMs (paper Eq. 1, Table II).  A
 strided-batched kernel launches the union of the per-problem tile grids
-as one grid, so the analytic GEMM model already handles it via its
-``batch`` parameter; this module adds the BMM-specific conveniences the
-harness and the transformer mapping use, plus the attention-specific
-constructors.
+as one grid, so the analytic GEMM model and the shape engine already
+price it via their ``batch`` parameter; :class:`BmmShape` is the value
+type the Table II mapping (:func:`repro.core.gemms.layer_gemms`) and the
+kernel experiments use to name such a batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from repro.errors import ShapeError
-from repro.gpu.gemm_model import GemmModel, GemmPerf
-from repro.gpu.specs import GPUSpec
-from repro.gpu.tiles import TileConfig
 from repro.types import DType
 
 
@@ -40,64 +36,3 @@ class BmmShape:
 
     def bytes(self, dtype: DType) -> int:
         return self.batch * (self.m * self.k + self.k * self.n + self.m * self.n) * dtype.bytes
-
-
-class BmmModel:
-    """Thin BMM facade over :class:`~repro.gpu.gemm_model.GemmModel`."""
-
-    def __init__(
-        self,
-        gpu: "str | GPUSpec",
-        dtype: "str | DType" = DType.FP16,
-        tile: Optional[TileConfig] = None,
-        candidates: Optional[Sequence[TileConfig]] = None,
-    ) -> None:
-        self._gemm = GemmModel(gpu, dtype, tile=tile, candidates=candidates)
-
-    @property
-    def spec(self) -> GPUSpec:
-        return self._gemm.spec
-
-    @property
-    def dtype(self) -> DType:
-        return self._gemm.dtype
-
-    def evaluate(self, shape: BmmShape) -> GemmPerf:
-        """Evaluate a batched GEMM."""
-        return self._gemm.evaluate(shape.m, shape.n, shape.k, batch=shape.batch)
-
-    def latency(self, shape: BmmShape) -> float:
-        return self.evaluate(shape).latency_s
-
-    def tflops(self, shape: BmmShape) -> float:
-        return self.evaluate(shape).tflops
-
-    # -- attention constructors (paper Table II) -----------------------------
-
-    @staticmethod
-    def attention_score_shape(
-        b: int, s: int, h: int, a: int, t: int = 1
-    ) -> BmmShape:
-        """``KQ^T``: b*a/t problems of (s, h/a) x (h/a, s)."""
-        _check_attention_dims(b, s, h, a, t)
-        return BmmShape(batch=b * a // t, m=s, k=h // a, n=s)
-
-    @staticmethod
-    def attention_over_value_shape(
-        b: int, s: int, h: int, a: int, t: int = 1
-    ) -> BmmShape:
-        """Scores x V: b*a/t problems of (s, s) x (s, h/a)."""
-        _check_attention_dims(b, s, h, a, t)
-        return BmmShape(batch=b * a // t, m=s, k=s, n=h // a)
-
-
-def _check_attention_dims(b: int, s: int, h: int, a: int, t: int) -> None:
-    if min(b, s, h, a, t) <= 0:
-        raise ShapeError(f"attention dims must be positive: {(b, s, h, a, t)}")
-    if h % a != 0:
-        raise ShapeError(f"hidden size {h} not divisible by heads {a}")
-    if (b * a) % t != 0:
-        raise ShapeError(
-            f"(b*a)={b*a} not divisible by tensor-parallel degree {t}; "
-            "the paper requires (b*a)/t to be an integer"
-        )

@@ -54,10 +54,6 @@ def _report_record(
         "passed": bool(cold.passed and warm.passed),
         "cold_ms": round(cold.wall_time_s * 1e3, 3),
         "warm_ms": round(warm_ms, 3),
-        "cold_cache_hits": cold.cache_hits,
-        "cold_cache_misses": cold.cache_misses,
-        "warm_cache_hits": warm.cache_hits,
-        "warm_cache_misses": warm.cache_misses,
         "cold_engine_hits": cold.engine_hits,
         "cold_engine_misses": cold.engine_misses,
         "warm_engine_hits": warm.engine_hits,

@@ -7,11 +7,11 @@ the paper-vs-measured records in EXPERIMENTS.md and backs the
 ``repro figure`` / ``repro bench`` / ``repro run`` CLI verbs.
 
 Each report carries its wall time and the shape-evaluation cache
-activity it caused (hits/misses of the global scalar memo,
-:func:`repro.engine.cache.scalar_memo_stats`), so regressions in the
-hot path show up directly in the rendered reports.  With a thread pool
-the cache counters are process-wide, so concurrent experiments'
-attributions overlap; totals remain exact.
+activity it caused (memory-LRU and disk-store hits/misses of the
+default engine), so regressions in the hot path show up directly in
+the rendered reports.  With a thread pool the cache counters are
+process-wide, so concurrent experiments' attributions overlap; totals
+remain exact.
 
 Sweeps can run **resiliently** (:func:`run_all_resilient`, or
 ``run_all`` with any of ``retries`` / ``timeout_s`` / ``journal`` /
@@ -34,7 +34,6 @@ if TYPE_CHECKING:
     from repro.analysis.diagnostics import LintReport
     from repro.resilience.checkpoint import SweepJournal
 
-from repro.engine import cache as engine_cache
 from repro.engine.core import default_engine
 from repro.errors import ExperimentError
 from repro.harness.compare import CheckResult
@@ -56,12 +55,8 @@ class ExperimentReport:
     table: ResultTable
     check: CheckResult
     wall_time_s: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Engine cache traffic (memory LRU + disk store lookups of the
     #: process-wide default engine) attributed to this experiment.
-    #: Separate from the scalar memo so grid-path experiments show
-    #: their cache behaviour instead of a misleading ``0 / 0``.
     engine_hits: int = 0
     engine_misses: int = 0
     #: Preflight shape-lint over the experiment's declared model
@@ -95,11 +90,6 @@ class ExperimentReport:
             return 0
         return len(self.lint.findings(Severity.WARNING))
 
-    @property
-    def cache_hit_rate(self) -> float:
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
-
     def render(self, max_rows: Optional[int] = 30) -> str:
         status = "PASS" if self.passed else "FAIL"
         lines = [
@@ -110,7 +100,6 @@ class ExperimentReport:
             "",
             f"check: {self.check.details}",
             f"wall time: {self.wall_time_s * 1e3:.1f} ms, "
-            f"cache: {self.cache_hits} hits / {self.cache_misses} misses, "
             f"engine: {self.engine_hits} hits / {self.engine_misses} misses",
         ]
         if self.error is not None:
@@ -165,7 +154,6 @@ def run_experiment(exp_id: str) -> ExperimentReport:
         fault_site("runner.experiment", id=exp.id)
         lint = preflight_lint(exp)
         engine = default_engine()
-        before = engine_cache.scalar_memo_stats().snapshot()
         mem_before = engine.memory_stats.snapshot()
         disk_before = (
             engine.disk_stats.snapshot() if engine.disk_stats is not None else None
@@ -174,7 +162,6 @@ def run_experiment(exp_id: str) -> ExperimentReport:
         table = exp.run()
         check = exp.check(table)
         elapsed = time.perf_counter() - start
-        used = engine_cache.scalar_memo_stats().delta(before)
         engine_used = engine.memory_stats.delta(mem_before)
         engine_hits, engine_misses = engine_used.hits, engine_used.misses
         if disk_before is not None and engine.disk_stats is not None:
@@ -186,15 +173,11 @@ def run_experiment(exp_id: str) -> ExperimentReport:
         sp.set(
             passed=check.passed,
             rows=len(table.rows),
-            memo_hits=used.hits,
-            memo_misses=used.misses,
             engine_hits=engine_hits,
             engine_misses=engine_misses,
         )
         reg = _metrics()
         reg.counter("runner.experiments").inc()
-        reg.counter("runner.memo_hits").inc(used.hits)
-        reg.counter("runner.memo_misses").inc(used.misses)
         reg.histogram("runner.experiment_s").observe(elapsed)
         return ExperimentReport(
             id=exp.id,
@@ -203,8 +186,6 @@ def run_experiment(exp_id: str) -> ExperimentReport:
             table=table,
             check=check,
             wall_time_s=elapsed,
-            cache_hits=used.hits,
-            cache_misses=used.misses,
             engine_hits=engine_hits,
             engine_misses=engine_misses,
             lint=lint,
@@ -496,17 +477,15 @@ def to_markdown_report(
         "qualitative shape.",
         f"Total experiment wall time: {total_s:.2f} s.",
         "",
-        "| id | paper ref | status | wall time | memo (hits/misses) "
+        "| id | paper ref | status | wall time "
         "| engine (hits/misses) | title |",
-        "|---|---|---|---|---|---|---|",
+        "|---|---|---|---|---|---|",
     ]
     for rep in reports:
         status = "✅" if rep.passed else "❌"
         lines.append(
             f"| `{rep.id}` | {rep.paper_ref} | {status} "
             f"| {rep.wall_time_s * 1e3:.0f} ms "
-            f"| {rep.cache_hits}/{rep.cache_misses} "
-            f"({100 * rep.cache_hit_rate:.0f}%) "
             f"| {rep.engine_hits}/{rep.engine_misses} | {rep.title} |"
         )
     lines.append("")
@@ -549,8 +528,8 @@ def summary(reports: Sequence[ExperimentReport]) -> str:
     passed = sum(1 for r in reports if r.passed)
     errors = sum(1 for r in reports if r.error is not None)
     total_s = sum(r.wall_time_s for r in reports)
-    hits = sum(r.cache_hits for r in reports)
-    misses = sum(r.cache_misses for r in reports)
+    hits = sum(r.engine_hits for r in reports)
+    misses = sum(r.engine_misses for r in reports)
     tail = (
         f"\n{passed}/{len(reports)} experiments reproduce the paper's shape "
         f"({total_s:.2f} s; shape cache {hits} hits / {misses} misses)"

@@ -3,7 +3,8 @@
 The paper's inference argument (Sec VII-C): models trained efficiently
 on a GPU also infer efficiently on it, because the forward-pass GEMMs
 are identical.  Prefill here literally reuses
-:class:`~repro.core.latency.LayerLatencyModel`.  Decode is modelled as
+:class:`~repro.core.latency.LayerLatencyModel`, priced as a one-config
+engine grid.  Decode is modelled as
 what it is on hardware: a sweep of skinny GEMMs (m = batch) that stream
 every weight matrix and the KV cache from DRAM once per token, plus a
 fixed launch overhead per kernel — which is why *layer count* hurts
@@ -20,7 +21,6 @@ from repro.core.gemms import layer_gemms, logit_gemm
 from repro.core.latency import LayerLatencyModel
 from repro.engine import default_engine, shape_array
 from repro.errors import ConfigError
-from repro.gpu.gemm_model import GemmModel
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.types import DType
 
@@ -76,7 +76,6 @@ class InferenceModel:
         self.layer_model = LayerLatencyModel(
             self.spec, self.dtype, flash_attention=flash_attention
         )
-        self.gemm_model = GemmModel(self.spec, self.dtype)
 
     # -- prefill -----------------------------------------------------------------
 

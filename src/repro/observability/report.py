@@ -12,7 +12,7 @@ training step:
 - **What did the caches do?**  Engine batch evaluations split by
   ``source`` (memory / disk / compute) from ``engine.evaluate`` spans,
   plus SoA whole-grid evaluations (``engine.evaluate_grid``), column
-  memo lookups (``engine.memo_columns``), and per-experiment memo /
+  memo lookups (``engine.memo_columns``), and per-experiment
   engine-cache deltas from ``runner.experiment`` spans.
 - **What did resilience do?**  Task attempts split by outcome, retried
   tasks, injected-fault firings, journal appends — so a chaos sweep's
@@ -85,9 +85,9 @@ class TraceReport:
     grid_shapes: int = 0
     #: engine.memo_columns spans bucketed by ``source``.
     column_memo_sources: Dict[str, int] = field(default_factory=dict)
-    #: per-experiment memo/engine cache deltas from runner.experiment
-    #: spans: id -> {memo_hits, memo_misses, engine_hits, engine_misses}.
-    experiment_memo: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    #: per-experiment engine cache deltas from runner.experiment
+    #: spans: id -> {engine_hits, engine_misses}.
+    experiment_engine: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: task.attempt spans bucketed by their ``outcome`` attribute.
     attempt_outcomes: Dict[str, int] = field(default_factory=dict)
     tasks: int = 0
@@ -165,16 +165,13 @@ class TraceReport:
                 if (v := self.column_memo_sources.get(k))
             )
             lines.append(f"column memo: {lookups} lookup(s) ({source_bits})")
-        if self.experiment_memo:
+        if self.experiment_engine:
             lines.append("")
             lines.append("per-experiment cache deltas (hits/misses):")
-            lines.append(
-                f"  {'experiment':<20} {'scalar memo':>12} {'engine':>10}"
-            )
-            for exp_id, st in sorted(self.experiment_memo.items()):
-                memo = f"{st['memo_hits']}/{st['memo_misses']}"
+            lines.append(f"  {'experiment':<20} {'engine':>10}")
+            for exp_id, st in sorted(self.experiment_engine.items()):
                 eng = f"{st['engine_hits']}/{st['engine_misses']}"
-                lines.append(f"  {exp_id:<20} {memo:>12} {eng:>10}")
+                lines.append(f"  {exp_id:<20} {eng:>10}")
 
         if self.attempt_outcomes:
             lines.append("")
@@ -248,14 +245,9 @@ def summarize(
             )
         elif span.name == "runner.experiment":
             exp_id = str(span.attrs.get("id", "?"))
-            entry = report.experiment_memo.setdefault(
+            entry = report.experiment_engine.setdefault(
                 exp_id,
-                {
-                    "memo_hits": 0,
-                    "memo_misses": 0,
-                    "engine_hits": 0,
-                    "engine_misses": 0,
-                },
+                {"engine_hits": 0, "engine_misses": 0},
             )
             for field_name in entry:
                 entry[field_name] += int(span.attrs.get(field_name, 0))

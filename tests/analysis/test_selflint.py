@@ -88,13 +88,12 @@ class TestLayerModelLoopRule:
                 def __init__(self):
                     self.model = LayerLatencyModel("A100")
 
-                def rank(self, cfgs, ops):
+                def rank(self, cfgs):
                     a = [self.model.model_latency(c) for c in cfgs]
                     b = [self.model.model_breakdown(c) for c in cfgs]
                     c = [self.model.layer_latency(c) for c in cfgs]
                     d = [self.model.layer_throughput_tflops(c) for c in cfgs]
-                    e = [self.model.gemm_perf(op) for op in ops]
-                    return a, b, c, d, e
+                    return a, b, c, d
 
 
             def share(cfgs, model: "LayerLatencyModel | None"):
@@ -102,7 +101,7 @@ class TestLayerModelLoopRule:
                     model.layer_breakdown(cfgs.pop())
             """,
         )
-        assert len(hits) == 6
+        assert len(hits) == 5
 
     def test_batched_sweep_is_clean(self, tmp_path):
         hits = self._lint(

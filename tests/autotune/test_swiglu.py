@@ -5,7 +5,6 @@ import pytest
 from repro.autotune.swiglu import (
     LLAMA2_CHOICES,
     candidate_for,
-    mlp_block_latency,
     swiglu_intermediate_search,
 )
 from repro.errors import ConfigError
@@ -22,24 +21,29 @@ def candidates():
     )
 
 
+def _block_latency(tp_degree: int = 1) -> float:
+    """The search's SwiGLU block latency for d_ff = 11008 at h = 4096."""
+    ranked = swiglu_intermediate_search(
+        h=4096, window=0.01, step=64, tp_degree=tp_degree, must_include=[11008]
+    )
+    return candidate_for(ranked, 11008).latency_s
+
+
 class TestBlockLatency:
     def test_three_matmuls(self):
         model = GemmModel("A100")
         d = 11008
-        lat = mlp_block_latency(4096, d, 8192, model)
         up = model.latency(8192, d, 4096)
         down = model.latency(8192, 4096, d)
-        assert lat == pytest.approx(2 * up + down)
+        assert _block_latency() == pytest.approx(2 * up + down)
 
     def test_tp_shard(self):
-        model = GemmModel("A100")
-        full = mlp_block_latency(4096, 11008, 8192, model, tp_degree=1)
-        shard = mlp_block_latency(4096, 11008, 8192, model, tp_degree=2)
-        assert shard < full
+        assert _block_latency(tp_degree=2) < _block_latency(tp_degree=1)
 
     def test_indivisible_tp_raises(self):
+        # 11008 is not divisible by t=3, so it is never a candidate.
         with pytest.raises(ConfigError):
-            mlp_block_latency(4096, 11008, 8192, GemmModel("A100"), tp_degree=3)
+            _block_latency(tp_degree=3)
 
 
 class TestLlamaCaseStudy:

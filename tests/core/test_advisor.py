@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.advisor import ShapeAdvisor
+from repro.core.advisor import ShapeAdvisor, head_counts_near, padded_vocab
 from repro.core.config import get_model
 from repro.errors import ConfigError
 
@@ -10,6 +10,22 @@ from repro.errors import ConfigError
 @pytest.fixture(scope="module")
 def advisor():
     return ShapeAdvisor("A100")
+
+
+class TestNeighbourhood:
+    """The head and vocab candidates the advisor and whatif share."""
+
+    def test_head_counts_are_divisors_within_2x(self):
+        # h = 2560: the divisors in [a/2, 2a] = [16, 64] other than 32.
+        assert head_counts_near(get_model("gpt3-2.7b")) == [16, 20, 40, 64]
+
+    def test_head_counts_floor_at_one(self):
+        cfg = get_model("gpt3-2.7b").with_overrides(num_heads=1)
+        assert head_counts_near(cfg) == [2]
+
+    def test_padded_vocab(self):
+        assert padded_vocab(get_model("gpt-neo-2.7b")) == 50304  # v = 50257
+        assert padded_vocab(get_model("gpt3-2.7b")) is None  # v = 50304
 
 
 class TestGPT3Retune:

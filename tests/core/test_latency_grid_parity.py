@@ -1,24 +1,45 @@
-"""Differential wall: grid-priced layer/model latencies vs the scalar path.
+"""Differential wall: grid-priced latencies vs the scalar oracle.
 
-``LayerLatencyModel.layer_breakdowns`` / ``model_breakdowns`` /
-``gemm_perfs`` price a whole sweep's GEMMs in one engine grid; the
-references below price the same configs one GEMM at a time through the
-scalar ``layer_breakdown`` / ``model_breakdown`` / ``gemm_perf``.  Every
-comparison is ``==`` on the ordered component list: the engine agrees
-with the scalar model bit-for-bit and both paths compose components in
-the same order, so any drift is a bug, not noise.
+Every forward-latency caller prices its GEMMs through the engine grid
+(``LayerLatencyModel._priced_layers``): sweeps via ``layer_breakdowns``
+/ ``model_breakdowns`` / ``gemm_perfs``, single configs via the
+one-config views ``layer_breakdown`` / ``model_breakdown`` and the
+methods built on them.  The references below price the same configs
+one GEMM at a time through the scalar ``GemmModel.evaluate`` and
+compose them with ``compose_layer`` / ``compose_model``.  Every
+comparison is ``==``: the engine agrees with the scalar model
+bit-for-bit and both paths compose components in the same order, so
+any drift is a bug, not noise.
+
+The what-if analyzer and the trace profiler are walled the same way:
+a copy of the analyzer's former one-candidate-at-a-time scalar loop and
+a per-record scalar sum are the references.
 """
 
 from functools import lru_cache
-from typing import List
+from typing import List, Optional
 
+import numpy as np
 import pytest
 
 import repro.core.latency as latency_module
 from repro.core.advisor import ShapeAdvisor
-from repro.core.config import list_models
-from repro.core.gemms import backward_gemms_for, layer_gemms, logit_gemm
+from repro.core.config import TransformerConfig, list_models
+from repro.core.gemms import (
+    TransformerGemm,
+    backward_gemms_for,
+    layer_gemms,
+    logit_gemm,
+)
 from repro.core.latency import LatencyBreakdown, LayerLatencyModel
+from repro.core.memory import MemoryBudget
+from repro.core.profile import ProfiledModule, TraceProfiler
+from repro.core.whatif import Sensitivity, WhatIfAnalyzer
+from repro.gpu.gemm_model import GemmModel
+from repro.trainstep.memory import estimate_memory
+from repro.transformer.backward import loss_and_gradients
+from repro.transformer.model import DecoderModel
+from repro.transformer.trace import OpTrace
 
 GPUS = ("A100", "V100", "H100", "MI250X")
 FLASH = (False, True)
@@ -30,6 +51,41 @@ def _same(grid: LatencyBreakdown, scalar: LatencyBreakdown) -> None:
     assert list(grid.components.items()) == list(scalar.components.items())
     assert grid.flops == scalar.flops
     assert grid.total_s == scalar.total_s
+
+
+# -- the scalar oracle -------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _oracle(gpu: str, dtype) -> GemmModel:
+    return GemmModel(gpu, dtype)
+
+
+def _scalar_s(model: LayerLatencyModel, op: TransformerGemm) -> float:
+    gemm = _oracle(model.spec.name, model.dtype)
+    return gemm.evaluate(op.m, op.n, op.k, batch=op.batch).latency_s
+
+
+def scalar_layer(model: LayerLatencyModel, cfg: TransformerConfig) -> LatencyBreakdown:
+    """One layer priced one GEMM at a time through ``GemmModel``."""
+    ops = model.layer_ops(cfg)
+    return model.compose_layer(cfg, ops, [_scalar_s(model, op) for op in ops])
+
+
+def scalar_model(model: LayerLatencyModel, cfg: TransformerConfig) -> LatencyBreakdown:
+    """The whole model priced one GEMM at a time through ``GemmModel``."""
+    layer = scalar_layer(model, cfg)
+    return model.compose_model(cfg, layer, _scalar_s(model, logit_gemm(cfg)))
+
+
+def _peak_tflops(model: LayerLatencyModel) -> float:
+    spec, dtype = model.spec, model.dtype
+    if spec.supports_matrix(dtype):
+        return spec.matrix_peak_tflops(dtype)
+    return spec.vector_peak_tflops(dtype)
+
+
+# -- breakdowns --------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -48,26 +104,39 @@ def _grid_priced(gpu: str, flash: bool):
 @pytest.mark.parametrize("index", range(len(CONFIGS)), ids=MODELS)
 class TestBreakdowns:
     def test_layer_breakdowns_match_scalar(self, gpu, flash, index):
-        scalar = LayerLatencyModel(gpu, flash_attention=flash)
+        model = LayerLatencyModel(gpu, flash_attention=flash)
         layers, _, _ = _grid_priced(gpu, flash)
-        _same(layers[index], scalar.layer_breakdown(CONFIGS[index]))
+        _same(layers[index], scalar_layer(model, CONFIGS[index]))
 
     def test_model_breakdowns_match_scalar(self, gpu, flash, index):
-        scalar = LayerLatencyModel(gpu, flash_attention=flash)
+        model = LayerLatencyModel(gpu, flash_attention=flash)
         _, models, _ = _grid_priced(gpu, flash)
-        _same(models[index], scalar.model_breakdown(CONFIGS[index]))
+        _same(models[index], scalar_model(model, CONFIGS[index]))
 
     def test_layer_and_model_pairs_match_scalar(self, gpu, flash, index):
-        scalar = LayerLatencyModel(gpu, flash_attention=flash)
+        model = LayerLatencyModel(gpu, flash_attention=flash)
         _, _, pairs = _grid_priced(gpu, flash)
-        layer, model = pairs[index]
-        _same(layer, scalar.layer_breakdown(CONFIGS[index]))
-        _same(model, scalar.model_breakdown(CONFIGS[index]))
+        layer, whole = pairs[index]
+        _same(layer, scalar_layer(model, CONFIGS[index]))
+        _same(whole, scalar_model(model, CONFIGS[index]))
+
+    def test_one_config_methods_match_scalar(self, gpu, flash, index):
+        model = LayerLatencyModel(gpu, flash_attention=flash)
+        cfg = CONFIGS[index]
+        layer, whole = scalar_layer(model, cfg), scalar_model(model, cfg)
+        _same(model.layer_breakdown(cfg), layer)
+        _same(model.model_breakdown(cfg), whole)
+        assert model.layer_latency(cfg) == layer.total_s
+        assert model.layer_throughput_tflops(cfg) == layer.tflops
+        assert model.model_latency(cfg) == whole.total_s
+        assert model.tokens_per_second(cfg) == cfg.tokens_per_microbatch / whole.total_s
+        assert model.mfu(cfg) == whole.tflops / _peak_tflops(model)
 
 
 @pytest.mark.parametrize("gpu", GPUS)
 def test_gemm_perfs_match_scalar(gpu):
     model = LayerLatencyModel(gpu)
+    gemm = GemmModel(gpu)
     ops = []
     for cfg in CONFIGS:
         forward = layer_gemms(cfg) + [logit_gemm(cfg)]
@@ -77,15 +146,18 @@ def test_gemm_perfs_match_scalar(gpu):
     latency = perfs.latency_s.tolist()
     tflops = perfs.tflops.tolist()
     for i, op in enumerate(ops):
-        perf = model.gemm_perf(op)
+        perf = gemm.evaluate(op.m, op.n, op.k, batch=op.batch)
         assert (latency[i], tflops[i]) == (perf.latency_s, perf.tflops), op
 
 
+# -- the advisor -------------------------------------------------------------------
+
+
 class _ScalarPricedModel(LayerLatencyModel):
-    """Prices each config through the scalar ``model_breakdown``."""
+    """Prices each config one GEMM at a time through ``GemmModel``."""
 
     def model_breakdowns(self, cfgs) -> List[LatencyBreakdown]:
-        return [self.model_breakdown(cfg) for cfg in cfgs]
+        return [scalar_model(self, cfg) for cfg in cfgs]
 
 
 @pytest.mark.parametrize("flash", FLASH)
@@ -100,8 +172,170 @@ def test_advisor_matches_scalar_reference(gpu, flash, index):
     # Each proposal carries its own and the baseline's scalar latency.
     scalar = reference.model
     for proposal in got:
-        assert proposal.latency_s == scalar.model_latency(proposal.config)
-        assert proposal.baseline_latency_s == scalar.model_latency(cfg)
+        assert proposal.latency_s == scalar_model(scalar, proposal.config).total_s
+        assert proposal.baseline_latency_s == scalar_model(scalar, cfg).total_s
+
+
+# -- the what-if analyzer ----------------------------------------------------------
+
+
+class ScalarWhatIf:
+    """The analyzer's former per-knob loop, one scalar model per candidate.
+
+    Kept verbatim in its decisions: each knob prices its candidates one
+    at a time, keeps the first strictly larger speedup, and the
+    microbatch knob reports its per-token ratio whenever the doubled
+    config fits the memory budget.
+    """
+
+    def __init__(self, gpu: str) -> None:
+        self.model = LayerLatencyModel(gpu)
+        self.budget = MemoryBudget.for_gpu(self.model.spec)
+
+    def _latency(self, cfg: TransformerConfig) -> float:
+        return scalar_model(self.model, cfg).total_s
+
+    def _explore(self, base_latency, candidates, knob) -> Sensitivity:
+        best_speedup, best_move, best_cfg = 1.0, "keep as is", None
+        for move, cand in candidates:
+            speedup = base_latency / self._latency(cand)
+            if speedup > best_speedup:
+                best_speedup, best_move, best_cfg = speedup, move, cand
+        return Sensitivity(
+            knob=knob, best_move=best_move, speedup=best_speedup, config=best_cfg
+        )
+
+    def heads(self, cfg, base) -> Sensitivity:
+        candidates = []
+        for a in range(max(1, cfg.num_heads // 2), 2 * cfg.num_heads + 1):
+            if a != cfg.num_heads and cfg.hidden_size % a == 0:
+                candidates.append(
+                    (f"a: {cfg.num_heads} -> {a}", cfg.with_overrides(num_heads=a))
+                )
+        return self._explore(base, candidates, "heads")
+
+    def vocabulary(self, cfg, base) -> Sensitivity:
+        padded = -(-cfg.vocab_size // 64) * 64
+        candidates = []
+        if padded != cfg.vocab_size:
+            candidates.append(
+                (f"v: {cfg.vocab_size} -> {padded}", cfg.with_overrides(vocab_size=padded))
+            )
+        return self._explore(base, candidates, "vocabulary")
+
+    def microbatch(self, cfg, base) -> Sensitivity:
+        doubled = cfg.with_overrides(microbatch=2 * cfg.microbatch)
+        if not estimate_memory(doubled).fits(self.budget):
+            return Sensitivity(
+                knob="microbatch",
+                best_move=f"b={2 * cfg.microbatch} exceeds the memory budget",
+                speedup=1.0,
+                config=None,
+            )
+        per_token_base = base / cfg.tokens_per_microbatch
+        per_token_new = self._latency(doubled) / doubled.tokens_per_microbatch
+        return Sensitivity(
+            knob="microbatch",
+            best_move=f"b: {cfg.microbatch} -> {2 * cfg.microbatch}",
+            speedup=per_token_base / per_token_new,
+            config=doubled,
+        )
+
+    def hidden(self, cfg, base) -> Sensitivity:
+        candidates = []
+        for h in (cfg.hidden_size - 64, cfg.hidden_size + 64):
+            if h <= 0 or h % cfg.num_heads:
+                continue
+            L = max(1, round(12 * cfg.hidden_size**2 * cfg.num_layers / (12 * h * h)))
+            candidates.append(
+                (
+                    f"h: {cfg.hidden_size} -> {h} (L -> {L})",
+                    cfg.with_overrides(hidden_size=h, num_layers=L),
+                )
+            )
+        return self._explore(base, candidates, "hidden")
+
+    def swiglu_width(self, cfg, base) -> Sensitivity:
+        if cfg.mlp_kind != "swiglu":
+            return Sensitivity(
+                knob="swiglu_width",
+                best_move="not a SwiGLU model",
+                speedup=1.0,
+                config=None,
+            )
+        candidates = []
+        for d in (cfg.d_ff - 256, cfg.d_ff + 256):
+            if d > 0:
+                candidates.append(
+                    (f"d_ff: {cfg.d_ff} -> {d}", cfg.with_overrides(intermediate_size=d))
+                )
+        return self._explore(base, candidates, "swiglu_width")
+
+    def rank(self, cfg) -> List[Sensitivity]:
+        base = self._latency(cfg)
+        results = [
+            self.heads(cfg, base),
+            self.vocabulary(cfg, base),
+            self.microbatch(cfg, base),
+            self.hidden(cfg, base),
+            self.swiglu_width(cfg, base),
+        ]
+        return sorted(results, key=lambda s: -s.speedup)
+
+
+@lru_cache(maxsize=None)
+def _whatif(gpu: str):
+    return WhatIfAnalyzer(gpu), ScalarWhatIf(gpu)
+
+
+@pytest.mark.parametrize("microbatch", (None, 1), ids=("preset", "b1"))
+@pytest.mark.parametrize("gpu", GPUS)
+@pytest.mark.parametrize("index", range(len(CONFIGS)), ids=MODELS)
+def test_whatif_matches_scalar_reference(gpu, index, microbatch: Optional[int]):
+    cfg = CONFIGS[index]
+    if microbatch is not None:
+        cfg = cfg.with_overrides(microbatch=microbatch)
+    analyzer, reference = _whatif(gpu)
+    assert analyzer.rank(cfg) == reference.rank(cfg)
+
+
+# -- the trace profiler ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def training_trace() -> OpTrace:
+    model = DecoderModel(
+        vocab_size=96,
+        max_seq=16,
+        hidden_size=48,
+        num_heads=4,
+        num_layers=2,
+        rng=np.random.default_rng(0),
+    )
+    trace = OpTrace()
+    loss_and_gradients(model, np.random.default_rng(1).integers(0, 96, (16, 2)), trace)
+    return trace
+
+
+@pytest.mark.parametrize("gpu", GPUS)
+def test_profiler_matches_per_record_scalar_sum(training_trace, gpu):
+    gemm = GemmModel(gpu)
+    modules = {}
+    for rec in training_trace:
+        calls, flops, latency = modules.get(rec.module, (0, 0, 0.0))
+        modules[rec.module] = (
+            calls + 1,
+            flops + rec.flops,
+            latency + gemm.evaluate(rec.m, rec.n, rec.k, batch=rec.batch).latency_s,
+        )
+    reference = sorted(
+        (ProfiledModule(name, *agg) for name, agg in modules.items()),
+        key=lambda p: -p.latency_s,
+    )
+    assert TraceProfiler(gpu).profile(training_trace) == reference
+
+
+# -- edge cases --------------------------------------------------------------------
 
 
 def test_empty_sweeps_make_no_engine_call(monkeypatch):
@@ -123,5 +357,5 @@ def test_duplicate_configs_price_identically(flash):
     layers = model.layer_breakdowns(cfgs)
     models = model.model_breakdowns(cfgs)
     for cfg, layer, whole in zip(cfgs, layers, models):
-        _same(layer, model.layer_breakdown(cfg))
-        _same(whole, model.model_breakdown(cfg))
+        _same(layer, scalar_layer(model, cfg))
+        _same(whole, scalar_model(model, cfg))

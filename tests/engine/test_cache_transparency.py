@@ -1,9 +1,10 @@
 """Caching must be invisible in the numbers.
 
 The engine's two cache levels (in-memory LRU, on-disk ``.soa`` store)
-and the global scalar memo are pure memoization: an experiment run
-with a cold disk cache, a warm disk cache, no disk cache at all, or
-the scalar memo disabled must produce *bit-identical* ResultTables.
+are pure memoization: an experiment run with a cold disk cache, a warm
+disk cache or no disk cache at all must produce *bit-identical*
+ResultTables.  The global scalar memo behind the scalar oracle is held
+to the same standard: memoized, cold and uncached scalar results match.
 The same holds under a fault plan that corrupts every disk-cache
 entry as it is written — quarantine changes where numbers come from,
 never what they are.
@@ -11,10 +12,23 @@ never what they are.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.engine.cache import configure, scalar_memo_enabled
-from repro.engine.core import DISK_CACHE_ENV, default_engine, reset_default_engine
+from repro.engine.cache import (
+    clear_scalar_memo,
+    configure,
+    scalar_memo_enabled,
+    scalar_memo_stats,
+)
+from repro.engine.core import (
+    DISK_CACHE_ENV,
+    default_engine,
+    random_shapes,
+    reset_default_engine,
+    verify_against_scalar,
+)
+from repro.gpu.gemm_model import GemmModel
 from repro.harness.runner import run_experiment
 from repro.resilience.faults import FaultPlan, FaultSpec, injected
 
@@ -64,15 +78,33 @@ def test_cold_warm_and_no_cache_are_bit_identical(tmp_path, monkeypatch):
     assert _fingerprint(warm) == _fingerprint(baseline)
 
 
-def test_scalar_memo_is_transparent(monkeypatch):
-    baseline, _ = _run(monkeypatch)
+def test_scalar_memo_is_transparent():
+    """The memo behind the scalar oracle never changes what it returns.
+
+    Production pricing goes through the engine, so the memo's remaining
+    user is the scalar ``GemmModel`` that ``verify_against_scalar`` and
+    the differential walls compare against.
+    """
+    shapes = random_shapes(np.random.default_rng(7), 60).tolist()
+    kwargs = dict(points=30, gpus=("A100", "MI250X"), dtypes=("fp16", "fp32"))
+
+    def scalar_perfs():
+        model = GemmModel("H100")
+        return [model.evaluate(m, n, k, batch=b) for b, m, n, k in shapes]
+
+    clear_scalar_memo()
+    cold = (scalar_perfs(), verify_against_scalar(**kwargs))
+    before = scalar_memo_stats().snapshot()
+    warm = (scalar_perfs(), verify_against_scalar(**kwargs))
+    assert scalar_memo_stats().delta(before).hits > 0  # served by the memo
     assert scalar_memo_enabled()
     configure(enabled=False)
     try:
-        uncached, _ = _run(monkeypatch)
+        uncached = (scalar_perfs(), verify_against_scalar(**kwargs))
     finally:
         configure(enabled=True)
-    assert _fingerprint(uncached) == _fingerprint(baseline)
+    assert cold == warm == uncached
+    assert cold[1].mismatches == 0
 
 
 def test_corrupted_cache_entries_change_nothing(tmp_path, monkeypatch):

@@ -1,15 +1,33 @@
-"""Tests for the batched-GEMM model and attention shape constructors."""
+"""Tests for the BMM shape type and the attention BMMs of Table II.
+
+The attention score and attention-over-value BMMs come from
+:func:`repro.core.gemms.layer_gemms` and are priced by the shape engine.
+"""
 
 import pytest
 
-from repro.errors import ShapeError
-from repro.gpu.bmm_model import BmmModel, BmmShape
+from repro.core.config import TransformerConfig
+from repro.core.gemms import layer_gemms
+from repro.engine import default_engine, shape_array
+from repro.errors import ConfigError, ParallelismError, ShapeError
+from repro.gpu.bmm_model import BmmShape
 from repro.types import DType
 
 
-@pytest.fixture(scope="module")
-def model():
-    return BmmModel("A100")
+def _attention(b, s, h, a, t=1):
+    """The (score, attention-over-value) BMM shapes of one layer."""
+    cfg = TransformerConfig(
+        name="attn", hidden_size=h, num_heads=a, num_layers=1,
+        seq_len=s, microbatch=b, tp_degree=t,
+    )
+    ops = {op.module: op.bmm_shape() for op in layer_gemms(cfg)}
+    return ops["attention_score"], ops["attention_over_value"]
+
+
+def _evaluate(*shapes: BmmShape):
+    """Price the shapes in one engine batch on A100."""
+    batch, m, k, n = zip(*((s.batch, s.m, s.k, s.n) for s in shapes))
+    return default_engine().evaluate(shape_array(m, n, k, batch), "A100", DType.FP16)
 
 
 class TestBmmShape:
@@ -29,62 +47,45 @@ class TestBmmShape:
 class TestAttentionConstructors:
     def test_score_shape_matches_table2(self):
         # b*a/t BMMs of (s, h/a) x (h/a, s).
-        s = BmmModel.attention_score_shape(b=4, s=2048, h=2560, a=32, t=2)
-        assert s == BmmShape(batch=4 * 32 // 2, m=2048, k=80, n=2048)
+        score, _ = _attention(b=4, s=2048, h=2560, a=32, t=2)
+        assert score == BmmShape(batch=4 * 32 // 2, m=2048, k=80, n=2048)
 
     def test_aov_shape_matches_table2(self):
-        s = BmmModel.attention_over_value_shape(b=4, s=2048, h=2560, a=32)
-        assert s == BmmShape(batch=128, m=2048, k=2048, n=80)
+        _, aov = _attention(b=4, s=2048, h=2560, a=32)
+        assert aov == BmmShape(batch=128, m=2048, k=2048, n=80)
 
     def test_h_not_divisible_by_a_raises(self):
-        with pytest.raises(ShapeError, match="not divisible by heads"):
-            BmmModel.attention_score_shape(4, 2048, 2560, 48)
+        with pytest.raises(ConfigError, match="not divisible by num_heads"):
+            _attention(4, 2048, 2560, 48)
 
     def test_ba_not_divisible_by_t_raises(self):
         # The paper's rule: (b*a)/t must be an integer.
-        with pytest.raises(ShapeError, match="tensor-parallel"):
-            BmmModel.attention_score_shape(1, 2048, 2560, 32, t=5)
+        with pytest.raises(ParallelismError, match="not divisible by t=5"):
+            _attention(1, 2048, 2560, 32, t=5)
 
     def test_score_and_aov_have_equal_flops(self):
-        sc = BmmModel.attention_score_shape(4, 2048, 4096, 32)
-        av = BmmModel.attention_over_value_shape(4, 2048, 4096, 32)
+        sc, av = _attention(4, 2048, 4096, 32)
         assert sc.flops == av.flops
 
 
 class TestEvaluation:
-    def test_facade_matches_gemm_model(self, model):
-        from repro.gpu.gemm_model import GemmModel
-
-        shape = BmmShape(batch=64, m=512, k=64, n=512)
-        direct = GemmModel("A100").evaluate(512, 512, 64, batch=64)
-        via = model.evaluate(shape)
-        assert via.latency_s == pytest.approx(direct.latency_s)
-
-    def test_attention_bmms_memory_bound(self, model):
+    def test_attention_bmms_memory_bound(self):
         # Sec VI-A: "these two GEMMs are memory bound".
-        perf = model.evaluate(BmmModel.attention_score_shape(4, 2048, 2048, 32))
-        assert perf.bound == "memory"
+        perfs = _evaluate(*_attention(4, 2048, 2048, 32))
+        assert list(perfs.bound) == ["memory", "memory"]
 
-    def test_head_dim_raises_throughput(self, model):
+    def test_head_dim_raises_throughput(self):
         # Decreasing a (increasing h/a) makes the BMMs more efficient.
-        t = {}
-        for a in (64, 32, 16):
-            shape = BmmModel.attention_score_shape(4, 2048, 4096, a)
-            t[a] = model.tflops(shape)
-        assert t[64] < t[32] < t[16]
+        scores = [_attention(4, 2048, 4096, a)[0] for a in (64, 32, 16)]
+        t64, t32, t16 = _evaluate(*scores).tflops.tolist()
+        assert t64 < t32 < t16
 
-    def test_aligned_head_dim_beats_misaligned(self, model):
+    def test_aligned_head_dim_beats_misaligned(self):
         # h=2560: a=40 (h/a=64) beats a=32 (h/a=80) per unit time.
-        aligned = model.evaluate(BmmModel.attention_score_shape(4, 2048, 2560, 40))
-        misaligned = model.evaluate(BmmModel.attention_score_shape(4, 2048, 2560, 32))
+        perfs = _evaluate(
+            _attention(4, 2048, 2560, 40)[0], _attention(4, 2048, 2560, 32)[0]
+        )
+        aligned, misaligned = perfs.perf(0), perfs.perf(1)
         # Same total flops (2*b*s^2*h), so latency comparison is fair.
         assert aligned.flops == misaligned.flops
         assert aligned.latency_s < misaligned.latency_s
-
-    def test_latency_shorthand(self, model):
-        shape = BmmShape(batch=8, m=256, k=64, n=256)
-        assert model.latency(shape) == model.evaluate(shape).latency_s
-
-    def test_spec_and_dtype_exposed(self, model):
-        assert model.spec.name == "A100"
-        assert model.dtype is DType.FP16
