@@ -6,9 +6,9 @@ Two practitioner questions the paper's rules feed into:
 1. *Which knob should I touch first?* — the what-if analyzer perturbs
    every shape hyperparameter within its feasible neighbourhood and
    ranks the payoffs.
-2. *How big can my microbatch be?* — "b as large as possible" (rule 2)
-   is a memory constraint; the training-step memory estimator answers
-   it per sharding choice, with and without full activation
+2. *Does my microbatch fit?* — "b as large as possible" (rule 2) is a
+   memory constraint; the training-step memory estimator answers it
+   per sharding choice, with and without full activation
    checkpointing.
 
 Run:  python examples/sensitivity_and_memory.py
@@ -17,7 +17,7 @@ Run:  python examples/sensitivity_and_memory.py
 from repro import get_model
 from repro.core.memory import MemoryBudget, inference_bytes
 from repro.core.whatif import WhatIfAnalyzer
-from repro.trainstep import estimate_memory, max_microbatch
+from repro.trainstep import estimate_memory
 
 
 def main() -> None:
@@ -38,12 +38,15 @@ def main() -> None:
         f"vs budget {budget.usable_bytes / 1e9:.1f} GB"
     )
 
-    print("\nmax microbatch per sharding (t x p), plain vs checkpointing:")
+    print("\ntraining peak at b=8 per sharding (t x p), plain vs checkpointing:")
     for t, p in ((2, 2), (4, 2), (4, 4), (8, 4)):
-        sharded = base.with_overrides(tp_degree=t)
-        plain = max_microbatch(sharded, budget, pipeline_stages=p)
-        ckpt = max_microbatch(sharded, budget, pipeline_stages=p, checkpointing="full")
-        print(f"  t={t} p={p}:  b_max={plain:>3} plain, {ckpt:>3} with checkpointing")
+        sharded = cfg.with_overrides(tp_degree=t, microbatch=8)
+        verdicts = []
+        for policy in ("none", "full"):
+            mem = estimate_memory(sharded, pipeline_stages=p, checkpointing=policy)
+            fits = "fits" if mem.fits(budget) else "OOM"
+            verdicts.append(f"{mem.peak_bytes / 1e9:5.1f} GB {fits:<4}")
+        print(f"  t={t} p={p}:  {verdicts[0]} plain, {verdicts[1]} with checkpointing")
 
     print("\n=== 3. Serving footprints ===")
     for name in ("pythia-2.8b", "mistral-7b", "llama2-70b"):

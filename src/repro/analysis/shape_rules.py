@@ -267,15 +267,19 @@ class ShapeLinter:
             )
         ]
 
-    def _hidden_shapes(self, cfg: TransformerConfig, h: int) -> List[GemmShape]:
-        """The dense layer GEMMs whose shapes scale with ``h`` (d_ff held)."""
-        tokens = cfg.tokens_per_microbatch
-        t = cfg.tp_degree
-        d_ff = cfg.d_ff
+    def _dense_layer_shapes(
+        self, cfg: TransformerConfig, tokens: int, h: int
+    ) -> List[GemmShape]:
+        """The layer GEMMs of :func:`~repro.core.gemms.layer_gemms` other
+        than the attention BMMs, at ``tokens`` rows and hidden size ``h``
+        (d_ff and the head counts held)."""
+        t, d_ff = cfg.tp_degree, cfg.d_ff
+        qkv_cols = h + 2 * h * cfg.kv_heads // cfg.num_heads
+        mlp_up = [(tokens, d_ff // t, h, 1)] * (cfg.mlp_matrices - 1)
         return [
-            (tokens, 3 * h // t, h, 1),
+            (tokens, qkv_cols // t, h, 1),
             (tokens, h, h // t, 1),
-            (tokens, d_ff // t, h, 1),
+            *mlp_up,
             (tokens, h, d_ff // t, 1),
         ]
 
@@ -324,14 +328,18 @@ class ShapeLinter:
         ] or neighborhood_multiples(h, align, span=2)
         ranked = rank_candidates(
             candidates,
-            lambda hc: self._hidden_shapes(cfg, hc),
+            lambda hc: self._dense_layer_shapes(
+                cfg, cfg.tokens_per_microbatch, hc
+            ),
             self.spec.name,
             self.dtype,
         )
         latency_of = {c.value: c.latency_s for c in ranked}
         suggested = min(candidates, key=lambda hc: (abs(hc - h), latency_of[hc]))
         before_s = modeled_latency(
-            self._hidden_shapes(cfg, h), self.spec.name, self.dtype
+            self._dense_layer_shapes(cfg, cfg.tokens_per_microbatch, h),
+            self.spec.name,
+            self.dtype,
         )
         speedup = strictly_better(before_s, latency_of[suggested])
         fixit = None
@@ -482,22 +490,6 @@ class ShapeLinter:
             )
         ]
 
-    def _dense_layer_shapes(
-        self, cfg: TransformerConfig, b: int
-    ) -> List[GemmShape]:
-        tokens = b * cfg.seq_len
-        h, t, d_ff = cfg.hidden_size, cfg.tp_degree, cfg.d_ff
-        qkv_cols = h + 2 * cfg.kv_dim
-        shapes = [
-            (tokens, qkv_cols // t, h, 1),
-            (tokens, h, h // t, 1),
-            (tokens, d_ff // t, h, 1),
-            (tokens, h, d_ff // t, 1),
-        ]
-        if cfg.mlp_kind == "swiglu":
-            shapes.insert(3, (tokens, d_ff // t, h, 1))
-        return shapes
-
     def rule_microbatch_wave(self, cfg: TransformerConfig) -> List[LintDiagnostic]:
         """Flag microbatches sitting just past a wave-quantization cliff
         on the widest layer GEMM (Sec III-B; the Figs 8/9 sawtooth)."""
@@ -523,7 +515,9 @@ class ShapeLinter:
         candidates = sorted({bc for bc in range(max(1, b - 2), b + 3)})
         ranked = rank_candidates(
             candidates,
-            lambda bc: self._dense_layer_shapes(cfg, bc),
+            lambda bc: self._dense_layer_shapes(
+                cfg, bc * cfg.seq_len, cfg.hidden_size
+            ),
             self.spec.name,
             self.dtype,
         )

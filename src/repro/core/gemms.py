@@ -23,7 +23,7 @@ appears once per model, not per layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from repro.core.config import TransformerConfig
 from repro.errors import ParallelismError
@@ -60,20 +60,22 @@ class TransformerGemm:
         return (self.batch, self.m, self.k, self.n)
 
 
-def _validate_tp(cfg: TransformerConfig) -> None:
+def tp_problem(cfg: TransformerConfig) -> Optional[str]:
+    """Why ``cfg.tp_degree`` cannot shard cfg's layer GEMMs, or None."""
     t = cfg.tp_degree
     if cfg.num_heads % t:
-        raise ParallelismError(
-            f"{cfg.name}: num_heads {cfg.num_heads} not divisible by t={t}"
-        )
+        return f"num_heads {cfg.num_heads} not divisible by t={t}"
     if cfg.kv_heads % t:
-        raise ParallelismError(
-            f"{cfg.name}: kv_heads {cfg.kv_heads} not divisible by t={t}"
-        )
+        return f"kv_heads {cfg.kv_heads} not divisible by t={t}"
     if (3 * cfg.hidden_size) % t or cfg.d_ff % t:
-        raise ParallelismError(
-            f"{cfg.name}: hidden/intermediate sizes not divisible by t={t}"
-        )
+        return f"hidden/intermediate sizes not divisible by t={t}"
+    return None
+
+
+def _validate_tp(cfg: TransformerConfig) -> None:
+    problem = tp_problem(cfg)
+    if problem is not None:
+        raise ParallelismError(f"{cfg.name}: {problem}")
 
 
 def layer_gemms(cfg: TransformerConfig) -> List[TransformerGemm]:

@@ -10,8 +10,7 @@ Public surface:
 
 - :func:`~repro.trainstep.memory.estimate_memory` /
   :class:`~repro.trainstep.memory.TrainStepMemory` — closed-form
-  per-phase memory model (params, grads, fp32 Adam state, activations),
-  and :func:`~repro.trainstep.memory.max_microbatch` on top of it.
+  per-phase memory model (params, grads, fp32 Adam state, activations).
 - :class:`~repro.trainstep.step.TrainStepEstimator` /
   :class:`~repro.trainstep.step.TrainStepEstimate` — grid-priced
   runtime estimator.
@@ -28,7 +27,6 @@ from repro.trainstep.memory import (
     boundary_bytes_per_layer,
     embedding_elements,
     estimate_memory,
-    max_microbatch,
     module_activation_bytes,
     module_param_elements,
 )
@@ -59,7 +57,6 @@ __all__ = [
     "embedding_elements",
     "estimate_memory",
     "estimate_to_json",
-    "max_microbatch",
     "module_activation_bytes",
     "module_param_elements",
     "render_estimate",

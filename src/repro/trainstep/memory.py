@@ -2,7 +2,7 @@
 
 The one answer to "does this training step fit?": the planner's
 capacity wall, ``repro estimate``, the ``shape_rules`` capacity advisory,
-the what-if microbatch gate and :func:`max_microbatch` all read it.
+and the what-if microbatch gate all read it.
 The accounting is:
 
 - **per module** — every learned tensor is attributed to the module
@@ -511,38 +511,3 @@ def estimate_memory_cells(
     parts = _phase_parts(_module_terms(cfg, t, p, checkpointing, False))
     totals = [_total(*part[1:]) for part in parts]
     return MemoryCells(np.stack(np.broadcast_arrays(*totals)))
-
-
-def max_microbatch(
-    cfg: TransformerConfig,
-    budget: MemoryBudget,
-    pipeline_stages: int = 1,
-    checkpointing: str = "none",
-    limit: int = 512,
-) -> int:
-    """Largest microbatch b <= ``limit`` whose training step fits the
-    budget under ``(cfg.tp_degree, pipeline_stages)`` — 0 if even b=1
-    does not.
-
-    This operationalizes the paper's "b should be as large as possible"
-    rule: the answer is a memory bound, not a performance one.  Peak
-    memory is affine in b with non-negative slope, so a bisection over
-    ``[0, limit]`` finds the boundary.
-    """
-
-    def fits(b: int) -> bool:
-        return estimate_memory(
-            cfg.with_overrides(microbatch=b),
-            pipeline_stages=pipeline_stages,
-            checkpointing=checkpointing,
-        ).fits(budget)
-
-    # Invariant: b = lo fits (or lo = 0); no b in (hi, limit] fits.
-    lo, hi = 0, limit
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo

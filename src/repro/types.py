@@ -13,6 +13,8 @@ import enum
 from dataclasses import dataclass
 from typing import Union
 
+from repro.errors import ConfigError
+
 Number = Union[int, float]
 
 
@@ -72,7 +74,7 @@ class DType(enum.Enum):
         try:
             return cls[key.upper()]
         except KeyError:
-            raise ValueError(f"unknown dtype {name!r}") from None
+            raise ConfigError(f"unknown dtype {name!r}") from None
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ import pytest
 
 from repro.analysis import Severity, ShapeLinter
 from repro.core.config import get_model
+from repro.core.gemms import layer_gemms
+from repro.engine import default_engine, shape_array
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +112,28 @@ class TestTensorParallelRules:
         assert diag.fixit is not None
         assert diag.fixit.field == "tp_degree"
         assert 2560 % diag.fixit.suggested == 0
+
+    def test_hidden_fixit_prices_the_layer_gemms(self, linter):
+        # GQA (kv = 8) + SwiGLU, h/t = 4160/2 = 2080 = 32 * 65: the
+        # fix-it's "before" cost is the engine sum over the layer's
+        # dense GEMMs exactly as layer_gemms builds them (QKV of width
+        # h + 2*kv_dim, the SwiGLU gate, up and down).
+        cfg = get_model("mistral-7b").with_overrides(hidden_size=4160, tp_degree=2)
+        [diag] = linter.rule_hidden_tp(cfg)
+        assert diag.severity == Severity.WARNING and diag.fixit is not None
+        dense = [op for op in layer_gemms(cfg) if not op.is_bmm]
+        assert [op.module for op in dense] == [
+            "qkv_transform",
+            "attention_projection",
+            "mlp_gate",
+            "mlp_up",
+            "mlp_down",
+        ]
+        shapes = shape_array(
+            [op.m for op in dense], [op.n for op in dense], [op.k for op in dense], 1
+        )
+        expected = float(default_engine().latency(shapes, "A100", "fp16").sum())
+        assert diag.fixit.latency_before_s == expected
 
     def test_heads_not_sharding_is_error(self, linter):
         cfg = get_model("gpt3-2.7b").with_overrides(name="t5-heads", tp_degree=5)

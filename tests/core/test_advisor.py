@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core.advisor import ShapeAdvisor, head_counts_near, padded_vocab
+from repro.core.advisor import ShapeAdvisor, head_counts_near, moves, padded_vocab
 from repro.core.config import get_model
+from repro.core.gemms import layer_gemms
+from repro.core.whatif import WhatIfAnalyzer
 from repro.errors import ConfigError
 
 
@@ -22,6 +24,12 @@ class TestNeighbourhood:
     def test_head_counts_floor_at_one(self):
         cfg = get_model("gpt3-2.7b").with_overrides(num_heads=1)
         assert head_counts_near(cfg) == [2]
+
+    def test_head_counts_keep_gqa_groups(self):
+        # h = 5120, kv = 8: a = 20 divides h but is no multiple of 8.
+        cfg = get_model("mistral-7b").with_overrides(hidden_size=5120, num_heads=40)
+        assert head_counts_near(cfg) == [32, 64, 80]
+        assert WhatIfAnalyzer("A100").rank(cfg)
 
     def test_padded_vocab(self):
         assert padded_vocab(get_model("gpt-neo-2.7b")) == 50304  # v = 50257
@@ -92,20 +100,73 @@ class TestConstraints:
     def test_top_limits_count(self, advisor):
         assert len(advisor.propose(get_model("gpt3-2.7b"), top=2)) <= 2
 
-    def test_widen_candidate_controllable(self, advisor):
-        cfg = get_model("gpt3-2.7b").with_overrides(hidden_size=2500, num_heads=20)
-        # Rounding h up to 2560 with a 32 -> 31 layer compensation still
-        # grows params ~1.6%, so allow a wider budget here.
-        with_widen = advisor.propose(
-            cfg, include_widen=True, top=20, max_param_increase=0.05
-        )
-        without = advisor.propose(
-            cfg, include_widen=False, top=20, max_param_increase=0.05
-        )
-        assert any("widen h" in p.rationale for p in with_widen)
-        assert not any("widen h" in p.rationale for p in without)
-
     def test_proposal_describe(self, advisor):
         best = advisor.best(get_model("gpt3-2.7b"))
         text = best.describe()
         assert "speedup" in text and "params" in text
+
+
+class TestHiddenMoves:
+    """A misaligned h moves to the 64-multiples around it; aligned h stays."""
+
+    def test_misaligned_hidden_rounds_both_ways(self):
+        # h = 2528 (a = 32): 2496 = 39 * 64 and 2560 = 40 * 64, with L
+        # compensated to hold h^2 L (32 * 2528^2 / h^2 rounded).
+        cfg = get_model("gpt3-2.7b").with_overrides(hidden_size=2528)
+        hidden = [m for m in moves(cfg) if m.knob == "hidden"]
+        assert [(m.config.hidden_size, m.config.num_layers) for m in hidden] == [
+            (2496, 33),
+            (2560, 31),
+        ]
+        assert hidden[1].label == "h: 2528 -> 2560 (L -> 31)"
+
+    def test_moves_must_divide_by_heads(self):
+        # h = 2520, a = 24: 2496 = 24 * 104 stays, 2560 is not a multiple of 24.
+        cfg = get_model("gpt3-2.7b").with_overrides(hidden_size=2520, num_heads=24)
+        assert [m.config.hidden_size for m in moves(cfg) if m.knob == "hidden"] == [
+            2496
+        ]
+
+    def test_aligned_hidden_has_no_move(self):
+        for name in ("gpt3-2.7b", "pythia-70m", "pythia-1b"):
+            assert not [m for m in moves(get_model(name)) if m.knob == "hidden"]
+
+    def test_advisor_applies_the_param_budget(self, advisor):
+        # 2496 with L = 33 grows params 0.44%; 2560 with L = 31 shrinks them.
+        cfg = get_model("gpt3-2.7b").with_overrides(hidden_size=2528)
+
+        def rounded(budget):
+            props = advisor.propose(cfg, top=20, max_param_increase=budget)
+            return {p.config.hidden_size for p in props if "round h" in p.rationale}
+
+        assert rounded(0.01) == {2496, 2560}
+        assert rounded(0.0) == {2560}
+
+
+class TestTensorParallelMoves:
+    """Every move shards over the config's t; none aborts the ranking."""
+
+    CFG = get_model("gpt3-2.7b").with_overrides(tp_degree=8, microbatch=8)
+
+    def test_moves_pass_layer_gemms(self):
+        for cfg in (self.CFG, get_model("mistral-7b").with_overrides(tp_degree=8)):
+            for move in moves(cfg):
+                layer_gemms(move.config)  # raises if t cannot shard it
+
+    def test_heads_not_divisible_by_t_are_dropped(self):
+        # h = 2560: a = 20 divides h, but t = 8 does not divide 20.
+        heads = {m.config.num_heads for m in moves(self.CFG) if m.knob == "heads"}
+        assert heads == {16, 40, 64}
+
+    def test_advisor_and_whatif_rank_sharded_config(self, advisor):
+        proposals = advisor.propose(self.CFG, max_param_increase=10, top=100)
+        assert proposals
+        ranked = WhatIfAnalyzer("A100").rank(self.CFG)
+        assert {s.knob for s in ranked} == {
+            "heads", "vocabulary", "microbatch", "hidden", "swiglu_width"
+        }
+        configs = [p.config for p in proposals] + [
+            s.config for s in ranked if s.config is not None
+        ]
+        for cfg in configs:
+            layer_gemms(cfg)

@@ -12,8 +12,9 @@ bit-for-bit and both paths compose components in the same order, so
 any drift is a bug, not noise.
 
 The what-if analyzer and the trace profiler are walled the same way:
-a copy of the analyzer's former one-candidate-at-a-time scalar loop and
-a per-record scalar sum are the references.
+a copy of the analyzer's former one-candidate-at-a-time scalar loop
+(over the shared neighbourhood's moves) and a per-record scalar sum are
+the references.
 """
 
 from functools import lru_cache
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 
 import repro.core.latency as latency_module
-from repro.core.advisor import ShapeAdvisor
+from repro.core.advisor import ShapeAdvisor, moves
 from repro.core.config import TransformerConfig, list_models
 from repro.core.gemms import (
     TransformerGemm,
@@ -182,10 +183,12 @@ def test_advisor_matches_scalar_reference(gpu, flash, index):
 class ScalarWhatIf:
     """The analyzer's former per-knob loop, one scalar model per candidate.
 
-    Kept verbatim in its decisions: each knob prices its candidates one
-    at a time, keeps the first strictly larger speedup, and the
-    microbatch knob reports its per-token ratio whenever the doubled
-    config fits the memory budget.
+    Each knob's moves come from the shared neighbourhood
+    (:func:`repro.core.advisor.moves`); the pricing and the decisions are
+    kept verbatim: each knob prices its candidates one at a time, keeps
+    the first strictly larger speedup, and the microbatch knob reports
+    its per-token ratio whenever the doubled config fits the memory
+    budget.
     """
 
     def __init__(self, gpu: str) -> None:
@@ -194,6 +197,10 @@ class ScalarWhatIf:
 
     def _latency(self, cfg: TransformerConfig) -> float:
         return scalar_model(self.model, cfg).total_s
+
+    @staticmethod
+    def _moves(cfg: TransformerConfig, knob: str):
+        return [(m.label, m.config) for m in moves(cfg) if m.knob == knob]
 
     def _explore(self, base_latency, candidates, knob) -> Sensitivity:
         best_speedup, best_move, best_cfg = 1.0, "keep as is", None
@@ -206,25 +213,13 @@ class ScalarWhatIf:
         )
 
     def heads(self, cfg, base) -> Sensitivity:
-        candidates = []
-        for a in range(max(1, cfg.num_heads // 2), 2 * cfg.num_heads + 1):
-            if a != cfg.num_heads and cfg.hidden_size % a == 0:
-                candidates.append(
-                    (f"a: {cfg.num_heads} -> {a}", cfg.with_overrides(num_heads=a))
-                )
-        return self._explore(base, candidates, "heads")
+        return self._explore(base, self._moves(cfg, "heads"), "heads")
 
     def vocabulary(self, cfg, base) -> Sensitivity:
-        padded = -(-cfg.vocab_size // 64) * 64
-        candidates = []
-        if padded != cfg.vocab_size:
-            candidates.append(
-                (f"v: {cfg.vocab_size} -> {padded}", cfg.with_overrides(vocab_size=padded))
-            )
-        return self._explore(base, candidates, "vocabulary")
+        return self._explore(base, self._moves(cfg, "vocabulary"), "vocabulary")
 
     def microbatch(self, cfg, base) -> Sensitivity:
-        doubled = cfg.with_overrides(microbatch=2 * cfg.microbatch)
+        ((move, doubled),) = self._moves(cfg, "microbatch")
         if not estimate_memory(doubled).fits(self.budget):
             return Sensitivity(
                 knob="microbatch",
@@ -236,24 +231,13 @@ class ScalarWhatIf:
         per_token_new = self._latency(doubled) / doubled.tokens_per_microbatch
         return Sensitivity(
             knob="microbatch",
-            best_move=f"b: {cfg.microbatch} -> {2 * cfg.microbatch}",
+            best_move=move,
             speedup=per_token_base / per_token_new,
             config=doubled,
         )
 
     def hidden(self, cfg, base) -> Sensitivity:
-        candidates = []
-        for h in (cfg.hidden_size - 64, cfg.hidden_size + 64):
-            if h <= 0 or h % cfg.num_heads:
-                continue
-            L = max(1, round(12 * cfg.hidden_size**2 * cfg.num_layers / (12 * h * h)))
-            candidates.append(
-                (
-                    f"h: {cfg.hidden_size} -> {h} (L -> {L})",
-                    cfg.with_overrides(hidden_size=h, num_layers=L),
-                )
-            )
-        return self._explore(base, candidates, "hidden")
+        return self._explore(base, self._moves(cfg, "hidden"), "hidden")
 
     def swiglu_width(self, cfg, base) -> Sensitivity:
         if cfg.mlp_kind != "swiglu":
@@ -263,13 +247,7 @@ class ScalarWhatIf:
                 speedup=1.0,
                 config=None,
             )
-        candidates = []
-        for d in (cfg.d_ff - 256, cfg.d_ff + 256):
-            if d > 0:
-                candidates.append(
-                    (f"d_ff: {cfg.d_ff} -> {d}", cfg.with_overrides(intermediate_size=d))
-                )
-        return self._explore(base, candidates, "swiglu_width")
+        return self._explore(base, self._moves(cfg, "swiglu_width"), "swiglu_width")
 
     def rank(self, cfg) -> List[Sensitivity]:
         base = self._latency(cfg)

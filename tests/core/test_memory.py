@@ -10,7 +10,7 @@ from repro.core.memory import (
     inference_bytes,
 )
 from repro.errors import ConfigError
-from repro.trainstep import estimate_memory, max_microbatch
+from repro.trainstep import estimate_memory
 
 
 @pytest.fixture(scope="module")
@@ -107,22 +107,26 @@ class TestBudget:
         # The classic reality: a 2.7B model's Adam states alone exceed
         # one 40 GB A100 at any microbatch.
         budget = MemoryBudget.for_gpu("A100")
-        assert max_microbatch(cfg, budget) == 0
-        assert max_microbatch(cfg.with_overrides(tp_degree=4), budget, pipeline_stages=2) >= 1
+        assert not estimate_memory(cfg).fits(budget)
+        sharded = cfg.with_overrides(tp_degree=4)
+        assert estimate_memory(sharded, pipeline_stages=2).fits(budget)
 
-    def test_max_microbatch_monotone_in_memory(self, cfg):
-        sharded = cfg.with_overrides(tp_degree=8)
-        small = max_microbatch(sharded, MemoryBudget.for_gpu("A100"), pipeline_stages=4)
-        big = max_microbatch(
-            sharded, MemoryBudget.for_gpu("A100-80GB"), pipeline_stages=4
-        )
-        assert big >= small >= 1
+    def test_fits_monotone_in_memory(self, cfg):
+        small, big = MemoryBudget.for_gpu("A100"), MemoryBudget.for_gpu("A100-80GB")
+        verdicts = []
+        for b in (1, 2, 4, 8, 16, 32, 64):
+            mem = estimate_memory(
+                cfg.with_overrides(tp_degree=8, microbatch=b), pipeline_stages=4
+            )
+            verdicts.append((mem.fits(small), mem.fits(big)))
+        assert all(big for small, big in verdicts if small)
+        assert verdicts[0] == (True, True)
+        assert any(big and not small for small, big in verdicts)
 
     def test_recompute_allows_bigger_batch(self, cfg):
-        sharded = cfg.with_overrides(tp_degree=8)
         budget = MemoryBudget.for_gpu("A100")
-        plain = max_microbatch(sharded, budget, pipeline_stages=4)
-        recomp = max_microbatch(
-            sharded, budget, pipeline_stages=4, checkpointing="full"
-        )
-        assert recomp > plain
+        sharded = cfg.with_overrides(tp_degree=8, microbatch=64)
+        assert not estimate_memory(sharded, pipeline_stages=4).fits(budget)
+        assert estimate_memory(
+            sharded, pipeline_stages=4, checkpointing="full"
+        ).fits(budget)

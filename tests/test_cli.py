@@ -97,6 +97,21 @@ class TestGemm:
         assert main(["gemm", "1024", "1024", "1024", "--dtype", "fp32"]) == 0
 
 
+class TestUnknownDtype:
+    """An unknown --dtype is a usage error: ``error: ...`` and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gemm", "5", "5", "5", "--dtype", "int3"], ["tune-kernels", "--dtype", "int3"]],
+        ids=["gemm", "tune-kernels"],
+    )
+    def test_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: unknown dtype 'int3'" in err
+        assert "Traceback" not in err
+
+
 class TestWhatIf:
     def test_ranks_knobs(self, capsys):
         assert main(["whatif", "gpt-neo-2.7b"]) == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.types import DType, TimeEstimate, teraflops
 
 
@@ -49,7 +50,7 @@ class TestDType:
         assert DType.parse(DType.BF16) is DType.BF16
 
     def test_parse_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown dtype"):
+        with pytest.raises(ConfigError, match="unknown dtype"):
             DType.parse("fp13")
 
 

@@ -1,9 +1,8 @@
 """Differential wall: every training-memory verdict is the estimator's.
 
-Four entry points answer "does this training step fit?": the what-if
-microbatch gate, :func:`~repro.trainstep.memory.max_microbatch`,
-:meth:`~repro.parallelism.planner.ParallelPlanner.fits` and the
-``shape/memory-capacity`` lint advisory.  Over the model zoo on three
+Three entry points answer "does this training step fit?": the what-if
+microbatch gate, :meth:`~repro.parallelism.planner.ParallelPlanner.fits`
+and the ``shape/memory-capacity`` lint advisory.  Over the model zoo on three
 GPUs and every feasible (t, p, checkpointing) below, each must agree with
 ``estimate_memory(...).fits(budget)``.
 """
@@ -19,18 +18,13 @@ from repro.gpu.specs import get_gpu
 from repro.parallelism.planner import ParallelPlanner
 from repro.parallelism.tensor_parallel import validate_tp_feasible
 from repro.parallelism.topology import NodeTopology
-from repro.trainstep.memory import (
-    CHECKPOINTING_POLICIES,
-    estimate_memory,
-    max_microbatch,
-)
+from repro.trainstep.memory import CHECKPOINTING_POLICIES, estimate_memory
 
 GPUS = ("A100", "A100-80GB", "H100")
 TP = (1, 2, 4, 8)
 PP = (1, 2, 4)
 CONFIGS = list_models()
 MODELS = [cfg.name for cfg in CONFIGS]
-LIMIT = 512
 
 
 def _sharded(cfg):
@@ -59,21 +53,9 @@ class TestVerdictsMatchEstimator:
     def test_whatif_microbatch_gate(self, gpu, index):
         analyzer = WhatIfAnalyzer(gpu)
         for t, cfg in _sharded(CONFIGS[index]):
-            knob = {k.name: k for k in analyzer.knobs(cfg)}["microbatch"]
-            gated = not knob.moves
+            (sens,) = [s for s in analyzer.rank(cfg) if s.knob == "microbatch"]
+            gated = sens.config is None
             assert gated == (not _fits(cfg, gpu, microbatch=2 * cfg.microbatch)), t
-
-    def test_max_microbatch_is_the_fit_boundary(self, gpu, index):
-        budget = MemoryBudget.for_gpu(gpu)
-        for t, cfg in _sharded(CONFIGS[index]):
-            for p in PP:
-                for ckpt in CHECKPOINTING_POLICIES:
-                    b = max_microbatch(cfg, budget, p, ckpt, limit=LIMIT)
-                    case = (t, p, ckpt, b)
-                    if b > 0:
-                        assert _fits(cfg, gpu, p, ckpt, microbatch=b), case
-                    if b < LIMIT:
-                        assert not _fits(cfg, gpu, p, ckpt, microbatch=b + 1), case
 
     def test_planner_fits(self, gpu, index):
         topology = NodeTopology(
@@ -102,3 +84,21 @@ class TestVerdictsMatchEstimator:
                 )
                 expected = (_fits(cfg, gpu, p), _fits(cfg, gpu, p, "full"))
                 assert verdict == expected, (t, p, diag.message)
+
+
+@pytest.mark.parametrize("index", range(len(CONFIGS)), ids=MODELS)
+def test_peak_is_monotone_in_microbatch(index):
+    """Peak memory never falls as b grows, so every budget has one fit
+    boundary in b and "does 2b fit?" is the whole microbatch question."""
+    for t, cfg in _sharded(CONFIGS[index]):
+        for p in PP:
+            for ckpt in CHECKPOINTING_POLICIES:
+                peaks = [
+                    estimate_memory(
+                        cfg.with_overrides(microbatch=b),
+                        pipeline_stages=p,
+                        checkpointing=ckpt,
+                    ).peak_bytes
+                    for b in range(1, 17)
+                ]
+                assert peaks == sorted(peaks), (t, p, ckpt)
