@@ -73,13 +73,17 @@ def padded_vocab(cfg: TransformerConfig) -> Optional[int]:
 
 
 def _swiglu_widths(cfg: TransformerConfig) -> List[int]:
-    """Nearby multiples of 256 and 64 around the nominal SwiGLU width."""
+    """Nearby multiples of 256 and 64 around the nominal SwiGLU width.
+
+    ``mult = 0`` is the floor multiple: a move for an unaligned width,
+    the width itself (and so dropped) for an aligned one.
+    """
     if cfg.mlp_kind != "swiglu":
         return []
     d0 = cfg.d_ff
     widths: List[int] = []
     for step in (256, 64):
-        for mult in (-2, -1, 1, 2):
+        for mult in (-2, -1, 0, 1, 2):
             d = (d0 // step + mult) * step
             if d > 0 and d != d0 and d not in widths:
                 widths.append(d)

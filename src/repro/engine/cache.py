@@ -28,7 +28,6 @@ never serve old numbers.  This module deliberately imports nothing from
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -385,17 +384,10 @@ def spec_key(spec: Any) -> Tuple[Any, ...]:
     """Hashable fingerprint of a GPUSpec (its dict fields flattened).
 
     ``GPUSpec`` is frozen but holds per-dtype throughput dicts, so it is
-    not hashable itself; this flattens every field deterministically.
+    not hashable itself; each spec flattens every field once, at
+    construction, and this returns that tuple.
     """
-    out = []
-    for f in dataclasses.fields(spec):
-        value = getattr(spec, f.name)
-        if isinstance(value, dict):
-            value = tuple(
-                sorted((getattr(k, "name", k), v) for k, v in value.items())
-            )
-        out.append(value)
-    return tuple(out)
+    return spec._fingerprint
 
 
 def _tile_key(t: Any) -> Tuple[Any, ...]:

@@ -57,6 +57,11 @@ DISK_CACHE_ENV = "REPRO_ENGINE_CACHE_DIR"
 log = logging.getLogger("repro.engine")
 
 
+def _label(gpu) -> str:
+    """A GPU name or spec as its name, for span and fault-site context."""
+    return str(getattr(gpu, "name", gpu))
+
+
 class ShapeEngine:
     """Vectorized, memoized evaluator for batches of GEMM shapes.
 
@@ -151,7 +156,7 @@ class ShapeEngine:
         return self._cached(
             key,
             len(shapes),
-            str(gpu),
+            _label(gpu),
             lambda: evaluate_batch(
                 shapes,
                 gpu,
@@ -188,7 +193,7 @@ class ShapeEngine:
         :class:`~repro.engine.grid.GridResult` for columnar
         materialization.
         """
-        with _span("engine.evaluate_grid", shapes=len(grid), gpu=str(gpu)):
+        with _span("engine.evaluate_grid", shapes=len(grid), gpu=_label(gpu)):
             batch = self.evaluate(
                 grid.shapes,
                 gpu,

@@ -18,11 +18,24 @@ Absolute values only set the y-axis scale of reproduced figures; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Dict, Tuple
 
 from repro.errors import GPUModelError
 from repro.types import DType
+
+
+def _fingerprint(spec: "GPUSpec") -> Tuple[Any, ...]:
+    """Every field of ``spec`` as a hashable tuple, dicts flattened by key."""
+    out = []
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, dict):
+            value = tuple(
+                sorted((getattr(k, "name", k), v) for k, v in value.items())
+            )
+        out.append(value)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -65,6 +78,10 @@ class GPUSpec:
                 f"{self.name}: tc_min_bytes ({self.tc_min_bytes}) exceeds "
                 f"tc_align_bytes ({self.tc_align_bytes})"
             )
+        # The engine's cache-key fingerprint (``repro.engine.cache.spec_key``),
+        # computed once: a frozen spec never changes, so every lookup can
+        # reuse it instead of re-flattening the per-dtype dicts.
+        object.__setattr__(self, "_fingerprint", _fingerprint(self))
 
     # -- throughput lookups -------------------------------------------------
 

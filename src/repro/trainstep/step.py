@@ -1,15 +1,17 @@
-"""Whole-train-step runtime estimator, priced through ONE grid call.
+"""Whole-train-step runtime estimator, priced by one engine evaluation.
 
 The estimator expands a configuration's training step — every forward
 GEMM, its mechanically-derived dgrad/wgrad pair, and (under full
 checkpointing) the recompute pass — into a single columnar
 :class:`~repro.engine.grid.ShapeGrid` with ``module`` / ``phase`` /
-``count`` annotation columns, prices the whole grid in **one**
-:meth:`~repro.engine.core.ShapeEngine.evaluate_grid` call, and rolls
-the result up per phase and per module with NumPy reductions.  No
-scalar engine call and no per-shape Python loop exists on this path
-(the self-lint's ``engine-eval-in-loop`` rule enforces it), which is
-what makes the differential wall (:mod:`repro.trainstep.wall`) able to
+``count`` annotation columns.  It prices the step in one engine
+evaluation over the grid's distinct shapes (backward and recompute
+GEMMs mostly repeat forward shapes, so both checkpointing policies
+share one engine entry), scatters the latencies back to the rows, and
+rolls them up per phase with masked NumPy sums and per module in one
+Python pass.  No engine call sits inside a loop on this path (the
+self-lint's ``engine-eval-in-loop`` rule enforces it), which is what
+makes the differential wall (:mod:`repro.trainstep.wall`) able to
 demand bit-identical totals against a per-record scalar accumulation.
 
 The optimizer phase is not a GEMM: it is priced as one streaming pass
@@ -238,19 +240,25 @@ class TrainStepEstimator:
             checkpointing=checkpointing,
         ) as sp:
             grid = training_grid(cfg, checkpointing)
-            result = self.engine.evaluate_grid(grid, self.spec, self.dtype)
-            latency = np.asarray(result.batch.latency_s, dtype=np.float64)
-            counts = grid.column("count")
-            seconds = latency * counts.astype(np.float64)
-            flops = (
-                2
-                * grid.column("batch")
-                * grid.column("m")
-                * grid.column("n")
-                * grid.column("k")
-                * counts
+            rows = grid.shapes.tolist()
+            # Backward and recompute GEMMs mostly repeat forward shapes:
+            # price each distinct shape once, in first-appearance order,
+            # and scatter the latencies back to the rows.  The recompute
+            # pass adds no new shape, so both checkpointing policies hit
+            # the same engine entry.
+            index: Dict[Tuple[int, ...], int] = {}
+            inverse = [index.setdefault(tuple(row), len(index)) for row in rows]
+            priced = self.engine.evaluate(
+                np.array(list(index), dtype=np.int64), self.spec, self.dtype
             )
+            counts = grid.column("count")
+            seconds = priced.latency_s[inverse] * counts.astype(np.float64)
+            flops = [
+                2 * b * m * n * k * c
+                for (b, m, n, k), c in zip(rows, counts.tolist())
+            ]
             phase_col = grid.column("phase")
+            phase_names = phase_col.tolist()
 
             memory = estimate_memory(
                 cfg,
@@ -262,17 +270,23 @@ class TrainStepEstimator:
             if checkpointing == "full":
                 order.append(PHASE_RECOMPUTE)
             for name in order:
-                mask = phase_col == name
                 phases.append(
                     PhaseCost(
                         phase=name,
-                        seconds=float(np.sum(seconds[mask])),
-                        flops=int(np.sum(flops[mask])),
+                        seconds=float(np.sum(seconds[phase_col == name])),
+                        flops=sum(
+                            f for f, ph in zip(flops, phase_names) if ph == name
+                        ),
                     )
                 )
             phases.append(self.optimizer_cost(memory))
 
-            modules = _module_rollup(grid, seconds, flops)
+            modules = _module_rollup(
+                grid.column("module").tolist(),
+                phase_names,
+                seconds.tolist(),
+                flops,
+            )
             sp.set(
                 rows=len(grid),
                 total_s=sum(p.seconds for p in phases),
@@ -291,30 +305,40 @@ class TrainStepEstimator:
             )
 
 
+#: Slot of each GEMM phase in a module's ``[forward, backward, recompute]``
+#: seconds.
+_PHASE_SLOT = {PHASE_FORWARD: 0, PHASE_BACKWARD: 1, PHASE_RECOMPUTE: 2}
+
+
 def _module_rollup(
-    grid: ShapeGrid, seconds: np.ndarray, flops: np.ndarray
+    modules: List[str],
+    phases: List[str],
+    seconds: List[float],
+    flops: List[int],
 ) -> Tuple[ModuleCost, ...]:
-    """Group per-row costs by base module, preserving first appearance."""
-    base = np.array([m.split(".")[0] for m in grid.column("module").tolist()])
-    phase_col = grid.column("phase")
+    """Group per-row costs by base module, preserving first appearance.
+
+    One left-to-right pass.  A (module, phase) group holds at most two
+    rows (the dgrad/wgrad pair), and ``np.sum`` adds a short array left
+    to right too, so each module's seconds equal the masked-sum totals
+    bit for bit.
+    """
     rollup: Dict[str, List[float]] = {}
-    for name in base.tolist():
-        rollup.setdefault(name, [0.0, 0.0, 0.0, 0.0])
-    for name in rollup:
-        mine = base == name
-        rollup[name][0] = float(np.sum(seconds[mine & (phase_col == PHASE_FORWARD)]))
-        rollup[name][1] = float(np.sum(seconds[mine & (phase_col == PHASE_BACKWARD)]))
-        rollup[name][2] = float(
-            np.sum(seconds[mine & (phase_col == PHASE_RECOMPUTE)])
-        )
-        rollup[name][3] = float(np.sum(flops[mine]))
+    module_flops: Dict[str, int] = {}
+    for module, phase, s, f in zip(modules, phases, seconds, flops):
+        base = module.split(".")[0]
+        if base not in rollup:
+            rollup[base] = [0.0, 0.0, 0.0]
+            module_flops[base] = 0
+        rollup[base][_PHASE_SLOT[phase]] += s
+        module_flops[base] += f
     return tuple(
         ModuleCost(
             module=name,
-            forward_s=vals[0],
-            backward_s=vals[1],
-            recompute_s=vals[2],
-            flops=int(vals[3]),
+            forward_s=fwd,
+            backward_s=bwd,
+            recompute_s=recomp,
+            flops=module_flops[name],
         )
-        for name, vals in rollup.items()
+        for name, (fwd, bwd, recomp) in rollup.items()
     )

@@ -1,9 +1,9 @@
 """Differential wall: grid-path estimator vs scalar per-record brute force.
 
 Like the kernels and simulator walls, this is a *blocking* parity gate:
-the training-step estimator prices the whole step through one
-:meth:`~repro.engine.core.ShapeEngine.evaluate_grid` call, and this
-module re-prices the identical grid through the scalar
+the training-step estimator prices the whole step through one engine
+evaluation over the step's distinct shapes, and this module re-prices
+every row of the identical grid through the scalar
 :class:`~repro.gpu.gemm_model.GemmModel`, one ``evaluate`` call per
 record, then demands the per-phase runtime totals be **bit-identical**
 (``==`` on float64, no tolerance) and the GEMM FLOP totals be exactly

@@ -87,6 +87,17 @@ class TestSwiGLUCandidates:
         props = advisor.propose(get_model("gpt3-2.7b"))
         assert not any("SwiGLU" in p.rationale for p in props)
 
+    def test_unaligned_width_tries_its_floor_multiples(self):
+        cfg = get_model("llama2-7b").with_overrides(intermediate_size=5000)
+        widths = {m.config.d_ff for m in moves(cfg) if m.knob == "swiglu_width"}
+        assert {4864, 4992} <= widths
+        assert 5000 not in widths
+        # An aligned width's floor multiple is itself, so it is dropped.
+        aligned = get_model("llama2-7b")
+        widths = [m.config.d_ff for m in moves(aligned) if m.knob == "swiglu_width"]
+        assert aligned.d_ff not in widths
+        assert len(widths) == len(set(widths)) == 8
+
 
 class TestConstraints:
     def test_param_budget_enforced(self, advisor):

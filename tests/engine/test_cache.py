@@ -79,6 +79,32 @@ class TestKeys:
         keys = {spec_key(get_gpu(g)) for g in ("A100", "V100", "H100", "MI250X")}
         assert len(keys) == 4
 
+    def test_spec_key_follows_every_field(self):
+        import dataclasses
+
+        a100 = get_gpu("A100")
+        assert spec_key(a100) is spec_key(a100)  # computed once per spec
+        fewer_sms = dataclasses.replace(a100, num_sms=100)
+        assert spec_key(fewer_sms) != spec_key(a100)
+        assert spec_key(dataclasses.replace(a100)) == spec_key(a100)
+        faster = a100.with_overrides(
+            matrix_tflops={**a100.matrix_tflops, DType.FP16: 400.0}
+        )
+        assert spec_key(faster) != spec_key(a100)
+
+    def test_same_name_calibrated_spec_never_reuses_builtin_entry(self):
+        a100 = get_gpu("A100")
+        calibrated = a100.with_overrides(kernel_overhead_s=9.0e-6)
+        assert calibrated.name == a100.name
+        assert spec_key(calibrated) != spec_key(a100)
+        engine = ShapeEngine()
+        shapes = shape_array([1024], [1024], [512])
+        builtin = engine.latency(shapes, a100)
+        tuned = engine.latency(shapes, calibrated)
+        assert engine.memory_stats.hits == 0
+        assert tuned[0] == GemmModel(calibrated).evaluate(1024, 1024, 512).latency_s
+        assert tuned[0] != builtin[0]
+
     def test_tile_policy_key_variants(self):
         tile = default_tile()
         pool = candidate_tiles(get_gpu("A100"), DType.FP16)

@@ -494,11 +494,17 @@ class TestObservability:
 
     def test_bench_quick_with_trace(self, tmp_path, capsys):
         trace = tmp_path / "bench-trace.jsonl"
-        assert main(
-            ["bench", "--quick", "--output", "-", "--trace", str(trace)]
-        ) == 0
+        code = main(["bench", "--quick", "--output", "-", "--trace", str(trace)])
+        out = capsys.readouterr().out
+        # On failure, name the check that flipped: parity, experiment
+        # checks, or the warm-vs-cold wall-time comparison.
+        verdict = [
+            line for line in out.splitlines()
+            if line.startswith(("parity:", "checks:", "warm regressions:"))
+        ]
+        assert code == 0, "\n".join(verdict)
         assert trace.exists()
-        assert "span(s) written" in capsys.readouterr().out
+        assert "span(s) written" in out
 
     def test_tracing_left_uninstalled_after_run(self, tmp_path):
         from repro.observability import current_recorder, tracing_enabled
