@@ -1,8 +1,7 @@
 """Micro-benchmarks of the library's computational primitives.
 
 These time the building blocks a user pays for when sweeping shapes:
-one analytic GEMM evaluation, one discrete-event simulation, a full
-layer-latency composition, the rule engine, an advisor search, a
+one analytic GEMM evaluation, a full layer-latency composition, the rule engine, an advisor search, a
 (t, p, d) parallelism plan, and the real NumPy substrates (transformer
 forward, FlashAttention kernel).
 """
@@ -15,7 +14,6 @@ from repro.core.config import get_model
 from repro.core.latency import LayerLatencyModel
 from repro.core.rules import RuleEngine
 from repro.gpu.gemm_model import GemmModel
-from repro.gpu.simulator import SMSimulator
 from repro.parallelism.planner import ParallelPlanner
 from repro.transformer.flash import flash_attention
 from repro.transformer.model import DecoderModel
@@ -32,12 +30,6 @@ def bench_gemm_model_bmm_evaluate(benchmark):
     model = GemmModel("A100")
     perf = benchmark(model.evaluate, 2048, 2048, 80, 128)
     assert perf.bound == "memory"
-
-
-def bench_simulator_run(benchmark):
-    sim = SMSimulator("A100")
-    result = benchmark(sim.run, 4096, 4096, 1024)
-    assert result.blocks > 0
 
 
 def bench_layer_breakdown(benchmark):

@@ -42,7 +42,6 @@ from repro.errors import (
 )
 from repro.gpu.bmm_model import BmmShape
 from repro.gpu.gemm_model import GemmModel, GemmPerf
-from repro.gpu.simulator import SimResult, SMSimulator
 from repro.gpu.specs import GPUSpec, get_gpu, list_gpus
 from repro.inference.latency import InferenceModel
 from repro.trainstep import TrainStepEstimator, estimate_memory
@@ -71,8 +70,6 @@ __all__ = [
     "GemmModel",
     "GemmPerf",
     "BmmShape",
-    "SMSimulator",
-    "SimResult",
     # transformer substrate
     "DecoderModel",
     "OpTrace",

@@ -517,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--wall",
         action="store_true",
         help="after tuning, run the differential wall against the "
-        "discrete-event SM simulator (Kendall-tau + top-1 floors)",
+        "scalar GemmModel oracle (bit-identical sweep + top-1 floor)",
     )
     p.add_argument(
         "--wall-seed", type=int, default=0, help="validation-shape seed"

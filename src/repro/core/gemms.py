@@ -60,16 +60,27 @@ class TransformerGemm:
         return (self.batch, self.m, self.k, self.n)
 
 
-def tp_problem(cfg: TransformerConfig) -> Optional[str]:
-    """Why ``cfg.tp_degree`` cannot shard cfg's layer GEMMs, or None."""
-    t = cfg.tp_degree
-    if cfg.num_heads % t:
-        return f"num_heads {cfg.num_heads} not divisible by t={t}"
-    if cfg.kv_heads % t:
-        return f"kv_heads {cfg.kv_heads} not divisible by t={t}"
-    if (3 * cfg.hidden_size) % t or cfg.d_ff % t:
-        return f"hidden/intermediate sizes not divisible by t={t}"
-    return None
+def tp_problem(
+    cfg: TransformerConfig, t: Optional[int] = None
+) -> Optional[str]:
+    """Why ``t``-way TP (default ``cfg.tp_degree``) cannot shard cfg, or None.
+
+    The one tensor-parallel feasibility rule: ``a``, ``kv_heads`` and
+    ``d_ff`` must each be divisible by ``t``.  Config validation
+    guarantees ``h % a == 0``, so ``a % t == 0`` already makes ``h``,
+    ``3h`` and ``b*a`` divisible by ``t``.
+    """
+    t = cfg.tp_degree if t is None else t
+    if t <= 0:
+        return f"tp degree must be positive, got {t}"
+    problems = [
+        f"{name}={value} not divisible by t={t}"
+        for name, value in (
+            ("a", cfg.num_heads), ("kv_heads", cfg.kv_heads), ("d_ff", cfg.d_ff)
+        )
+        if value % t
+    ]
+    return "infeasible TP: " + "; ".join(problems) if problems else None
 
 
 def _validate_tp(cfg: TransformerConfig) -> None:

@@ -275,7 +275,7 @@ class ShapeEngine:
         callers version their own semantics through ``kind``/``key``.
 
         This is the warm path for deterministic non-GEMM grid work
-        (traced transformer shapes, discrete-event sim sweeps) whose
+        (traced transformer shapes, pipeline schedule sims) whose
         recomputation otherwise dominates warm experiment time.
         """
         full_key = ("columns", kind, key, _cache.model_version())

@@ -11,8 +11,7 @@ measured on (V100 / A100 / H100 / MI250X).  It contains:
 - :mod:`repro.gpu.roofline` — arithmetic intensity / bandwidth bounds,
 - :mod:`repro.gpu.l2cache` — L2 reuse model for GEMM operand traffic,
 - :mod:`repro.gpu.gemm_model` — analytic GEMM latency/throughput model,
-- :mod:`repro.gpu.bmm_model` — the batched-GEMM (BMM) shape type,
-- :mod:`repro.gpu.simulator` — discrete-event SM/thread-block simulator.
+- :mod:`repro.gpu.bmm_model` — the batched-GEMM (BMM) shape type.
 
 Every microarchitectural effect the paper studies (Tensor Core
 eligibility, tile quantization, wave quantization, memory-boundedness of
@@ -38,7 +37,6 @@ from repro.gpu.waves import (
 )
 from repro.gpu.tiles import TileConfig, candidate_tiles, select_tile
 from repro.gpu.gemm_model import GemmModel, GemmPerf
-from repro.gpu.simulator import SMSimulator, SimResult
 
 __all__ = [
     "GPUSpec",
@@ -59,6 +57,4 @@ __all__ = [
     "select_tile",
     "GemmModel",
     "GemmPerf",
-    "SMSimulator",
-    "SimResult",
 ]

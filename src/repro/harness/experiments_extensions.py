@@ -4,9 +4,7 @@ Ablations quantify the GPU model's own design choices:
 
 - ``ablation_tile`` — auto tile selection vs the pinned 128x256 kernel,
 - ``ablation_dtype`` — how the alignment breakpoints move with element
-  size (the 128-byte rule is *bytes*, so fp32 saturates at 32 elements),
-- ``ablation_backfill`` — discrete-event simulator vs the analytic
-  wave model across the transformer GEMM set.
+  size (the 128-byte rule is *bytes*, so fp32 saturates at 32 elements).
 
 Extensions probe territory the paper motivates but leaves open:
 
@@ -28,7 +26,6 @@ from repro.core.latency import LayerLatencyModel
 from repro.core.formulas import forward_flops_per_layer
 from repro.core.gemms import layer_gemms
 from repro.engine import default_engine, shape_array
-from repro.gpu.simulator import SMSimulator
 from repro.gpu.specs import get_gpu
 from repro.gpu.tiles import default_tile
 from repro.harness import sweep
@@ -123,69 +120,6 @@ def check_ablation_dtype(table: ResultTable) -> CheckResult:
         CheckResult(rows[("INT8", 128)] == 1.0, "int8 saturates at 128"),
     ]
     return CheckResult.all_of(checks)
-
-
-# -- ablation: simulator backfill ------------------------------------------------------
-
-
-def run_ablation_backfill() -> ResultTable:
-    """Discrete-event simulation vs analytic waves per transformer GEMM."""
-    cfg = get_model("gpt3-2.7b")
-    table = ResultTable(
-        "Ablation: DES simulator vs analytic wave model",
-        ["gemm", "analytic_us", "simulated_us", "rel_diff"],
-    )
-    ops = list(layer_gemms(cfg))
-    batch = default_engine().evaluate(
-        shape_array(
-            [op.m for op in ops],
-            [op.n for op in ops],
-            [op.k for op in ops],
-            [op.batch for op in ops],
-        ),
-        "A100",
-    )
-
-    def simulate() -> dict:
-        import numpy as np
-
-        return {
-            "simulated_s": np.array(
-                [
-                    SMSimulator("A100", tile=batch.tile(i))
-                    .run(op.m, op.n, op.k, op.batch)
-                    .latency_s
-                    for i, op in enumerate(ops)
-                ],
-                dtype=np.float64,
-            )
-        }
-
-    # The DES sweep is pure in (shapes, selected tiles, sim version):
-    # memoize its columnar output so warm regeneration skips the
-    # event-by-event simulation.
-    sim_key = (
-        "v1",
-        "A100",
-        tuple(op.shape_tuple() for op in ops),
-        tuple(batch.tile(i) for i in range(len(ops))),
-    )
-    sim = default_engine().memo_columns("backfill.sim", sim_key, simulate)
-
-    for i, op in enumerate(ops):
-        a_s = float(batch.latency_s[i])
-        s_s = float(sim["simulated_s"][i])
-        rel = abs(s_s - a_s) / a_s
-        table.add(op.module, a_s * 1e6, s_s * 1e6, rel)
-    return table
-
-
-def check_ablation_backfill(table: ResultTable) -> CheckResult:
-    worst = max(table.column("rel_diff"))
-    return CheckResult(
-        worst <= 0.08,
-        f"backends agree within {100 * worst:.1f}% on every transformer GEMM",
-    )
 
 
 # -- extension: sequence length --------------------------------------------------------

@@ -382,15 +382,6 @@ register(
 )
 register(
     Experiment(
-        id="ablation_backfill",
-        title="DES simulator vs analytic wave model",
-        paper_ref="ablation (internal)",
-        run_fn=ext.run_ablation_backfill,
-        check_fn=ext.check_ablation_backfill,
-    )
-)
-register(
-    Experiment(
         id="ext_seqlen",
         title="Attention share vs sequence length",
         paper_ref="extension (Sec III-C formula)",

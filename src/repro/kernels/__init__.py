@@ -17,9 +17,10 @@ pieces:
   serving-side lookup: loaded tables first, deterministic analytical
   fallback on a miss.  ``repro serve`` answers ``kernel_params``
   queries through it on every transport.
-- :mod:`~repro.kernels.wall` — the differential test wall: tuned picks
-  and the analytical candidate ranking must agree with the
-  discrete-event SM simulator (Kendall-tau and top-1 agreement floors).
+- :mod:`~repro.kernels.wall` — the differential test wall: the tile
+  sweep's candidate latencies must equal the scalar
+  :class:`~repro.gpu.gemm_model.GemmModel` oracle's bit for bit, and
+  tuned picks must agree with its exact-shape winner (top-1 floor).
 """
 
 from repro.kernels.registry import (

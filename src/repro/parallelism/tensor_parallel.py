@@ -3,9 +3,10 @@
 Column-parallel QKV / MLP-up, row-parallel projection / MLP-down, one
 all-reduce after the attention block and one after the MLP block (per
 forward pass).  The per-rank GEMM shapes are the paper's Table II with
-the ``/t`` divisions, so this module also encodes the feasibility rules
-the Sec VII-A case study turns on: ``a % t == 0`` and ``d_ff % t == 0``
-(plus ``kv_heads % t == 0``, which grouped-query attention adds).
+the ``/t`` divisions, so they exist only under the feasibility rule the
+Sec VII-A case study turns on: ``a % t == 0`` and ``d_ff % t == 0``
+(plus ``kv_heads % t == 0``, which grouped-query attention adds), kept
+once in :func:`repro.core.gemms.tp_problem`.
 
 :meth:`TensorParallelLayer.layer_costs` prices every requested degree's
 per-rank GEMMs in **one** engine grid through
@@ -16,10 +17,10 @@ are bit-identical to pricing one GEMM at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 from repro.core.config import TransformerConfig
-from repro.core.gemms import TransformerGemm, layer_gemms
+from repro.core.gemms import tp_problem
 from repro.core.latency import LatencyBreakdown, LayerLatencyModel
 from repro.errors import ParallelismError
 from repro.parallelism.comm import CommModel
@@ -28,22 +29,13 @@ from repro.types import DType
 
 
 def validate_tp_feasible(cfg: TransformerConfig, t: int) -> None:
-    """Raise :class:`ParallelismError` if ``t``-way TP cannot shard cfg."""
-    if t <= 0:
-        raise ParallelismError(f"tp degree must be positive, got {t}")
-    problems = []
-    if cfg.num_heads % t:
-        problems.append(f"a={cfg.num_heads} not divisible by t={t}")
-    if cfg.hidden_size % t:
-        problems.append(f"h={cfg.hidden_size} not divisible by t={t}")
-    if cfg.kv_heads % t:
-        problems.append(f"kv_heads={cfg.kv_heads} not divisible by t={t}")
-    if cfg.d_ff % t:
-        problems.append(f"d_ff={cfg.d_ff} not divisible by t={t}")
-    if (cfg.microbatch * cfg.num_heads) % t:
-        problems.append(f"(b*a)={cfg.microbatch * cfg.num_heads} not divisible by t={t}")
-    if problems:
-        raise ParallelismError(f"{cfg.name}: infeasible TP: " + "; ".join(problems))
+    """Raise :class:`ParallelismError` if ``t``-way TP cannot shard cfg.
+
+    The rule itself is :func:`repro.core.gemms.tp_problem`.
+    """
+    problem = tp_problem(cfg, t)
+    if problem is not None:
+        raise ParallelismError(f"{cfg.name}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -87,10 +79,6 @@ class TensorParallelLayer:
         """The configuration as seen by one rank (tp_degree = t)."""
         validate_tp_feasible(cfg, t)
         return cfg.with_overrides(name=f"{cfg.name}@tp{t}", tp_degree=t)
-
-    def rank_gemms(self, cfg: TransformerConfig, t: int) -> List[TransformerGemm]:
-        """Per-rank Table II shapes under t-way sharding."""
-        return layer_gemms(self.shard_config(cfg, t))
 
     def layer_cost(self, cfg: TransformerConfig, t: int) -> TPLayerCost:
         """Per-rank compute + collective time of one layer forward.

@@ -1,6 +1,6 @@
 """Differential wall: grid-path estimator vs scalar per-record brute force.
 
-Like the kernels and simulator walls, this is a *blocking* parity gate:
+Like the kernels wall, this is a *blocking* parity gate:
 the training-step estimator prices the whole step through one engine
 evaluation over the step's distinct shapes, and this module re-prices
 every row of the identical grid through the scalar

@@ -1,8 +1,8 @@
 """Cross-validation between the independent subsystems.
 
 These tests tie the reproduction together: the analytic Table II
-mapping, the executed NumPy transformer, the closed-form formulas, and
-the two GPU backends must all agree with each other.
+mapping, the executed NumPy transformer and the closed-form formulas
+must all agree with each other.
 """
 
 import numpy as np
@@ -11,8 +11,6 @@ import pytest
 from repro.core import formulas
 from repro.core.config import TransformerConfig
 from repro.core.gemms import layer_gemms, logit_gemm
-from repro.gpu.gemm_model import GemmModel
-from repro.gpu.simulator import SMSimulator
 from repro.transformer.model import DecoderModel
 from repro.transformer.trace import OpTrace
 
@@ -106,34 +104,3 @@ class TestMappingGroundTruth:
     def test_param_formula_matches_arrays(self, cfg):
         model, _ = build_and_trace(cfg)
         assert cfg.param_count() == model.param_count(include_final_norm=False)
-
-
-class TestBackendAgreement:
-    """Analytic model vs discrete-event simulator on the real workload."""
-
-    def test_full_layer_gemm_set(self):
-        cfg = TransformerConfig(
-            name="gpt3-2.7b-like",
-            hidden_size=2560,
-            num_heads=32,
-            num_layers=1,
-        )
-        gm = GemmModel("A100")
-        for op in layer_gemms(cfg) + [logit_gemm(cfg)]:
-            a = gm.evaluate(op.m, op.n, op.k, op.batch)
-            s = SMSimulator("A100", tile=a.tile).run(op.m, op.n, op.k, op.batch)
-            assert s.latency_s == pytest.approx(a.latency_s, rel=0.08), op.module
-
-    def test_total_layer_time_agreement(self):
-        cfg = TransformerConfig(
-            name="x", hidden_size=4096, num_heads=32, num_layers=1
-        )
-        gm = GemmModel("A100")
-        analytic = simulated = 0.0
-        for op in layer_gemms(cfg):
-            a = gm.evaluate(op.m, op.n, op.k, op.batch)
-            analytic += a.latency_s
-            simulated += SMSimulator("A100", tile=a.tile).run(
-                op.m, op.n, op.k, op.batch
-            ).latency_s
-        assert simulated == pytest.approx(analytic, rel=0.05)

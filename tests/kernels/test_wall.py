@@ -1,22 +1,44 @@
-"""The differential wall: tuned picks vs the discrete-event simulator."""
+"""The differential wall: tuned picks vs the scalar GemmModel oracle."""
 
+import numpy as np
 import pytest
 
+from repro.engine.core import ShapeEngine
 from repro.errors import KernelTableError
 from repro.kernels import WallReport, run_wall, validation_shapes
 from repro.kernels.wall import NEAR_TOP1_REL, ShapeVerdict
 
 
-def _verdict(tau=1.0, gap=0.0, pick="128x256", sim=None, hit=True):
-    sim_pick = pick if sim is None else sim
+def _verdict(mismatches=0, gap=0.0, pick="128x256", oracle=None, hit=True):
     return ShapeVerdict(
         shape=(1, 512, 512, 512),
         table_pick=pick,
         table_hit=hit,
-        sim_pick=sim_pick,
-        tau=tau,
+        oracle_pick=pick if oracle is None else oracle,
+        mismatches=mismatches,
         pick_gap_rel=gap,
     )
+
+
+class _SkewedSweep:
+    """A tile sweep whose first latency is one ulp off the oracle's."""
+
+    def __init__(self, sweep):
+        self._sweep = sweep
+
+    def __getattr__(self, name):
+        return getattr(self._sweep, name)
+
+    def matrix(self, name):
+        out = self._sweep.matrix(name).copy()
+        if name == "latency_s":
+            out[0, 0] = np.nextafter(out[0, 0], np.inf)
+        return out
+
+
+class _SkewedEngine(ShapeEngine):
+    def evaluate_tiles(self, *args, **kwargs):
+        return _SkewedSweep(super().evaluate_tiles(*args, **kwargs))
 
 
 class TestValidationShapes:
@@ -49,31 +71,30 @@ class TestThresholds:
         report = WallReport(
             gpu="A100", dtype="FP16", verdicts=[_verdict() for _ in range(5)]
         )
-        assert report.mean_tau == 1.0
+        assert report.mismatches == 0
         assert report.top1_agreement == 1.0
         assert report.passed
         assert "PASS" in report.describe()
 
-    def test_low_tau_fails_despite_perfect_top1(self):
-        report = WallReport(
-            gpu="A100", dtype="FP16",
-            verdicts=[_verdict(tau=0.2) for _ in range(5)],
-        )
+    def test_one_oracle_mismatch_fails_despite_perfect_top1(self):
+        verdicts = [_verdict() for _ in range(4)] + [_verdict(mismatches=1)]
+        report = WallReport(gpu="A100", dtype="FP16", verdicts=verdicts)
         assert report.top1_agreement == 1.0
+        assert report.mismatches == 1
         assert not report.passed
         assert "FAIL" in report.describe()
 
     def test_top1_floor_enforced(self):
         good = [_verdict() for _ in range(3)]
-        bad = [_verdict(sim="64x64", gap=0.5) for _ in range(2)]
+        bad = [_verdict(oracle="64x64", gap=0.5) for _ in range(2)]
         report = WallReport(gpu="A100", dtype="FP16", verdicts=good + bad)
         assert report.top1_agreement == pytest.approx(0.6)
         assert not report.passed
 
     def test_near_tie_counts_as_agreement(self):
-        tied = _verdict(sim="64x64", gap=NEAR_TOP1_REL / 2)
+        tied = _verdict(oracle="64x64", gap=NEAR_TOP1_REL / 2)
         assert tied.top1_ok
-        separated = _verdict(sim="64x64", gap=NEAR_TOP1_REL * 10)
+        separated = _verdict(oracle="64x64", gap=NEAR_TOP1_REL * 10)
         assert not separated.top1_ok
 
 
@@ -94,4 +115,11 @@ class TestRunWall:
         ]
         report = run_wall(quick_table, shapes=shapes, engine=engine)
         assert [v.table_hit for v in report.verdicts] == [True, False]
-        assert all(v.tau > 0 for v in report.verdicts)
+        assert all(v.mismatches == 0 for v in report.verdicts)
+
+    def test_one_ulp_sweep_mismatch_fails_the_wall(self, quick_table):
+        shapes = [(1, 512, 512, 512), (2, 512, 512, 512)]
+        report = run_wall(quick_table, shapes=shapes, engine=_SkewedEngine())
+        assert [v.mismatches for v in report.verdicts] == [1, 0]
+        assert report.top1_agreement == 1.0
+        assert not report.passed

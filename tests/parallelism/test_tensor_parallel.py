@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.config import get_model
+from repro.core.config import get_model, list_models
+from repro.core.gemms import layer_gemms, tp_problem
 from repro.errors import ParallelismError
 from repro.parallelism.tensor_parallel import (
     TensorParallelLayer,
@@ -39,6 +40,22 @@ class TestFeasibility:
         with pytest.raises(ParallelismError):
             validate_tp_feasible(cfg, 0)
 
+    @pytest.mark.parametrize("model", list_models(), ids=lambda c: c.name)
+    def test_one_rule_matches_both_former_rules(self, model):
+        # The advisor's and the planner's former rules, restated: config
+        # validation (h % a == 0) makes their extra clauses redundant.
+        b, h, a, kv, d_ff = (
+            model.microbatch, model.hidden_size, model.num_heads,
+            model.kv_heads, model.d_ff,
+        )
+        for t in range(1, 17):
+            advisor_ok = not (a % t or kv % t or (3 * h) % t or d_ff % t)
+            planner_ok = not (a % t or h % t or kv % t or d_ff % t or (b * a) % t)
+            assert advisor_ok == planner_ok
+            assert (tp_problem(model, t) is None) == advisor_ok, t
+            sharded_ok = tp_problem(model.with_overrides(tp_degree=t)) is None
+            assert sharded_ok == advisor_ok, t
+
 
 class TestSharding:
     def test_shard_config_sets_degree(self, tp, cfg):
@@ -47,7 +64,7 @@ class TestSharding:
         assert "tp4" in sharded.name
 
     def test_rank_gemms_match_table2(self, tp, cfg):
-        ops = {op.module: op for op in tp.rank_gemms(cfg, 4)}
+        ops = {op.module: op for op in layer_gemms(tp.shard_config(cfg, 4))}
         assert ops["qkv_transform"].n == 3 * 4096 // 4
         assert ops["mlp_h_to_4h"].n == 4 * 4096 // 4
         assert ops["attention_score"].batch == cfg.microbatch * 32 // 4
