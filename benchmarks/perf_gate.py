@@ -4,7 +4,7 @@
 Compares a fresh benchmark record against the checked-in baseline
 (``BENCH_engine.json``) and fails when the engine's caching regresses:
 
-- the fresh record must pass (parity, checks, warm-regression gate),
+- the fresh record must pass (parity, checks, parallel == serial),
 - scalar/vectorized parity mismatches must be exactly zero,
 - ``warm_speedup`` (cold wall / warm wall) must stay above a floor,
 - no experiment may appear in the fresh record's ``warm_regressions``,

@@ -13,6 +13,7 @@ Run:  python examples/profile_training_step.py
 import numpy as np
 
 from repro import DecoderModel, OpTrace, TraceProfiler
+from repro.harness.results import ResultTable
 from repro.transformer.backward import loss_and_gradients
 
 
@@ -38,13 +39,19 @@ def main() -> None:
     bwd = sum(r.flops for r in trace if "." in r.module)
     print(f"forward:backward FLOP split = 1 : {bwd / fwd:.1f}\n")
 
-    profiler = TraceProfiler("A100")
-    print(profiler.as_table(trace, title="Training step, priced on A100"))
+    profiles = TraceProfiler("A100").profile(trace)
+    total = sum(p.latency_s for p in profiles)
+    table = ResultTable(
+        "Training step, priced on A100",
+        ["module", "calls", "latency_ms", "share", "tflops"],
+        notes="priced on A100 (FP16)",
+    )
+    for p in profiles:
+        table.add(p.module, p.calls, p.latency_s * 1e3, p.latency_s / total, p.tflops)
+    print(table)
 
     # The headline structure the paper's Figs 2/11 report, from the
     # *executed* ops: dense GEMMs dominate; attention BMMs are small.
-    profiles = profiler.profile(trace)
-    total = sum(p.latency_s for p in profiles)
     dense = sum(
         p.latency_s
         for p in profiles

@@ -15,8 +15,8 @@ Run:  python examples/sensitivity_and_memory.py
 """
 
 from repro import get_model
+from repro.analysis.whatif import WhatIfAnalyzer
 from repro.core.memory import MemoryBudget, inference_bytes
-from repro.core.whatif import WhatIfAnalyzer
 from repro.trainstep import estimate_memory
 
 

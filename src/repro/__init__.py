@@ -23,87 +23,77 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every experiment.
 """
 
-from repro.analysis import LintDiagnostic, LintReport, SelfLinter, ShapeLinter
-from repro.core.advisor import Proposal, ShapeAdvisor
-from repro.core.config import TransformerConfig, get_model, list_models, register_model
-from repro.core.latency import LatencyBreakdown, LayerLatencyModel
-from repro.core.memory import MemoryBudget, inference_bytes
-from repro.core.profile import TraceProfiler
-from repro.core.whatif import WhatIfAnalyzer
-from repro.core.rules import Diagnostic, RuleEngine, Severity
-from repro.errors import (
-    CalibrationError,
-    ConfigError,
-    ExperimentError,
-    GPUModelError,
-    ParallelismError,
-    ReproError,
-    ShapeError,
-)
-from repro.gpu.bmm_model import BmmShape
-from repro.gpu.gemm_model import GemmModel, GemmPerf
-from repro.gpu.specs import GPUSpec, get_gpu, list_gpus
-from repro.inference.latency import InferenceModel
-from repro.trainstep import TrainStepEstimator, estimate_memory
-from repro.transformer.flash import FlashAttentionModel, flash_attention
-from repro.transformer.generate import generate, perplexity
-from repro.transformer.model import DecoderModel
-from repro.transformer.trace import MatmulRecord, OpTrace
-from repro.types import DType, TimeEstimate
+from __future__ import annotations
+
+import importlib
+from typing import Any, Dict
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+#: Public name -> the module that defines it.  Names resolve on first
+#: access (PEP 562), so ``import repro.gpu.specs`` loads only what that
+#: module needs.
+_EXPORTS: Dict[str, str] = {
     # errors
-    "ReproError",
-    "ConfigError",
-    "ShapeError",
-    "GPUModelError",
-    "ParallelismError",
-    "ExperimentError",
-    "CalibrationError",
+    "ReproError": "repro.errors",
+    "ConfigError": "repro.errors",
+    "ShapeError": "repro.errors",
+    "GPUModelError": "repro.errors",
+    "ParallelismError": "repro.errors",
+    "ExperimentError": "repro.errors",
+    "CalibrationError": "repro.errors",
     # gpu substrate
-    "GPUSpec",
-    "get_gpu",
-    "list_gpus",
-    "GemmModel",
-    "GemmPerf",
-    "BmmShape",
+    "GPUSpec": "repro.gpu.specs",
+    "get_gpu": "repro.gpu.specs",
+    "list_gpus": "repro.gpu.specs",
+    "GemmModel": "repro.gpu.gemm_model",
+    "GemmPerf": "repro.gpu.gemm_model",
+    "BmmShape": "repro.gpu.bmm_model",
     # transformer substrate
-    "DecoderModel",
-    "OpTrace",
-    "MatmulRecord",
-    "flash_attention",
-    "FlashAttentionModel",
-    "generate",
-    "perplexity",
+    "DecoderModel": "repro.transformer.model",
+    "OpTrace": "repro.transformer.trace",
+    "MatmulRecord": "repro.transformer.trace",
+    "flash_attention": "repro.transformer.flash",
+    "FlashAttentionModel": "repro.transformer.flash",
+    "generate": "repro.transformer.generate",
+    "perplexity": "repro.transformer.generate",
     # core
-    "TransformerConfig",
-    "get_model",
-    "list_models",
-    "register_model",
-    "LayerLatencyModel",
-    "LatencyBreakdown",
-    "TrainStepEstimator",
-    "TraceProfiler",
-    "WhatIfAnalyzer",
-    "MemoryBudget",
-    "estimate_memory",
-    "inference_bytes",
-    "RuleEngine",
-    "Diagnostic",
-    "Severity",
-    "ShapeAdvisor",
-    "Proposal",
+    "TransformerConfig": "repro.core.config",
+    "get_model": "repro.core.config",
+    "list_models": "repro.core.config",
+    "register_model": "repro.core.config",
+    "LayerLatencyModel": "repro.core.latency",
+    "LatencyBreakdown": "repro.core.latency",
+    "TrainStepEstimator": "repro.trainstep.step",
+    "TraceProfiler": "repro.core.profile",
+    "WhatIfAnalyzer": "repro.analysis.whatif",
+    "MemoryBudget": "repro.core.memory",
+    "estimate_memory": "repro.trainstep.memory",
+    "inference_bytes": "repro.core.memory",
+    "RuleEngine": "repro.core.rules",
+    "Diagnostic": "repro.core.rules",
+    "Severity": "repro.core.rules",
+    "ShapeAdvisor": "repro.core.advisor",
+    "Proposal": "repro.core.advisor",
     # lint (repro.analysis)
-    "ShapeLinter",
-    "SelfLinter",
-    "LintReport",
-    "LintDiagnostic",
+    "ShapeLinter": "repro.analysis.shape_rules",
+    "SelfLinter": "repro.analysis.selflint",
+    "LintReport": "repro.analysis.diagnostics",
+    "LintDiagnostic": "repro.analysis.diagnostics",
     # inference
-    "InferenceModel",
+    "InferenceModel": "repro.inference.latency",
     # common types
-    "DType",
-    "TimeEstimate",
-]
+    "DType": "repro.types",
+    "TimeEstimate": "repro.types",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -13,47 +13,9 @@ A third, flow-sensitive prong lives in :mod:`repro.analysis.flow`
 (:class:`FlowLinter`): CFG + abstract-interpretation rules for
 unit/dimension consistency, lock/async discipline, and observability
 hygiene (``repro lint --flow``; also folded into ``--self``).
+
+:mod:`repro.analysis.whatif` ranks a config's shape knobs by their
+best modelled payoff (``repro whatif``).  It sits here, above
+:mod:`repro.trainstep`, because its microbatch move is gated on the
+training-step memory model.
 """
-
-from repro.analysis.diagnostics import (
-    FixIt,
-    LintDiagnostic,
-    LintReport,
-    Location,
-    Severity,
-)
-from repro.analysis.config_io import config_from_dict, load_targets
-from repro.analysis.fixit import (
-    GemmShape,
-    RankedCandidate,
-    best_candidate,
-    modeled_latency,
-    nearest_multiple,
-    neighborhood_multiples,
-    rank_candidates,
-    strictly_better,
-)
-from repro.analysis.flow import FlowLinter
-from repro.analysis.selflint import SelfLinter
-from repro.analysis.shape_rules import ShapeLinter
-
-__all__ = [
-    "FixIt",
-    "FlowLinter",
-    "GemmShape",
-    "LintDiagnostic",
-    "LintReport",
-    "Location",
-    "RankedCandidate",
-    "SelfLinter",
-    "Severity",
-    "ShapeLinter",
-    "best_candidate",
-    "config_from_dict",
-    "load_targets",
-    "modeled_latency",
-    "nearest_multiple",
-    "neighborhood_multiples",
-    "rank_candidates",
-    "strictly_better",
-]

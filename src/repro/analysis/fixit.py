@@ -16,7 +16,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine import default_engine, shape_array
+from repro.engine.core import default_engine
+from repro.engine.vectorized import shape_array
 from repro.errors import ConfigError
 
 #: A GEMM as ``(m, n, k, batch)`` — the column order of

@@ -28,28 +28,13 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.analysis.diagnostics import LintReport
-from repro.analysis.flow.cfg import CFG, BasicBlock, Instr, build_cfg
 from repro.analysis.flow.concurrency import ConcurrencyChecker
-from repro.analysis.flow.fixpoint import (
-    DataflowAnalysis,
-    FixpointLimitError,
-    run_fixpoint,
-)
 from repro.analysis.flow.obs_rules import ObservabilityChecker
 from repro.analysis.flow.unit_rules import UnitChecker
 from repro.analysis.selflint import _suppressed
 from repro.errors import ConfigError
 
-__all__ = [
-    "BasicBlock",
-    "CFG",
-    "DataflowAnalysis",
-    "FixpointLimitError",
-    "FlowLinter",
-    "Instr",
-    "build_cfg",
-    "run_fixpoint",
-]
+__all__ = ["FlowLinter"]
 
 
 class FlowLinter:
@@ -57,9 +42,7 @@ class FlowLinter:
 
     def __init__(self, root: "str | Path | None" = None) -> None:
         if root is None:
-            import repro
-
-            root = Path(repro.__file__).parent
+            root = Path(__file__).parent.parent.parent
         self.root = Path(root)
         if not self.root.exists():
             raise ConfigError(f"flow-lint root does not exist: {self.root}")

@@ -18,7 +18,7 @@ source rather than running it:
   called on a :class:`ShapeEngine` (or a ``default_engine()`` result)
   inside a loop or comprehension.  A grid loop that calls the engine
   once per iteration forfeits the SoA whole-grid path: build one
-  :class:`~repro.engine.ShapeGrid` covering the sweep and call
+  :class:`~repro.engine.grid.ShapeGrid` covering the sweep and call
   ``evaluate_grid`` once — and a per-candidate Python loop around
   ``evaluate_grid`` itself is the same mistake one level up
   (``evaluate_tiles`` owns that loop).
@@ -307,9 +307,7 @@ class SelfLinter:
 
     def __init__(self, root: "str | Path | None" = None) -> None:
         if root is None:
-            import repro
-
-            root = Path(repro.__file__).parent
+            root = Path(__file__).parent.parent
         self.root = Path(root)
         if not self.root.exists():
             raise ConfigError(f"self-lint root does not exist: {self.root}")

@@ -18,7 +18,7 @@ latency, not divisibility alone.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.analysis.diagnostics import (
     FixIt,
@@ -35,10 +35,13 @@ from repro.analysis.fixit import (
     strictly_better,
 )
 from repro.core.config import TransformerConfig
+from repro.core.memory import MemoryBudget
 from repro.core.rules import POW2_TARGET
-from repro.engine import default_engine, shape_array
+from repro.engine.core import default_engine
+from repro.engine.vectorized import shape_array
 from repro.gpu.alignment import largest_pow2_divisor
 from repro.gpu.specs import GPUSpec, get_gpu
+from repro.trainstep.memory import estimate_memory, estimate_memory_cells
 
 #: Head dims worth proposing: small enough for attention kernels, large
 #: enough that per-head GEMMs are not overhead-dominated.
@@ -606,9 +609,6 @@ class ShapeLinter:
         its default t=1 is a fine shape that simply needs sharding,
         not a lint finding.
         """
-        from repro.core.memory import MemoryBudget
-        from repro.trainstep.memory import estimate_memory, estimate_memory_cells
-
         budget = MemoryBudget.for_gpu(self.spec)
         loc = _loc(cfg, "tp_degree")
         plain = estimate_memory(

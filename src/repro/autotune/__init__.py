@@ -7,16 +7,3 @@
 - :mod:`repro.autotune.vocab` — vocabulary padding to multiples of 64
   (Fig 20, the nanoGPT 50257 -> 50304 trick).
 """
-
-from repro.autotune.search import SearchResult, search_dimension
-from repro.autotune.swiglu import swiglu_intermediate_search, SwiGLUCandidate
-from repro.autotune.vocab import pad_vocab, vocab_padding_gain
-
-__all__ = [
-    "SearchResult",
-    "search_dimension",
-    "swiglu_intermediate_search",
-    "SwiGLUCandidate",
-    "pad_vocab",
-    "vocab_padding_gain",
-]

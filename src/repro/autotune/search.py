@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError
-from repro.observability import metrics as _metrics
-from repro.observability import span as _span
+from repro.observability.metrics import metrics as _metrics
+from repro.observability.tracing import span as _span
 from repro.resilience.faults import fault_site
 
 if TYPE_CHECKING:

@@ -19,7 +19,8 @@ from typing import List, Optional
 import numpy as np
 
 from repro.autotune.search import SearchResult, search_dimension
-from repro.engine import default_engine, shape_array
+from repro.engine.core import default_engine
+from repro.engine.vectorized import shape_array
 from repro.errors import ConfigError
 from repro.gpu.alignment import largest_pow2_divisor
 from repro.gpu.specs import GPUSpec

@@ -6,20 +6,3 @@ efficiency, tile peak fractions) set the absolute scale of its outputs.
 squares, and :mod:`repro.calibration.data` carries the paper-derived
 anchor ratios used by EXPERIMENTS.md to judge reproduction quality.
 """
-
-from repro.calibration.data import PAPER_ANCHORS, Anchor
-from repro.calibration.fit import (
-    CalibrationResult,
-    MeasuredGemm,
-    fit_bw_efficiency,
-    fit_efficiency_floor,
-)
-
-__all__ = [
-    "PAPER_ANCHORS",
-    "Anchor",
-    "CalibrationResult",
-    "MeasuredGemm",
-    "fit_bw_efficiency",
-    "fit_efficiency_floor",
-]

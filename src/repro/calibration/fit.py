@@ -23,12 +23,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 import numpy as np
 from scipy import optimize
 
-from repro.engine import default_engine, shape_array
+from repro.engine.core import default_engine
+from repro.engine.vectorized import shape_array
 from repro.errors import CalibrationError
 from repro.gpu import alignment
 from repro.gpu.specs import GPUSpec, get_gpu
-from repro.observability import metrics as _metrics
-from repro.observability import span as _span
+from repro.observability.metrics import metrics as _metrics
+from repro.observability.tracing import span as _span
 from repro.resilience.faults import fault_site
 from repro.types import DType
 

@@ -47,14 +47,7 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
-from repro.core.advisor import ShapeAdvisor
-from repro.core.config import get_model, list_models
-from repro.core.latency import LayerLatencyModel
-from repro.core.rules import RuleEngine
 from repro.errors import ReproError
-from repro.gpu.specs import get_gpu, list_gpus
-from repro.harness.figures import list_experiments
-from repro.harness.runner import run_experiment
 
 
 def _add_gpu(parser: argparse.ArgumentParser) -> None:
@@ -118,12 +111,8 @@ _OBSERVABLE_COMMANDS = (
 @contextmanager
 def _observed(args: argparse.Namespace) -> Iterator[None]:
     """Install trace/metrics collection around one verb, per its flags."""
-    from repro.observability import (
-        TraceRecorder,
-        install_recorder,
-        metrics,
-        reset_metrics,
-    )
+    from repro.observability.metrics import metrics, reset_metrics
+    from repro.observability.tracing import TraceRecorder, install_recorder
 
     trace_path = getattr(args, "trace", None)
     want_metrics = getattr(args, "metrics", False)
@@ -580,6 +569,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.core.config import get_model
+    from repro.core.latency import LayerLatencyModel
+
     cfg = get_model(args.model)
     model = LayerLatencyModel(args.gpu, flash_attention=args.flash)
     bd = model.model_breakdown(cfg)
@@ -595,6 +587,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_rules(args: argparse.Namespace) -> int:
+    from repro.core.config import get_model
+    from repro.core.rules import RuleEngine
+
     cfg = get_model(args.model)
     engine = RuleEngine(args.gpu)
     print(engine.report(cfg, pipeline_stages=args.pipeline_stages))
@@ -602,6 +597,9 @@ def cmd_rules(args: argparse.Namespace) -> int:
 
 
 def cmd_advise(args: argparse.Namespace) -> int:
+    from repro.core.advisor import ShapeAdvisor
+    from repro.core.config import get_model
+
     cfg = get_model(args.model)
     advisor = ShapeAdvisor(args.gpu)
     proposals = advisor.propose(cfg, top=args.top)
@@ -615,6 +613,8 @@ def cmd_advise(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    from repro.harness.runner import run_experiment
+
     report = run_experiment(args.id)
     if args.update_golden:
         from repro.harness.golden import DEFAULT_GOLDEN_DIR, write_snapshot
@@ -637,12 +637,16 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_figures(_args: argparse.Namespace) -> int:
+    from repro.harness.figures import list_experiments
+
     for exp in list_experiments():
         print(exp.describe())
     return 0
 
 
 def cmd_list_models(_args: argparse.Namespace) -> int:
+    from repro.core.config import list_models
+
     for cfg in list_models():
         print(cfg.describe())
     return 0
@@ -651,7 +655,7 @@ def cmd_list_models(_args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     if args.trace is not None:
         from repro.errors import ConfigError
-        from repro.observability import render_trace_report
+        from repro.observability.report import render_trace_report
 
         try:
             text = render_trace_report(args.trace)
@@ -679,16 +683,19 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_gemm(args: argparse.Namespace) -> int:
-    from repro.engine import default_engine, shape_array
+    from repro.engine.core import default_engine
+    from repro.engine.vectorized import shape_array
     from repro.gpu.alignment import largest_pow2_divisor
+    from repro.gpu.gemm_model import GemmPerf
     from repro.gpu.roofline import RooflinePoint
+    from repro.gpu.specs import get_gpu
     from repro.gpu.tiles import candidate_tiles, tile_score
     from repro.types import DType
 
     dtype = DType.parse(args.dtype)
     spec = get_gpu(args.gpu)
     shapes = shape_array(args.m, args.n, args.k, args.batch)
-    perf = default_engine().evaluate(shapes, spec, dtype).perf(0)
+    perf = GemmPerf.from_batch(default_engine().evaluate(shapes, spec, dtype), 0)
     print(perf.describe())
     point = RooflinePoint.for_gemm(
         args.m, args.n, args.k, spec, dtype, batch=args.batch
@@ -720,7 +727,8 @@ def cmd_gemm(args: argparse.Namespace) -> int:
 
 
 def cmd_whatif(args: argparse.Namespace) -> int:
-    from repro.core.whatif import WhatIfAnalyzer
+    from repro.analysis.whatif import WhatIfAnalyzer
+    from repro.core.config import get_model
 
     cfg = get_model(args.model)
     print(WhatIfAnalyzer(args.gpu).report(cfg))
@@ -738,7 +746,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     from repro.calibration.fit import MeasuredGemm, run_calibration
     from repro.errors import CalibrationError, ConfigError
-    from repro.resilience import SweepJournal
+    from repro.resilience.checkpoint import SweepJournal
 
     if args.resume and not args.journal:
         raise ConfigError("--resume requires --journal PATH")
@@ -818,7 +826,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         sweep_journal,
         validate_ids,
     )
-    from repro.resilience import FaultPlan, clear_plan, install_plan
+    from repro.resilience.faults import FaultPlan, clear_plan, install_plan
 
     if args.resume and not args.journal:
         raise ConfigError("--resume requires --journal PATH")
@@ -868,7 +876,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import Severity, SelfLinter, ShapeLinter, load_targets
+    from repro.analysis.config_io import load_targets
+    from repro.analysis.diagnostics import Severity
+    from repro.analysis.selflint import SelfLinter
+    from repro.analysis.shape_rules import ShapeLinter
     from repro.errors import ConfigError
 
     min_severity = {
@@ -920,7 +931,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _serve_config(args: argparse.Namespace) -> "ServeConfig":  # noqa: F821
-    from repro.serve import ServeConfig
+    from repro.serve.config import ServeConfig
 
     return ServeConfig(
         workers=args.workers,
@@ -947,7 +958,7 @@ _DEMO_QUERIES = (
 def _cluster_serve_config(args: argparse.Namespace) -> "ServeConfig":  # noqa: F821
     """Cluster config: --config file wins, else the individual flags."""
     from repro.errors import ConfigError
-    from repro.serve import ServeConfig
+    from repro.serve.config import ServeConfig
 
     if args.config:
         try:
@@ -963,7 +974,7 @@ def _cluster_serve_config(args: argparse.Namespace) -> "ServeConfig":  # noqa: F
 
 def _cmd_serve_listen(args: argparse.Namespace) -> int:
     """``repro serve --listen``: the multi-process cluster front-end."""
-    from repro.serve import ServeConfig  # noqa: F401 - config type below
+    from repro.serve.config import ServeConfig  # noqa: F401 - config type below
     from repro.serve.cluster import ClusterServer
     from repro.serve.loadgen import _parse_address
 
@@ -1001,7 +1012,8 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.errors import ConfigError, QueueFullError
-    from repro.serve import Advisory, AdvisoryServer, ShapeQuery
+    from repro.serve.protocol import Advisory, ShapeQuery
+    from repro.serve.server import AdvisoryServer
 
     import json as _json
 
@@ -1068,13 +1080,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_loadgen_connect(args: argparse.Namespace) -> "LoadReport":  # noqa: F821
     """``repro loadgen --connect``: drive a remote cluster over TCP."""
-    from repro.serve import (
-        SocketTransport,
+    from repro.serve.loadgen import (
+        _parse_address,
         generate_queries,
         run_load,
         run_load_processes,
     )
-    from repro.serve.loadgen import _parse_address
+    from repro.serve.netclient import SocketTransport
 
     if args.client_procs > 1:
         return run_load_processes(
@@ -1105,14 +1117,9 @@ def _cmd_loadgen_connect(args: argparse.Namespace) -> "LoadReport":  # noqa: F82
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.errors import ConfigError
-    from repro.resilience import FaultPlan, clear_plan, install_plan
-    from repro.serve import (
-        AdvisoryServer,
-        generate_queries,
-        render_load,
-        run_load,
-        write_load,
-    )
+    from repro.resilience.faults import FaultPlan, clear_plan, install_plan
+    from repro.serve.loadgen import generate_queries, render_load, run_load, write_load
+    from repro.serve.server import AdvisoryServer
 
     if args.client_procs > 1 and not args.connect:
         raise ConfigError("--client-procs needs --connect (a remote cluster)")
@@ -1156,14 +1163,9 @@ def cmd_tune_kernels(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.errors import KernelTableError
-    from repro.kernels import (
-        TUNE_DIMS,
-        TUNE_DIMS_QUICK,
-        KernelTable,
-        compare_tables,
-        run_wall,
-        tune_table,
-    )
+    from repro.kernels.search import TUNE_DIMS, TUNE_DIMS_QUICK, tune_table
+    from repro.kernels.table import KernelTable, compare_tables
+    from repro.kernels.wall import run_wall
 
     dims = TUNE_DIMS_QUICK if args.quick else TUNE_DIMS
     out = Path(args.out)
@@ -1202,6 +1204,8 @@ def cmd_tune_kernels(args: argparse.Namespace) -> int:
 
 
 def cmd_list_gpus(_args: argparse.Namespace) -> int:
+    from repro.gpu.specs import list_gpus
+
     for spec in list_gpus():
         print(
             f"{spec.name:<10} {spec.vendor:<7} {spec.num_sms:>3} SMs  "
@@ -1214,13 +1218,11 @@ def cmd_list_gpus(_args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     import json as _json
 
+    from repro.core.config import get_model
     from repro.core.memory import MemoryBudget
-    from repro.trainstep import (
-        TrainStepEstimator,
-        estimate_memory,
-        estimate_to_json,
-        render_estimate,
-    )
+    from repro.trainstep.memory import estimate_memory
+    from repro.trainstep.report import estimate_to_json, render_estimate
+    from repro.trainstep.step import TrainStepEstimator
 
     overrides = {}
     if args.tp is not None:

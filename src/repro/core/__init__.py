@@ -13,37 +13,3 @@
 - :mod:`repro.core.advisor` — the shape-improvement search that
   reproduces the paper's case studies (e.g. GPT-3 2.7B -> C2).
 """
-
-from repro.core.config import TransformerConfig, get_model, list_models, register_model
-from repro.core.formulas import (
-    param_count,
-    param_count_approx,
-    forward_flops_per_layer,
-    forward_flops_model,
-)
-from repro.core.gemms import TransformerGemm, layer_gemms, model_gemms, logit_gemm
-from repro.core.rules import Diagnostic, RuleEngine, Severity
-from repro.core.latency import LayerLatencyModel, LatencyBreakdown
-from repro.core.advisor import ShapeAdvisor, Proposal
-
-__all__ = [
-    "TransformerConfig",
-    "get_model",
-    "list_models",
-    "register_model",
-    "param_count",
-    "param_count_approx",
-    "forward_flops_per_layer",
-    "forward_flops_model",
-    "TransformerGemm",
-    "layer_gemms",
-    "model_gemms",
-    "logit_gemm",
-    "Diagnostic",
-    "RuleEngine",
-    "Severity",
-    "LayerLatencyModel",
-    "LatencyBreakdown",
-    "ShapeAdvisor",
-    "Proposal",
-]

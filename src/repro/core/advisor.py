@@ -5,7 +5,7 @@ nearby shape".  :func:`moves` builds every candidate move of a config
 and :func:`price_moves` prices the config and all its moves in one
 ``model_breakdowns`` grid.  Two consumers read that one priced list:
 :class:`ShapeAdvisor` ranks the moves as reshaping proposals, and
-:class:`~repro.core.whatif.WhatIfAnalyzer` keeps the best move per knob.
+:class:`~repro.analysis.whatif.WhatIfAnalyzer` keeps the best move per knob.
 
 The knobs and their neighbourhoods:
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.engine import default_engine, shape_array
+from repro.engine.core import default_engine
+from repro.engine.vectorized import shape_array
 from repro.errors import ExperimentError
 from repro.gpu.specs import GPUSpec, get_gpu
-from repro.harness.results import ResultTable
-from repro.observability import metrics as _metrics
-from repro.observability import span as _span
+from repro.observability.metrics import metrics as _metrics
+from repro.observability.tracing import span as _span
 from repro.transformer.trace import OpTrace
 from repro.types import DType, teraflops
 
@@ -98,16 +98,3 @@ class TraceProfiler:
     def total_latency_s(self, trace: OpTrace) -> float:
         """Sum of all modelled kernel times (serial execution)."""
         return sum(p.latency_s for p in self.profile(trace))
-
-    def as_table(self, trace: OpTrace, title: str = "Trace profile") -> ResultTable:
-        """The profile as a ResultTable (for printing/export)."""
-        profiles = self.profile(trace)
-        total = sum(p.latency_s for p in profiles) or 1.0
-        table = ResultTable(
-            title,
-            ["module", "calls", "latency_ms", "share", "tflops"],
-            notes=f"priced on {self.spec.name} ({self.dtype.name})",
-        )
-        for p in profiles:
-            table.add(p.module, p.calls, p.latency_s * 1e3, p.latency_s / total, p.tflops)
-        return table

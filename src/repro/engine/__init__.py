@@ -1,50 +1,27 @@
 """Vectorized + memoized shape-evaluation engine.
 
-Public surface:
-
-- :func:`evaluate_batch` / :func:`shape_array` / :class:`BatchResult` —
-  batched evaluation of ``(batch, m, n, k)`` shape arrays, bit-for-bit
-  equal to the scalar :class:`repro.gpu.gemm_model.GemmModel`.
-- :class:`ShapeGrid` / :class:`GridResult` — structure-of-arrays grids:
-  whole sweeps evaluated as one ufunc chain via
-  :meth:`ShapeEngine.evaluate_grid`, columnar from expansion to
+- :mod:`repro.engine.vectorized` — :func:`shape_array`,
+  ``evaluate_batch`` and ``BatchResult``: batched evaluation of
+  ``(batch, m, n, k)`` shape arrays, bit-for-bit equal to the scalar
+  :class:`repro.gpu.gemm_model.GemmModel`.
+- :mod:`repro.engine.grid` — ``ShapeGrid`` / ``GridResult``,
+  structure-of-arrays grids: whole sweeps evaluated as one ufunc chain
+  via :meth:`ShapeEngine.evaluate_grid`, columnar from expansion to
   materialization.
-- :class:`ShapeEngine` / :func:`default_engine` — the cached front door
-  (in-memory LRU + optional mmap-shared on-disk store).
-- :func:`verify_against_scalar` — the standing parity oracle.
+- :mod:`repro.engine.core` — :class:`ShapeEngine` /
+  :func:`default_engine`, the cached front door (in-memory LRU +
+  optional mmap-shared on-disk store).
 - :mod:`repro.engine.cache` — cache primitives and the global scalar
-  memo that :class:`GemmModel` consults.
+  memo that ``GemmModel`` consults.
 
-Import order below is cycle-sensitive: ``repro.gpu.gemm_model`` imports
-:mod:`repro.engine.cache`, so ``cache`` must be importable before the
-modules here that (lazily) reach back into ``repro.gpu``.
+This package re-exports only :class:`ShapeEngine`,
+:func:`default_engine`, :func:`reset_default_engine` and
+:func:`shape_array`; import anything else from its defining module.
+The parity check against ``GemmModel`` lives in
+:mod:`repro.harness.bench`.
 """
 
-from repro.engine import cache
-from repro.engine.vectorized import BatchResult, evaluate_batch, shape_array
-from repro.engine.grid import GridResult, ShapeGrid
-from repro.engine.core import (
-    DISK_CACHE_ENV,
-    ParityReport,
-    ShapeEngine,
-    default_engine,
-    random_shapes,
-    reset_default_engine,
-    verify_against_scalar,
-)
+from repro.engine.core import ShapeEngine, default_engine, reset_default_engine
+from repro.engine.vectorized import shape_array
 
-__all__ = [
-    "BatchResult",
-    "DISK_CACHE_ENV",
-    "GridResult",
-    "ParityReport",
-    "ShapeEngine",
-    "ShapeGrid",
-    "cache",
-    "default_engine",
-    "evaluate_batch",
-    "random_shapes",
-    "reset_default_engine",
-    "shape_array",
-    "verify_against_scalar",
-]
+__all__ = ["ShapeEngine", "default_engine", "reset_default_engine", "shape_array"]

@@ -22,8 +22,7 @@ Keys always embed :func:`model_version`, which folds in the calibration-
 mutable alignment constants (``repro.gpu.alignment._EFF_AT_MIN`` /
 ``_EFF_ODD``): bumping :data:`MODEL_VERSION` or re-fitting the
 efficiency floor invalidates every cached entry, so a stale model can
-never serve old numbers.  This module deliberately imports nothing from
-``repro.gpu`` at module scope (the GEMM model imports *us*).
+never serve old numbers.
 """
 
 from __future__ import annotations
@@ -41,8 +40,9 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import CacheError
-from repro.observability import event as _event
-from repro.observability import metrics as _metrics
+from repro.gpu import alignment
+from repro.observability.metrics import metrics as _metrics
+from repro.observability.tracing import event as _event
 from repro.resilience.faults import fault_site
 
 log = logging.getLogger("repro.engine.cache")
@@ -59,8 +59,6 @@ def model_version() -> str:
     (:mod:`repro.calibration.fit`) mutates them while searching — cached
     entries from one constant setting must not serve another.
     """
-    from repro.gpu import alignment  # deferred: gpu imports this module
-
     return f"{MODEL_VERSION}:{alignment._EFF_AT_MIN!r}:{alignment._EFF_ODD!r}"
 
 

@@ -15,10 +15,10 @@ calibration-mutable alignment constants (see
 :data:`~repro.engine.cache.MODEL_VERSION` or re-fitting constants
 invalidates every entry.
 
-:func:`verify_against_scalar` is the standing oracle check: it compares
-the engine against the scalar :class:`~repro.gpu.gemm_model.GemmModel`
-for exact equality over a randomized grid — CI runs it via
-``repro bench --quick``.
+The standing parity check against the scalar
+:class:`~repro.gpu.gemm_model.GemmModel` oracle is
+:func:`repro.harness.bench.verify_against_scalar`; :func:`random_shapes`
+builds its grids.
 """
 
 from __future__ import annotations
@@ -26,17 +26,12 @@ from __future__ import annotations
 import logging
 import os
 import threading
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.engine import cache as _cache
 from repro.engine.grid import GridResult, ShapeGrid, TileSweep
-from repro.errors import CacheError
-from repro.observability import metrics as _metrics
-from repro.observability import span as _span
-from repro.resilience.faults import fault_site
 from repro.engine.vectorized import (
     _BW_EFFICIENCY,
     BatchResult,
@@ -45,8 +40,12 @@ from repro.engine.vectorized import (
     evaluate_tile_sweep,
     shape_array,
 )
+from repro.errors import CacheError
 from repro.gpu.specs import get_gpu
 from repro.gpu.tiles import TileConfig
+from repro.observability.metrics import metrics as _metrics
+from repro.observability.tracing import span as _span
+from repro.resilience.faults import fault_site
 from repro.types import DType
 
 #: Environment variable naming a directory for the default engine's
@@ -373,28 +372,7 @@ def reset_default_engine() -> None:
         _DEFAULT_ENGINE = None
 
 
-# -- oracle verification ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParityReport:
-    """Outcome of a vectorized-vs-scalar verification sweep."""
-
-    points: int
-    mismatches: int
-    combos: Tuple[Tuple[str, str], ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.mismatches == 0
-
-    def describe(self) -> str:
-        status = "OK" if self.passed else "MISMATCH"
-        combos = ", ".join(f"{g}/{d}" for g, d in self.combos)
-        return (
-            f"parity {status}: {self.points} points, "
-            f"{self.mismatches} mismatches ({combos})"
-        )
+# -- parity grids ---------------------------------------------------------------
 
 
 def random_shapes(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -416,54 +394,3 @@ def random_shapes(rng: np.random.Generator, n: int) -> np.ndarray:
     nn = np.where(snap, np.maximum(step, (nn // step) * step), nn)
     k = np.where(snap, np.maximum(step, (k // step) * step), k)
     return shape_array(m, nn, k, b)
-
-
-def verify_against_scalar(
-    points: int = 200,
-    gpus: Sequence[str] = ("A100", "V100", "H100", "MI250X"),
-    dtypes: Sequence[str] = ("fp16", "fp32"),
-    seed: int = 0,
-    pinned_tile: bool = True,
-) -> ParityReport:
-    """Exact-equality check of the engine against the scalar model.
-
-    Compares latency, TFLOP/s, selected tile, and bound for ``points``
-    random shapes on every (gpu, dtype) combo; any bitwise difference
-    counts as a mismatch.
-    """
-    from repro.errors import GPUModelError
-    from repro.gpu.gemm_model import GemmModel  # deferred: import cycle
-    from repro.gpu.occupancy import blocks_per_sm
-    from repro.gpu.tiles import default_tile
-
-    rng = np.random.default_rng(seed)
-    mismatches = 0
-    total = 0
-    combos: List[Tuple[str, str]] = []
-    for gpu in gpus:
-        for dtype in dtypes:
-            combos.append((gpu, dtype))
-            shapes = random_shapes(rng, points)
-            configs = [(None, GemmModel(gpu, dtype))]
-            if pinned_tile:
-                tile = default_tile()
-                spec = get_gpu(gpu)
-                try:
-                    blocks_per_sm(spec, tile.m, tile.n, tile.k_stage, tile.threads, DType.parse(dtype))
-                except GPUModelError:
-                    pass  # tile infeasible here; both paths raise identically
-                else:
-                    configs.append((tile, GemmModel(gpu, dtype, tile=tile)))
-            for tile, scalar in configs:
-                batch = evaluate_batch(shapes, gpu, dtype, tile=tile)
-                for i, (bb, mm, nn, kk) in enumerate(shapes):
-                    perf = scalar.evaluate(int(mm), int(nn), int(kk), int(bb))
-                    total += 1
-                    if (
-                        perf.latency_s != float(batch.latency_s[i])
-                        or perf.tflops != float(batch.tflops[i])
-                        or perf.tile != batch.tile(i)
-                        or perf.bound != str(batch.bound[i])
-                    ):
-                        mismatches += 1
-    return ParityReport(points=total, mismatches=mismatches, combos=tuple(combos))

@@ -107,37 +107,6 @@ class BatchResult:
     def tile(self, i: int) -> TileConfig:
         return self.pool[int(self.tile_index[i])]
 
-    def perf(self, i: int):
-        """Reconstruct the scalar :class:`GemmPerf` for one row."""
-        from repro.gpu.gemm_model import GemmPerf  # deferred: import cycle
-        from repro.types import TimeEstimate
-
-        b, m, n, k = (int(v) for v in self.shapes[i])
-        return GemmPerf(
-            m=m,
-            n=n,
-            k=k,
-            batch=b,
-            dtype=self.dtype,
-            gpu=self.gpu,
-            tile=self.tile(i),
-            blocks=int(self.blocks[i]),
-            blocks_per_sm=int(self.blocks_per_sm[i]),
-            waves=int(self.waves[i]),
-            time=TimeEstimate(
-                total_s=float(self.latency_s[i]),
-                compute_s=float(self.compute_s[i]),
-                memory_s=float(self.memory_s[i]),
-                overhead_s=self.overhead_s,
-            ),
-            flops=int(self.flops[i]),
-            dram_bytes=float(self.dram_bytes[i]),
-            alignment_eff=float(self.alignment_eff[i]),
-            wave_eff=float(self.wave_eff[i]),
-            tile_waste=float(self.tile_waste[i]),
-            used_matrix_engine=bool(self.used_matrix_engine[i]),
-        )
-
     # -- (de)serialization for the disk cache ------------------------------
 
     _ARRAY_FIELDS = (

@@ -10,8 +10,14 @@ measured on (V100 / A100 / H100 / MI250X).  It contains:
 - :mod:`repro.gpu.occupancy` — blocks-per-SM occupancy limits,
 - :mod:`repro.gpu.roofline` — arithmetic intensity / bandwidth bounds,
 - :mod:`repro.gpu.l2cache` — L2 reuse model for GEMM operand traffic,
-- :mod:`repro.gpu.gemm_model` — analytic GEMM latency/throughput model,
-- :mod:`repro.gpu.bmm_model` — the batched-GEMM (BMM) shape type.
+- :mod:`repro.gpu.bmm_model` — the batched-GEMM (BMM) shape type,
+- :mod:`repro.gpu.gemm_model` — the scalar analytic GEMM latency/
+  throughput model.  It is the oracle the vectorized
+  :mod:`repro.engine` is checked against and uses the engine's scalar
+  memo, so it sits above the engine in the layer order (DESIGN.md,
+  "Layers"); the rest of this package sits below it.
+
+The package re-exports nothing: import from the defining module.
 
 Every microarchitectural effect the paper studies (Tensor Core
 eligibility, tile quantization, wave quantization, memory-boundedness of
@@ -20,41 +26,3 @@ architecture parameters, which is what makes a first-principles model a
 faithful substitute for wall-clock measurement at the level of *figure
 shape* (who wins, where the cliffs are).
 """
-
-from repro.gpu.specs import GPUSpec, get_gpu, list_gpus, register_gpu
-from repro.gpu.alignment import (
-    largest_pow2_divisor,
-    tensor_core_eligible,
-    dim_efficiency,
-    gemm_alignment_efficiency,
-)
-from repro.gpu.waves import (
-    num_tiles,
-    num_waves,
-    wave_efficiency,
-    tile_quantization_waste,
-    wave_quantization_free,
-)
-from repro.gpu.tiles import TileConfig, candidate_tiles, select_tile
-from repro.gpu.gemm_model import GemmModel, GemmPerf
-
-__all__ = [
-    "GPUSpec",
-    "get_gpu",
-    "list_gpus",
-    "register_gpu",
-    "largest_pow2_divisor",
-    "tensor_core_eligible",
-    "dim_efficiency",
-    "gemm_alignment_efficiency",
-    "num_tiles",
-    "num_waves",
-    "wave_efficiency",
-    "tile_quantization_waste",
-    "wave_quantization_free",
-    "TileConfig",
-    "candidate_tiles",
-    "select_tile",
-    "GemmModel",
-    "GemmPerf",
-]

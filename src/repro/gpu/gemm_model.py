@@ -30,13 +30,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.engine import cache as engine_cache
+from repro.engine.vectorized import BatchResult
 from repro.errors import GPUModelError, ShapeError
 from repro.gpu import waves as wv
-from repro.gpu.alignment import (
-    dim_efficiency,
-    gemm_alignment_efficiency,
-    tensor_core_eligible,
-)
+from repro.gpu.alignment import gemm_alignment_efficiency, tensor_core_eligible
 from repro.gpu.l2cache import effective_dram_bytes
 from repro.gpu.occupancy import blocks_per_sm
 from repro.gpu.roofline import gemm_flops
@@ -85,6 +82,35 @@ class GemmPerf:
     wave_eff: float
     tile_waste: float
     used_matrix_engine: bool
+
+    @classmethod
+    def from_batch(cls, result: BatchResult, i: int) -> "GemmPerf":
+        """The scalar report for row ``i`` of an engine batch result."""
+        b, m, n, k = (int(v) for v in result.shapes[i])
+        return cls(
+            m=m,
+            n=n,
+            k=k,
+            batch=b,
+            dtype=result.dtype,
+            gpu=result.gpu,
+            tile=result.tile(i),
+            blocks=int(result.blocks[i]),
+            blocks_per_sm=int(result.blocks_per_sm[i]),
+            waves=int(result.waves[i]),
+            time=TimeEstimate(
+                total_s=float(result.latency_s[i]),
+                compute_s=float(result.compute_s[i]),
+                memory_s=float(result.memory_s[i]),
+                overhead_s=result.overhead_s,
+            ),
+            flops=int(result.flops[i]),
+            dram_bytes=float(result.dram_bytes[i]),
+            alignment_eff=float(result.alignment_eff[i]),
+            wave_eff=float(result.wave_eff[i]),
+            tile_waste=float(result.tile_waste[i]),
+            used_matrix_engine=bool(result.used_matrix_engine[i]),
+        )
 
     @property
     def latency_s(self) -> float:

@@ -11,19 +11,3 @@
   table of the paper to a runnable experiment,
 - :mod:`repro.harness.runner` — programmatic/CLI entry point.
 """
-
-from repro.harness.results import ResultTable
-from repro.harness.experiment import Experiment
-from repro.harness.compare import CheckResult
-from repro.harness.figures import get_experiment, list_experiments
-from repro.harness.runner import run_experiment, run_all
-
-__all__ = [
-    "ResultTable",
-    "Experiment",
-    "CheckResult",
-    "get_experiment",
-    "list_experiments",
-    "run_experiment",
-    "run_all",
-]

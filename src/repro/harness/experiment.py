@@ -7,7 +7,7 @@ verifying the paper's qualitative claim about that artifact's shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from repro.errors import ExperimentError
@@ -29,7 +29,7 @@ class Experiment:
     check_fn: Optional[CheckFn] = None
     description: str = ""
     #: Model-preset names this experiment sweeps; the runner lints them
-    #: through :class:`repro.analysis.ShapeLinter` before running so
+    #: through :class:`repro.analysis.shape_rules.ShapeLinter` before running so
     #: known-inefficient shapes are flagged before a long sweep starts.
     lint_configs: Tuple[str, ...] = ()
 

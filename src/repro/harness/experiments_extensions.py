@@ -22,21 +22,26 @@ from __future__ import annotations
 from typing import cast
 
 from repro.core.config import TransformerConfig, get_model
-from repro.core.latency import LayerLatencyModel
 from repro.core.formulas import forward_flops_per_layer
 from repro.core.gemms import layer_gemms
-from repro.engine import default_engine, shape_array
+from repro.core.latency import LayerLatencyModel
+from repro.engine.core import default_engine
+from repro.engine.vectorized import shape_array
+from repro.gpu.alignment import gemm_alignment_efficiency
 from repro.gpu.specs import get_gpu
 from repro.gpu.tiles import default_tile
 from repro.harness import sweep
-from repro.harness.compare import (
-    CheckResult,
-    check_monotone_rise,
-    check_ratio,
-)
+from repro.harness.compare import CheckResult, check_monotone_rise, check_ratio
 from repro.harness.results import ResultTable
+from repro.inference.batching import BatchingAnalyzer
 from repro.inference.latency import InferenceModel
-from repro.trainstep import TrainStepEstimator
+from repro.inference.quantization import QuantizedInferenceModel
+from repro.parallelism.pipeline import bubble_fraction
+from repro.parallelism.schedule import simulate_pipeline
+from repro.parallelism.sequence_parallel import SequenceParallelLayer, SPLayerCost
+from repro.parallelism.tensor_parallel import TensorParallelLayer
+from repro.trainstep.step import TrainStepEstimator
+from repro.transformer.flash import FlashAttentionModel, sum_attended_pairs
 from repro.types import DType, teraflops
 
 _B, _S = 4, 2048
@@ -100,8 +105,6 @@ def run_ablation_dtype() -> ResultTable:
         "Ablation: alignment breakpoints by dtype (A100, k sweep)",
         ["dtype", "k", "pow2", "alignment_eff"],
     )
-    from repro.gpu.alignment import gemm_alignment_efficiency
-
     spec = get_gpu("A100")
     for dtype in (DType.FP16, DType.FP32, DType.INT8):
         for k in (8, 16, 32, 64, 128, 256):
@@ -335,8 +338,6 @@ def run_ext_batching() -> ResultTable:
     Batching amortizes the per-token weight stream; throughput climbs
     near-linearly until per-sequence KV traffic takes over.
     """
-    from repro.inference.batching import BatchingAnalyzer
-
     analyzer = BatchingAnalyzer("A100-80GB")
     cfg = get_model("pythia-2.8b", microbatch=1)
     table = ResultTable(
@@ -370,8 +371,6 @@ def run_ext_window() -> ResultTable:
     follow the attended-pair count), and the decode-time KV cache is
     bounded at the window.
     """
-    from repro.transformer.flash import FlashAttentionModel, sum_attended_pairs
-
     flash = FlashAttentionModel("A100-80GB")
     infer = InferenceModel("A100-80GB")
     cfg = get_model("mistral-7b", microbatch=1)
@@ -428,8 +427,6 @@ def run_ext_quant() -> ResultTable:
     nearly proportionally until the (fp16) KV cache and launch
     overheads dominate.
     """
-    from repro.inference.quantization import QuantizedInferenceModel
-
     model = QuantizedInferenceModel("A100")
     cfg = get_model("pythia-2.8b", microbatch=1)
     table = ResultTable(
@@ -466,9 +463,6 @@ def run_ext_pipeline_sim() -> ResultTable:
     actual schedule: uniform stages reproduce (p-1)/m exactly, and 1F1B
     caps in-flight activations at p - stage.
     """
-    from repro.parallelism.pipeline import bubble_fraction
-    from repro.parallelism.schedule import simulate_pipeline
-
     table = ResultTable(
         "Extension: pipeline schedule simulation",
         ["schedule", "stages", "microbatches", "bubble", "closed_form", "peak_acts_s0"],
@@ -538,9 +532,6 @@ def run_ext_seqpar() -> ResultTable:
     Per TP degree: layer latency with plain TP vs TP+SP, the pointwise
     time SP shards away, and the norm-region activation saving.
     """
-    from repro.parallelism.sequence_parallel import SequenceParallelLayer, SPLayerCost
-    from repro.parallelism.tensor_parallel import TensorParallelLayer
-
     tp = TensorParallelLayer("aws-p4d")
     sp = SequenceParallelLayer("aws-p4d")
     cfg = get_model("gpt3-6.7b")

@@ -10,9 +10,10 @@ regeneration.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable
 
-from repro.engine import default_engine, shape_array
+from repro.engine.core import default_engine
+from repro.engine.vectorized import shape_array
 from repro.gpu.bmm_model import BmmShape
 from repro.gpu.tiles import default_tile
 from repro.harness import sweep

@@ -18,7 +18,7 @@ from repro.core.config import get_model
 from repro.harness.compare import CheckResult
 from repro.harness.results import ResultTable
 from repro.parallelism.planner import ParallelPlanner, capacity_matrix
-from repro.trainstep import TrainStepEstimator
+from repro.trainstep.step import TrainStepEstimator
 
 #: Zoo for the phase-share sweep: ascending Pythia sizes + the GPT-3
 #: case study configs.

@@ -8,7 +8,7 @@ transformer.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -22,13 +22,16 @@ from repro.core.breakdown import (
 from repro.core.config import TransformerConfig, get_model
 from repro.core.gemms import layer_gemms, logit_gemm
 from repro.core.latency import LayerLatencyModel
-from repro.engine import ShapeGrid, default_engine, shape_array
+from repro.engine.core import default_engine
+from repro.engine.grid import ShapeGrid
+from repro.engine.vectorized import shape_array
 from repro.harness import sweep
 from repro.harness.compare import (
     CheckResult,
     check_monotone_rise,
     check_ratio,
     check_saturates,
+    check_series_ordered,
     check_winner,
 )
 from repro.harness.results import ResultTable
@@ -303,8 +306,6 @@ def check_fig15(table: ResultTable) -> CheckResult:
     # Smaller t -> larger per-GPU GEMM -> higher throughput ("t should
     # be as small as possible").
     keys = sorted(series, reverse=True)  # [8, 4, 2, 1]: ordered ascending
-    from repro.harness.compare import check_series_ordered
-
     return check_series_ordered(series, keys, min_fraction=0.75)
 
 

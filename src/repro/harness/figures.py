@@ -11,11 +11,14 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List
 
+from repro.engine.core import default_engine
+from repro.engine.grid import ShapeGrid
 from repro.errors import ExperimentError
 from repro.harness import experiments_cases as cases
 from repro.harness import experiments_kernels as kernels
 from repro.harness import experiments_transformer as tfm
-from repro.harness.compare import CheckResult
+from repro.harness import sweep
+from repro.harness.compare import CheckResult, check_series_ordered_blocks
 from repro.harness.experiment import Experiment
 from repro.harness.results import ResultTable
 
@@ -213,11 +216,7 @@ def _family_grid(kind: str):
     # instead of 13 per-head-count calls.  Memoized like the per-head
     # sweep grids — the concat of 13 frozen grids is itself frozen and
     # reused across warm runs.
-    from repro.engine import ShapeGrid
-    from repro.harness import sweep
-    from repro.harness.sweep import _frozen
-
-    return _frozen(
+    return sweep._frozen(
         ShapeGrid.concat(
             [
                 sweep.attention_grid(kind, heads)
@@ -229,8 +228,6 @@ def _family_grid(kind: str):
 
 def _family_run(kind: str):
     def run() -> ResultTable:
-        from repro.engine import default_engine
-
         table = ResultTable(
             f"Appendix family: attention {kind} BMM across head counts",
             ["heads", "hidden", "head_dim", "pow2", "tflops"],
@@ -245,8 +242,6 @@ def _family_run(kind: str):
 
 
 def _family_check(table: ResultTable) -> CheckResult:
-    from repro.harness.compare import check_series_ordered_blocks
-
     # One fused pass over the whole family: same semantics as running
     # check_pow2_ordering per head count, without rebuilding 13
     # sub-tables row by row.  table.column() reads the pending SoA

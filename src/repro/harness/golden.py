@@ -24,14 +24,12 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List
+from typing import Any, Dict, List
 
 from repro.engine.cache import model_version
 from repro.errors import ExperimentError
-
-if TYPE_CHECKING:
-    from repro.harness.results import ResultTable
-    from repro.harness.runner import ExperimentReport
+from repro.harness.results import ResultTable
+from repro.harness.runner import ExperimentReport, run_experiment
 
 #: The headline experiments the golden wall pins (fig1/fig2 throughput
 #: comparisons, fig5 tiling, fig7 alignment, fig12 attention sizing,
@@ -254,7 +252,5 @@ def check_experiment(
     exp_id: str, golden_dir: "str | Path" = DEFAULT_GOLDEN_DIR
 ) -> List[str]:
     """Run one experiment and diff it against its snapshot."""
-    from repro.harness.runner import run_experiment
-
     stored = load_snapshot(exp_id, golden_dir)
     return compare_snapshot(stored, run_experiment(exp_id))

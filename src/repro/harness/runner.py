@@ -28,19 +28,20 @@ import difflib
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-if TYPE_CHECKING:
-    from repro.analysis.diagnostics import LintReport
-    from repro.resilience.checkpoint import SweepJournal
-
+from repro.analysis.diagnostics import LintReport
+from repro.analysis.shape_rules import ShapeLinter
+from repro.core.config import get_model
+from repro.core.rules import Severity
 from repro.engine.core import default_engine
 from repro.errors import ExperimentError
 from repro.harness.compare import CheckResult
 from repro.harness.figures import get_experiment, list_experiments
 from repro.harness.results import ResultTable
-from repro.observability import metrics as _metrics
-from repro.observability import span as _span
+from repro.observability.metrics import metrics as _metrics
+from repro.observability.tracing import span as _span
+from repro.resilience.checkpoint import SweepJournal
 from repro.resilience.execute import RetryPolicy, TaskOutcome, execute_tasks
 from repro.resilience.faults import fault_site
 
@@ -84,8 +85,6 @@ class ExperimentReport:
     @property
     def lint_warnings(self) -> int:
         """Findings at WARNING or above in the preflight shape lint."""
-        from repro.core.rules import Severity
-
         if self.lint is None:
             return 0
         return len(self.lint.findings(Severity.WARNING))
@@ -135,9 +134,6 @@ def preflight_lint(exp, gpu: str = "A100") -> Optional["LintReport"]:
     """
     if not exp.lint_configs:
         return None
-    from repro.analysis import ShapeLinter
-    from repro.core.config import get_model
-
     configs = [get_model(name) for name in exp.lint_configs]
     return ShapeLinter(gpu).lint_grid(configs)
 
@@ -319,8 +315,6 @@ def sweep_journal(
     so resuming against a journal from a *different* sweep fails loudly
     instead of skipping the wrong work.
     """
-    from repro.resilience.checkpoint import SweepJournal
-
     sweep_id = "run_all:" + ",".join(sorted(ids))
     return SweepJournal(path, sweep_id=sweep_id, resume=resume)
 

@@ -9,8 +9,12 @@ around the GPT-2 tokenizer size.  These helpers build those grids.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
+import numpy as np
+
+from repro.engine.grid import ShapeGrid
+from repro.engine.vectorized import shape_array
 from repro.errors import ExperimentError
 
 
@@ -82,8 +86,6 @@ def bmm_shape_array(shapes: Sequence) -> "object":
     (which thinks in ``[batch, m, n, k]`` rows).  Row order follows the
     input order, so table rows stay aligned with engine outputs.
     """
-    from repro.engine import shape_array
-
     return shape_array(
         [s.m for s in shapes],
         [s.n for s in shapes],
@@ -102,8 +104,6 @@ def pow2_bucket(value: int, cap: int = 64) -> int:
 
 def pow2_buckets(values, cap: int = 64):
     """Vectorized :func:`pow2_bucket` over an int array."""
-    import numpy as np
-
     arr = np.asarray(values, dtype=np.int64)
     if arr.size and int(arr.min()) <= 0:
         raise ExperimentError("values must be positive")
@@ -136,10 +136,6 @@ def attention_grid(
 def _attention_grid_cached(
     kind: str, heads: int, b: int, s: int, max_hidden: "int | None", points: int
 ) -> "object":
-    import numpy as np
-
-    from repro.engine.grid import ShapeGrid
-
     if kind not in ("score", "aov"):
         raise ExperimentError(f"unknown attention kind {kind!r}")
     if max_hidden is None:
@@ -184,10 +180,6 @@ def head_dim_preserving_grid(
 def _head_dim_grid_cached(
     kind: str, head_dim: int, b: int, s: int, max_hidden: int, min_heads: int
 ) -> "object":
-    import numpy as np
-
-    from repro.engine.grid import ShapeGrid
-
     if kind not in ("score", "aov"):
         raise ExperimentError(f"unknown attention kind {kind!r}")
     if head_dim <= 0:

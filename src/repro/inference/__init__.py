@@ -6,21 +6,3 @@ stream of skinny, memory-bound GEMMs (weights + KV cache traffic) plus
 per-kernel launch overheads.  The Pythia suite's published shapes are
 evaluated through it to reproduce the off-trend 410M / 1B pair.
 """
-
-from repro.inference.latency import InferenceModel, DecodePerf, PrefillPerf
-from repro.inference.pythia import (
-    PYTHIA_SUITE,
-    pythia_configs,
-    trend_analysis,
-    TrendPoint,
-)
-
-__all__ = [
-    "InferenceModel",
-    "DecodePerf",
-    "PrefillPerf",
-    "PYTHIA_SUITE",
-    "pythia_configs",
-    "trend_analysis",
-    "TrendPoint",
-]

@@ -19,7 +19,8 @@ from repro.core.config import TransformerConfig
 from repro.core.formulas import kv_cache_bytes
 from repro.core.gemms import layer_gemms, logit_gemm
 from repro.core.latency import LayerLatencyModel
-from repro.engine import default_engine, shape_array
+from repro.engine.core import default_engine
+from repro.engine.vectorized import shape_array
 from repro.errors import ConfigError
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.types import DType

@@ -22,39 +22,3 @@ pieces:
   :class:`~repro.gpu.gemm_model.GemmModel` oracle's bit for bit, and
   tuned picks must agree with its exact-shape winner (top-1 floor).
 """
-
-from repro.kernels.registry import (
-    TABLES_ENV,
-    KernelParamResolver,
-    load_tables,
-)
-from repro.kernels.search import (
-    TUNE_BATCHES,
-    TUNE_DIMS,
-    TUNE_DIMS_QUICK,
-    tune_table,
-)
-from repro.kernels.table import (
-    SCHEMA_VERSION,
-    KernelEntry,
-    KernelTable,
-    compare_tables,
-)
-from repro.kernels.wall import WallReport, run_wall, validation_shapes
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "TABLES_ENV",
-    "TUNE_BATCHES",
-    "TUNE_DIMS",
-    "TUNE_DIMS_QUICK",
-    "KernelEntry",
-    "KernelParamResolver",
-    "KernelTable",
-    "WallReport",
-    "compare_tables",
-    "load_tables",
-    "run_wall",
-    "tune_table",
-    "validation_shapes",
-]

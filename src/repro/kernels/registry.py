@@ -30,8 +30,10 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.engine.cache import model_version
 from repro.engine.core import ShapeEngine
 from repro.errors import KernelTableError
+from repro.gpu.specs import get_gpu
 from repro.kernels.search import best_for_shape
 from repro.kernels.table import KernelEntry, KernelTable, bucket_of
+from repro.types import DType
 
 __all__ = ["TABLES_ENV", "KernelParamResolver", "load_tables"]
 
@@ -147,9 +149,6 @@ class KernelParamResolver:
         the runner-up tile with its latency margin, and the provenance
         needed to audit the answer (table checksum, model version).
         """
-        from repro.gpu.specs import get_gpu
-        from repro.types import DType
-
         spec = get_gpu(gpu)
         parsed = DType.parse(dtype)
         memo_key = (batch, m, n, k, spec.name, parsed.name)

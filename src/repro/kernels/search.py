@@ -31,14 +31,14 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engine.cache import model_version
 from repro.engine.core import ShapeEngine, default_engine
 from repro.engine.grid import ShapeGrid, TileSweep
-from repro.engine.cache import model_version
 from repro.errors import KernelTableError
 from repro.gpu.specs import get_gpu
 from repro.gpu.tiles import candidate_tiles
 from repro.kernels.table import SCHEMA_VERSION, KernelEntry, KernelTable
-from repro.observability import span as _span
+from repro.observability.tracing import span as _span
 from repro.types import DType
 
 __all__ = [

@@ -7,64 +7,28 @@ import cycle.
 
 Tracing is zero-cost when disabled: :func:`span` performs a single
 module-global read and returns a shared no-op singleton unless a
-:class:`TraceRecorder` has been installed (see :func:`recording`).
+:class:`TraceRecorder` has been installed (see
+:class:`~repro.observability.tracing.recording`).
+
+The package re-exports the tracing entry points only; metrics live in
+:mod:`repro.observability.metrics` and trace reports in
+:mod:`repro.observability.report`.
 """
 
-from repro.observability.metrics import (
-    DEFAULT_LATENCY_EDGES_S,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    metrics,
-    reset_metrics,
-)
-from repro.observability.report import (
-    NameStats,
-    TraceReport,
-    render_trace_report,
-    summarize,
-)
 from repro.observability.tracing import (
-    NULL_SPAN,
-    LoadedTrace,
-    NullSpan,
     Span,
     TraceRecorder,
     current_recorder,
-    event,
     install_recorder,
     load_trace,
-    recording,
     span,
-    tracing_enabled,
 )
 
 __all__ = [
-    # tracing
     "Span",
-    "NullSpan",
-    "NULL_SPAN",
     "TraceRecorder",
-    "span",
-    "event",
-    "recording",
-    "install_recorder",
     "current_recorder",
-    "tracing_enabled",
+    "install_recorder",
     "load_trace",
-    "LoadedTrace",
-    # metrics
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "metrics",
-    "reset_metrics",
-    "DEFAULT_LATENCY_EDGES_S",
-    # report
-    "NameStats",
-    "TraceReport",
-    "summarize",
-    "render_trace_report",
+    "span",
 ]

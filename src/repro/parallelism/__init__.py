@@ -16,28 +16,8 @@ machinery those results need:
 - :mod:`repro.parallelism.planner` — a (t, p, d) chooser over a cluster.
 """
 
-from repro.parallelism.comm import CommModel, ring_allreduce_s, ring_allgather_s
-from repro.parallelism.topology import NodeTopology, get_system, list_systems
-from repro.parallelism.tensor_parallel import TensorParallelLayer
+from repro.parallelism.planner import ParallelPlanner
 from repro.parallelism.sequence_parallel import SequenceParallelLayer
-from repro.parallelism.schedule import simulate_pipeline, ScheduleResult
-from repro.parallelism.pipeline import PipelinePlan, assign_stages, bubble_fraction
-from repro.parallelism.planner import ParallelPlanner, ParallelPlan
+from repro.parallelism.tensor_parallel import TensorParallelLayer
 
-__all__ = [
-    "CommModel",
-    "ring_allreduce_s",
-    "ring_allgather_s",
-    "NodeTopology",
-    "get_system",
-    "list_systems",
-    "TensorParallelLayer",
-    "SequenceParallelLayer",
-    "simulate_pipeline",
-    "ScheduleResult",
-    "PipelinePlan",
-    "assign_stages",
-    "bubble_fraction",
-    "ParallelPlanner",
-    "ParallelPlan",
-]
+__all__ = ["ParallelPlanner", "SequenceParallelLayer", "TensorParallelLayer"]

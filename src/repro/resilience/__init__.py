@@ -12,39 +12,3 @@ Three cooperating pieces (see DESIGN.md "Resilience & fault injection"):
   injected at named :func:`fault_site` hooks (``repro run
   --inject-faults plan.json``), so every failure path above is testable.
 """
-
-from repro.resilience.checkpoint import SweepJournal
-from repro.resilience.execute import (
-    ExecutionReport,
-    RetryPolicy,
-    TaskOutcome,
-    TaskStatus,
-    execute_tasks,
-    run_one,
-)
-from repro.resilience.faults import (
-    FaultPlan,
-    FaultSpec,
-    active_plan,
-    clear_plan,
-    fault_site,
-    injected,
-    install_plan,
-)
-
-__all__ = [
-    "ExecutionReport",
-    "FaultPlan",
-    "FaultSpec",
-    "RetryPolicy",
-    "SweepJournal",
-    "TaskOutcome",
-    "TaskStatus",
-    "active_plan",
-    "clear_plan",
-    "execute_tasks",
-    "fault_site",
-    "injected",
-    "install_plan",
-    "run_one",
-]

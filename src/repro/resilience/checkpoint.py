@@ -27,8 +27,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Set
 
 from repro.errors import CheckpointError
-from repro.observability import event as _event
-from repro.observability import metrics as _metrics
+from repro.observability.metrics import metrics as _metrics
+from repro.observability.tracing import event as _event
 
 _HEADER_KIND = "header"
 _UNIT_KIND = "unit"

@@ -47,8 +47,8 @@ from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError, TaskTimeoutError
-from repro.observability import metrics as _metrics
-from repro.observability import span as _span
+from repro.observability.metrics import metrics as _metrics
+from repro.observability.tracing import span as _span
 
 log = logging.getLogger("repro.resilience")
 

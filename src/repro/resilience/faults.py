@@ -43,10 +43,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro import errors
+import repro.errors as errors
 from repro.errors import ConfigError
-from repro.observability import event as _event
-from repro.observability import metrics as _metrics
+from repro.observability.metrics import metrics as _metrics
+from repro.observability.tracing import event as _event
 
 #: Site names instrumented in this codebase (kept in one place so tests
 #: and plan authors don't guess; :func:`fault_site` accepts any name).

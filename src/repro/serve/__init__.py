@@ -26,59 +26,8 @@ the one :class:`~repro.serve.dispatch.Transport` protocol, so the
 client facade and the differential load wall are shared verbatim.
 """
 
-from repro.serve.batcher import EngineCall, PendingRequest, RequestQueue, plan_batch
 from repro.serve.client import AdvisoryClient
-from repro.serve.cluster import ClusterServer
 from repro.serve.config import ServeConfig
-from repro.serve.dispatch import (
-    RETRYABLE_ERRORS,
-    Transport,
-    error_to_advisory,
-    is_retryable,
-    unwrap_advisory,
-)
-from repro.serve.loadgen import (
-    LoadReport,
-    generate_queries,
-    render_load,
-    run_load,
-    run_load_processes,
-    verify_against_engine,
-    write_load,
-)
-from repro.serve.netclient import SocketTransport
-from repro.serve.protocol import QUERY_KINDS, SHAPE_KINDS, Advisory, ShapeQuery
-from repro.serve.server import AdvisoryServer, ServerStats, shard_for
-from repro.serve.supervisor import Supervisor, WorkerHandle
+from repro.serve.server import AdvisoryServer
 
-__all__ = [
-    "QUERY_KINDS",
-    "RETRYABLE_ERRORS",
-    "SHAPE_KINDS",
-    "Advisory",
-    "AdvisoryClient",
-    "AdvisoryServer",
-    "ClusterServer",
-    "EngineCall",
-    "LoadReport",
-    "PendingRequest",
-    "RequestQueue",
-    "ServeConfig",
-    "ServerStats",
-    "ShapeQuery",
-    "SocketTransport",
-    "Supervisor",
-    "Transport",
-    "WorkerHandle",
-    "error_to_advisory",
-    "generate_queries",
-    "is_retryable",
-    "plan_batch",
-    "render_load",
-    "run_load",
-    "run_load_processes",
-    "shard_for",
-    "unwrap_advisory",
-    "verify_against_engine",
-    "write_load",
-]
+__all__ = ["AdvisoryClient", "AdvisoryServer", "ServeConfig"]

@@ -34,8 +34,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Set
 
 from repro.errors import ClusterError, ConfigError, ReproError
-from repro.observability import event as _event
-from repro.observability import metrics as _metrics
+from repro.observability.metrics import metrics as _metrics
+from repro.observability.tracing import event as _event
 from repro.resilience import faults
 from repro.serve import wire
 from repro.serve.config import ServeConfig

@@ -46,9 +46,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engine.core import ShapeEngine
 from repro.errors import ClusterError, ConfigError, ReproError
+from repro.kernels.registry import KernelParamResolver
 from repro.serve.dispatch import Transport, error_to_advisory
+from repro.serve.netclient import SocketTransport
 from repro.serve.protocol import Advisory, ShapeQuery
+from repro.serve.supervisor import _worker_env
 
 __all__ = [
     "LoadReport",
@@ -232,8 +236,6 @@ def verify_against_engine(
     same environment and compared payload-for-payload.  Returns
     ``(rows_checked, mismatches)``.
     """
-    from repro.engine.core import ShapeEngine
-
     distinct: Dict[Tuple[Any, ...], Tuple[ShapeQuery, Advisory]] = {}
     kernel_pairs: Dict[Tuple[Any, ...], Tuple[ShapeQuery, Advisory]] = {}
     for query, advisory in pairs:
@@ -274,8 +276,6 @@ def verify_against_engine(
                 mismatches += 1
 
     if kernel_pairs:
-        from repro.kernels.registry import KernelParamResolver
-
         resolver = KernelParamResolver.from_env(engine=engine)
         for query, advisory in kernel_pairs.values():
             checked += 1
@@ -451,8 +451,6 @@ def run_load_processes(
     if procs < 1:
         raise ConfigError(f"procs must be >= 1, got {procs}")
     _parse_address(address)  # fail fast before spawning anything
-    from repro.serve.supervisor import _worker_env
-
     common = [
         sys.executable, "-m", "repro.serve.loadgen",
         "--connect", address,
@@ -527,8 +525,6 @@ def run_load_processes(
     merged.p99_s = _percentile(merged.latencies, 0.99)
     merged.max_s = merged.latencies[-1] if merged.latencies else 0.0
 
-    from repro.serve.netclient import SocketTransport
-
     host, port = _parse_address(address)
     try:
         with SocketTransport(host=host, port=port) as probe:
@@ -576,8 +572,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         kernel_share=args.kernel_share,
     )
     mine = stream[args.proc_index::args.procs]
-
-    from repro.serve.netclient import SocketTransport
 
     with SocketTransport(host=host, port=port) as transport:
         report = run_load(

@@ -28,7 +28,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ClusterError, ConfigError, DeadlineExceededError
-from repro.observability import metrics as _metrics
+from repro.observability.metrics import metrics as _metrics
 from repro.resilience.execute import RetryPolicy
 from repro.serve import wire
 from repro.serve.protocol import Advisory, ShapeQuery

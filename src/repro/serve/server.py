@@ -48,8 +48,11 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.engine.core import ShapeEngine, default_engine
+from repro.analysis.config_io import config_from_dict
+from repro.analysis.shape_rules import ShapeLinter
+from repro.core.config import get_model
 from repro.engine import cache as _engine_cache
+from repro.engine.core import ShapeEngine, default_engine
 from repro.errors import (
     DeadlineExceededError,
     QueueFullError,
@@ -57,9 +60,11 @@ from repro.errors import (
     ServeError,
     ServerClosedError,
 )
-from repro.observability import event as _event
-from repro.observability import metrics as _metrics
-from repro.observability import span as _span
+from repro.gpu.specs import get_gpu
+from repro.kernels.registry import KernelParamResolver
+from repro.observability.metrics import metrics as _metrics
+from repro.observability.tracing import event as _event
+from repro.observability.tracing import span as _span
 from repro.resilience.execute import RetryPolicy, run_one
 from repro.serve.batcher import PendingRequest, RequestQueue, plan_batch
 from repro.serve.config import ServeConfig
@@ -354,8 +359,6 @@ class AdvisoryServer:
 
     def shard_of(self, query: ShapeQuery) -> int:
         """The worker shard a query routes to (canonical GPU spec)."""
-        from repro.gpu.specs import get_gpu
-
         return shard_for(get_gpu(query.gpu).name, self.config.workers)
 
     def stats(self) -> ServerStats:
@@ -550,10 +553,6 @@ class AdvisoryServer:
     def _run_lint(
         self, shard: int, item: PendingRequest, batch_size: int
     ) -> None:
-        from repro.analysis import ShapeLinter
-        from repro.analysis.config_io import config_from_dict
-        from repro.core.config import get_model
-
         query = item.query
         with _span("serve.lint", shard=shard, gpu=query.gpu):
             try:
@@ -606,8 +605,6 @@ class AdvisoryServer:
         on every call after a failed build, so a bad table directory
         yields typed failed advisories instead of a worker crash loop.
         """
-        from repro.kernels.registry import KernelParamResolver
-
         with self._kernel_lock:
             if self._kernel_error is not None:
                 raise self._kernel_error

@@ -53,9 +53,10 @@ from repro.errors import (
     ServerClosedError,
     WorkerDiedError,
 )
-from repro.observability import event as _event
-from repro.observability import metrics as _metrics
-from repro.observability import span as _span
+from repro.gpu.specs import get_gpu
+from repro.observability.metrics import metrics as _metrics
+from repro.observability.tracing import event as _event
+from repro.observability.tracing import span as _span
 from repro.resilience.execute import RetryPolicy
 from repro.serve import wire
 from repro.serve.config import ServeConfig
@@ -78,9 +79,9 @@ def _worker_env() -> Dict[str, str]:
     Inheriting the rest keeps ``REPRO_ENGINE_CACHE_DIR`` — the PR-6
     mmap warm cache — shared by every worker in the cluster.
     """
-    import repro
-
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    pkg_root = os.path.dirname(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    )
     env = dict(os.environ)
     existing = env.get("PYTHONPATH", "")
     if pkg_root not in existing.split(os.pathsep):
@@ -613,8 +614,6 @@ class Supervisor:
     def _candidates(self, query: ShapeQuery) -> List[WorkerHandle]:
         """Live workers in routing order: home shard first, then siblings."""
         try:
-            from repro.gpu.specs import get_gpu
-
             home = shard_for(get_gpu(query.gpu).name, self.config.workers)
         except ReproError:
             home = 0  # unknown GPU: any worker returns the same failure

@@ -18,48 +18,7 @@ Public surface:
   vs the scalar model.
 """
 
-from repro.trainstep.memory import (
-    CHECKPOINTING_POLICIES,
-    PHASES,
-    ModuleMemory,
-    PhaseMemory,
-    TrainStepMemory,
-    boundary_bytes_per_layer,
-    embedding_elements,
-    estimate_memory,
-    module_activation_bytes,
-    module_param_elements,
-)
-from repro.trainstep.report import estimate_to_json, render_estimate
-from repro.trainstep.step import (
-    ModuleCost,
-    PhaseCost,
-    TrainStepEstimate,
-    TrainStepEstimator,
-    training_grid,
-)
-from repro.trainstep.wall import WALL_MODELS, WallCase, WallReport, run_wall
+from repro.trainstep.memory import estimate_memory
+from repro.trainstep.step import TrainStepEstimator
 
-__all__ = [
-    "CHECKPOINTING_POLICIES",
-    "PHASES",
-    "ModuleCost",
-    "ModuleMemory",
-    "PhaseCost",
-    "PhaseMemory",
-    "TrainStepEstimate",
-    "TrainStepEstimator",
-    "TrainStepMemory",
-    "WALL_MODELS",
-    "WallCase",
-    "WallReport",
-    "boundary_bytes_per_layer",
-    "embedding_elements",
-    "estimate_memory",
-    "estimate_to_json",
-    "module_activation_bytes",
-    "module_param_elements",
-    "render_estimate",
-    "run_wall",
-    "training_grid",
-]
+__all__ = ["TrainStepEstimator", "estimate_memory"]

@@ -37,7 +37,7 @@ from repro.engine.core import ShapeEngine, default_engine
 from repro.engine.grid import ShapeGrid
 from repro.errors import ConfigError
 from repro.gpu.specs import GPUSpec, get_gpu
-from repro.observability import span as _span
+from repro.observability.tracing import span as _span
 from repro.trainstep.memory import TrainStepMemory, estimate_memory
 from repro.transformer.trace import ADAM_FLOPS_PER_PARAM
 from repro.types import DType, teraflops

@@ -12,22 +12,3 @@ shapes equal the paper's Table II mapping as implemented analytically in
 :mod:`repro.core.gemms`.  Parameter-count and FLOP formulas are likewise
 validated against the actual weight arrays and traced operations.
 """
-
-from repro.transformer.trace import OpTrace, MatmulRecord
-from repro.transformer.attention import MultiHeadAttention
-from repro.transformer.mlp import MLP, SwiGLUMLP
-from repro.transformer.block import TransformerBlock
-from repro.transformer.model import DecoderModel
-from repro.transformer.flash import flash_attention, FlashAttentionModel
-
-__all__ = [
-    "OpTrace",
-    "MatmulRecord",
-    "MultiHeadAttention",
-    "MLP",
-    "SwiGLUMLP",
-    "TransformerBlock",
-    "DecoderModel",
-    "flash_attention",
-    "FlashAttentionModel",
-]

@@ -2,7 +2,13 @@
 
 import json
 
-from repro.analysis import FixIt, LintDiagnostic, LintReport, Location, Severity
+from repro.analysis.diagnostics import (
+    FixIt,
+    LintDiagnostic,
+    LintReport,
+    Location,
+    Severity,
+)
 
 
 def diag(rule="shape/x", sev=Severity.WARNING, fixit=None):

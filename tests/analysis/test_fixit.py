@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.fixit import (
     best_candidate,
     modeled_latency,
     nearest_multiple,

@@ -12,10 +12,10 @@ import textwrap
 
 import pytest
 
-from repro.analysis.flow import (
+from repro.analysis.flow.cfg import build_cfg
+from repro.analysis.flow.fixpoint import (
     DataflowAnalysis,
     FixpointLimitError,
-    build_cfg,
     run_fixpoint,
 )
 

@@ -10,12 +10,10 @@ import ast
 from pathlib import Path
 
 import repro
-from repro.analysis.flow import FlowLinter, build_cfg, run_fixpoint
-from repro.analysis.flow.concurrency import (
-    RULE_BLOCKING_ASYNC,
-    RULE_UNGUARDED_WRITE,
-)
-from repro.analysis.flow.fixpoint import DataflowAnalysis
+from repro.analysis.flow import FlowLinter
+from repro.analysis.flow.cfg import build_cfg
+from repro.analysis.flow.concurrency import RULE_BLOCKING_ASYNC, RULE_UNGUARDED_WRITE
+from repro.analysis.flow.fixpoint import DataflowAnalysis, run_fixpoint
 from repro.analysis.flow.unit_rules import RULE_UNIT_MISMATCH
 
 SRC_ROOT = Path(repro.__file__).parent

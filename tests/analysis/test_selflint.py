@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import SelfLinter, Severity
+from repro.analysis.diagnostics import Severity
+from repro.analysis.selflint import SelfLinter
 from repro.errors import ConfigError
 
 FIXTURES = Path(__file__).parent / "fixtures"

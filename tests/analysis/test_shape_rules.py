@@ -8,10 +8,12 @@ matching the paper's values (a=40, v padded to a 64-multiple).
 
 import pytest
 
-from repro.analysis import Severity, ShapeLinter
+from repro.analysis.diagnostics import Severity
+from repro.analysis.shape_rules import ShapeLinter
 from repro.core.config import get_model
 from repro.core.gemms import layer_gemms
-from repro.engine import default_engine, shape_array
+from repro.engine.core import default_engine
+from repro.engine.vectorized import shape_array
 
 
 @pytest.fixture(scope="module")

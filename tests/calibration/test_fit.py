@@ -136,7 +136,7 @@ class TestRunCalibration:
     def test_injected_fault_surfaces_from_fit(self, tmp_path):
         from repro.calibration.fit import run_calibration
         from repro.errors import FaultInjectionError
-        from repro.resilience import FaultPlan, FaultSpec, injected
+        from repro.resilience.faults import FaultPlan, FaultSpec, injected
 
         plan = FaultPlan([
             FaultSpec(site="calibration.fit", match="bw_efficiency"),

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.analysis.whatif import WhatIfAnalyzer
 from repro.core.advisor import ShapeAdvisor, head_counts_near, moves, padded_vocab
 from repro.core.config import get_model
 from repro.core.gemms import layer_gemms
-from repro.core.whatif import WhatIfAnalyzer
 from repro.errors import ConfigError
 
 

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import repro.core.latency as latency_module
+from repro.analysis.whatif import Sensitivity, WhatIfAnalyzer
 from repro.core.advisor import ShapeAdvisor, moves
 from repro.core.config import TransformerConfig, list_models
 from repro.core.gemms import (
@@ -35,7 +36,6 @@ from repro.core.gemms import (
 from repro.core.latency import LatencyBreakdown, LayerLatencyModel
 from repro.core.memory import MemoryBudget
 from repro.core.profile import ProfiledModule, TraceProfiler
-from repro.core.whatif import Sensitivity, WhatIfAnalyzer
 from repro.gpu.gemm_model import GemmModel
 from repro.trainstep.memory import estimate_memory
 from repro.transformer.backward import loss_and_gradients

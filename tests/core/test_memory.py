@@ -4,13 +4,9 @@
 import pytest
 
 from repro.core.config import get_model
-from repro.core.memory import (
-    MemoryBudget,
-    activation_bytes_per_layer,
-    inference_bytes,
-)
+from repro.core.memory import MemoryBudget, activation_bytes_per_layer, inference_bytes
 from repro.errors import ConfigError
-from repro.trainstep import estimate_memory
+from repro.trainstep.memory import estimate_memory
 
 
 @pytest.fixture(scope="module")

@@ -16,10 +16,10 @@ from functools import lru_cache
 
 import pytest
 
+from repro.analysis.whatif import WhatIfAnalyzer
 from repro.core.advisor import ShapeAdvisor
 from repro.core.config import list_models
 from repro.core.gemms import tp_problem
-from repro.core.whatif import WhatIfAnalyzer
 
 GPUS = ("A100", "H100", "V100", "MI250X")
 TP = (1, 2, 4, 8)

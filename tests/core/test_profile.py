@@ -55,11 +55,6 @@ class TestProfile:
         with pytest.raises(ExperimentError):
             TraceProfiler("A100").profile(OpTrace())
 
-    def test_table_shares_sum_to_one(self, traced_forward):
-        _, trace = traced_forward
-        table = TraceProfiler("A100").as_table(trace)
-        assert sum(table.column("share")) == pytest.approx(1.0)
-
     def test_faster_gpu_profiles_faster(self, traced_forward):
         _, trace = traced_forward
         a100 = TraceProfiler("A100").total_latency_s(trace)

@@ -7,7 +7,8 @@ from repro.core.config import get_model
 from repro.core.latency import POINTWISE_BW_EFFICIENCY
 from repro.core.training import ADAM_STATE_BYTES_PER_PARAM, ADAM_TRAFFIC_BYTES_PER_PARAM
 from repro.errors import ConfigError
-from repro.trainstep import TrainStepEstimator, estimate_memory
+from repro.trainstep.memory import estimate_memory
+from repro.trainstep.step import TrainStepEstimator
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.analysis.whatif import WhatIfAnalyzer
 from repro.core.config import get_model
 from repro.core.memory import MemoryBudget
-from repro.core.whatif import WhatIfAnalyzer
 
 
 @pytest.fixture(scope="module")

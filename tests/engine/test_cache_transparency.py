@@ -26,9 +26,9 @@ from repro.engine.core import (
     default_engine,
     random_shapes,
     reset_default_engine,
-    verify_against_scalar,
 )
 from repro.gpu.gemm_model import GemmModel
+from repro.harness.bench import verify_against_scalar
 from repro.harness.runner import run_experiment
 from repro.resilience.faults import FaultPlan, FaultSpec, injected
 

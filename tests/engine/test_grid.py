@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import ShapeGrid, default_engine, evaluate_batch
-from repro.engine.core import ShapeEngine
-from repro.engine.grid import GridResult
+from repro.engine.core import ShapeEngine, default_engine
+from repro.engine.grid import GridResult, ShapeGrid
+from repro.engine.vectorized import evaluate_batch
 from repro.gpu.gemm_model import GemmModel
 
 

@@ -17,7 +17,7 @@ from repro.engine.vectorized import BatchResult, evaluate_batch
 from repro.errors import GPUModelError
 from repro.gpu.specs import get_gpu, list_gpus
 from repro.gpu.tiles import candidate_tiles
-from repro.observability import metrics
+from repro.observability.metrics import metrics
 from repro.types import DType
 
 _COMBOS = [

@@ -5,16 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    evaluate_batch,
-    random_shapes,
-    shape_array,
-    verify_against_scalar,
-)
-from repro.engine.vectorized import BatchResult
+from repro.engine.core import random_shapes
+from repro.engine.vectorized import BatchResult, evaluate_batch, shape_array
 from repro.errors import GPUModelError, ShapeError
-from repro.gpu.gemm_model import GemmModel
+from repro.gpu.gemm_model import GemmModel, GemmPerf
 from repro.gpu.tiles import candidate_tiles, default_tile
+from repro.harness.bench import verify_against_scalar
 from repro.types import DType
 
 
@@ -78,7 +74,7 @@ class TestScalarParity:
         model = GemmModel("A100", "fp16")
         for i, (b, m, n, k) in enumerate(shapes):
             perf = model.evaluate(int(m), int(n), int(k), int(b))
-            got = batch.perf(i)
+            got = GemmPerf.from_batch(batch, i)
             assert got == perf, f"row {i}: {got} != {perf}"
 
     def test_pinned_tile_parity(self):

@@ -8,9 +8,11 @@ import pytest
 
 from repro.core.config import TransformerConfig
 from repro.core.gemms import layer_gemms
-from repro.engine import default_engine, shape_array
+from repro.engine.core import default_engine
+from repro.engine.vectorized import shape_array
 from repro.errors import ConfigError, ParallelismError, ShapeError
 from repro.gpu.bmm_model import BmmShape
+from repro.gpu.gemm_model import GemmPerf
 from repro.types import DType
 
 
@@ -85,7 +87,8 @@ class TestEvaluation:
         perfs = _evaluate(
             _attention(4, 2048, 2560, 40)[0], _attention(4, 2048, 2560, 32)[0]
         )
-        aligned, misaligned = perfs.perf(0), perfs.perf(1)
+        aligned = GemmPerf.from_batch(perfs, 0)
+        misaligned = GemmPerf.from_batch(perfs, 1)
         # Same total flops (2*b*s^2*h), so latency comparison is fair.
         assert aligned.flops == misaligned.flops
         assert aligned.latency_s < misaligned.latency_s

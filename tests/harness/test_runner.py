@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import Severity
+from repro.analysis.diagnostics import Severity
 from repro.errors import ExperimentError
 from repro.harness.runner import run_all, run_experiment, summary
 

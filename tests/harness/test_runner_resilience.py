@@ -17,13 +17,8 @@ from repro.harness.runner import (
     sweep_journal,
     validate_ids,
 )
-from repro.resilience import (
-    FaultPlan,
-    FaultSpec,
-    RetryPolicy,
-    clear_plan,
-    injected,
-)
+from repro.resilience.execute import RetryPolicy
+from repro.resilience.faults import FaultPlan, FaultSpec, clear_plan, injected
 
 IDS = ["fig14", "fig5", "table2", "fig20"]
 

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import TransformerConfig, get_model
 from repro.core.memory import MemoryBudget, inference_bytes
 from repro.inference.latency import InferenceModel
-from repro.trainstep import TrainStepEstimator, estimate_memory
+from repro.trainstep.memory import estimate_memory
+from repro.trainstep.step import TrainStepEstimator
 
 small_configs = st.builds(
     lambda dim_mult, a, L, kv_div: TransformerConfig(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.core import ShapeEngine
-from repro.kernels import TUNE_DIMS_QUICK, tune_table
+from repro.kernels.search import TUNE_DIMS_QUICK, tune_table
 
 
 @pytest.fixture(scope="session")

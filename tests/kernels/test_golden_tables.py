@@ -15,12 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.kernels import (
-    TUNE_DIMS_QUICK,
-    KernelTable,
-    compare_tables,
-    tune_table,
-)
+from repro.kernels.search import TUNE_DIMS_QUICK, tune_table
+from repro.kernels.table import KernelTable, compare_tables
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden" / "kernels"
 

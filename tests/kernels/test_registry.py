@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine.cache import model_version
 from repro.errors import KernelTableError
-from repro.kernels import TABLES_ENV, KernelParamResolver, load_tables
+from repro.kernels.registry import TABLES_ENV, KernelParamResolver, load_tables
 from repro.kernels.search import best_for_shape
 
 

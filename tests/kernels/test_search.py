@@ -22,8 +22,7 @@ from repro.engine.grid import ShapeGrid
 from repro.errors import KernelTableError
 from repro.gpu.specs import get_gpu
 from repro.gpu.tiles import candidate_tiles, select_tile
-from repro.kernels import tune_table
-from repro.kernels.search import best_for_shape, tune_grid
+from repro.kernels.search import best_for_shape, tune_grid, tune_table
 from repro.types import DType
 
 # One engine for every example: resolution is stateless, and the

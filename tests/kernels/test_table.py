@@ -8,8 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KernelTableError
-from repro.kernels import KernelEntry, KernelTable, compare_tables
-from repro.kernels.table import SCHEMA_VERSION, bucket_of
+from repro.kernels.table import (
+    SCHEMA_VERSION,
+    KernelEntry,
+    KernelTable,
+    bucket_of,
+    compare_tables,
+)
 
 
 def _entry(batch=1, m=256, n=256, k=256, tile="128x256", **kw):

@@ -5,8 +5,13 @@ import pytest
 
 from repro.engine.core import ShapeEngine
 from repro.errors import KernelTableError
-from repro.kernels import WallReport, run_wall, validation_shapes
-from repro.kernels.wall import NEAR_TOP1_REL, ShapeVerdict
+from repro.kernels.wall import (
+    NEAR_TOP1_REL,
+    ShapeVerdict,
+    WallReport,
+    run_wall,
+    validation_shapes,
+)
 
 
 def _verdict(mismatches=0, gap=0.0, pick="128x256", oracle=None, hit=True):

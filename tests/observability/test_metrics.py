@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from repro.observability import (
+from repro.observability.metrics import (
     DEFAULT_LATENCY_EDGES_S,
     Histogram,
     MetricsRegistry,

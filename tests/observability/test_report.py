@@ -4,13 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.observability import (
-    TraceReport,
-    recording,
-    render_trace_report,
-    summarize,
-)
-from repro.observability.tracing import Span
+from repro.observability.report import TraceReport, render_trace_report, summarize
+from repro.observability.tracing import Span, recording
 
 
 def _span(name, start=0.0, dur=0.001, status="ok", pid=1, thread="main", **attrs):
@@ -110,7 +105,7 @@ def test_multiprocess_multithread_counts():
 
 
 def test_render_trace_report_reads_a_streamed_file(tmp_path):
-    from repro.observability import span
+    from repro.observability.tracing import span
 
     path = tmp_path / "trace.jsonl"
     with recording(str(path)):

@@ -7,18 +7,19 @@ import threading
 
 import pytest
 
-from repro.observability import (
+from repro.observability.tracing import (
     NULL_SPAN,
     TraceRecorder,
+    children_of,
     current_recorder,
     event,
     install_recorder,
     load_trace,
     recording,
+    roots,
     span,
     tracing_enabled,
 )
-from repro.observability.tracing import children_of, roots
 
 
 @pytest.fixture(autouse=True)

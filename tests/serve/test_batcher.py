@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.errors import QueueFullError
-from repro.serve import PendingRequest, RequestQueue, ShapeQuery, plan_batch
+from repro.serve.batcher import PendingRequest, RequestQueue, plan_batch
+from repro.serve.protocol import ShapeQuery
 
 
 def _pending(query: ShapeQuery) -> PendingRequest:

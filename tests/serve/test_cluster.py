@@ -13,20 +13,20 @@ import time
 import pytest
 
 from repro.errors import ServeError
-from repro.resilience import FaultPlan, FaultSpec, clear_plan, install_plan
 from repro.resilience.execute import RetryPolicy
-from repro.serve import (
-    AdvisoryClient,
-    AdvisoryServer,
-    ClusterServer,
-    ServeConfig,
-    ShapeQuery,
-    SocketTransport,
+from repro.resilience.faults import FaultPlan, FaultSpec, clear_plan, install_plan
+from repro.serve.client import AdvisoryClient
+from repro.serve.cluster import ClusterServer
+from repro.serve.config import ServeConfig
+from repro.serve.loadgen import (
     generate_queries,
     run_load,
     run_load_processes,
     verify_against_engine,
 )
+from repro.serve.netclient import SocketTransport
+from repro.serve.protocol import ShapeQuery
+from repro.serve.server import AdvisoryServer
 
 #: Worker boot is interpreter start + imports; generous for loaded CI.
 _BOOT_S = 60.0

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.serve import ServeConfig
+from repro.serve.config import ServeConfig
 
 _POS_INT = st.integers(min_value=1, max_value=10_000)
 _NONNEG_S = st.floats(min_value=0.0, max_value=120.0, allow_nan=False)

@@ -15,18 +15,18 @@ from repro.errors import (
     TaskTimeoutError,
     WorkerDiedError,
 )
-from repro.serve import (
-    AdvisoryServer,
-    Advisory,
-    ServeConfig,
-    ShapeQuery,
+from repro.serve import wire
+from repro.serve.config import ServeConfig
+from repro.serve.dispatch import (
+    RETRYABLE_ERRORS,
+    TYPED_ERRORS,
     Transport,
     error_to_advisory,
     is_retryable,
     unwrap_advisory,
 )
-from repro.serve import wire
-from repro.serve.dispatch import RETRYABLE_ERRORS, TYPED_ERRORS
+from repro.serve.protocol import Advisory, ShapeQuery
+from repro.serve.server import AdvisoryServer
 
 
 def _query(**kw):

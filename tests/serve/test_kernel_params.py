@@ -11,16 +11,15 @@ payload dict, hit or miss.  Errors stay typed across the same paths.
 import pytest
 
 from repro.errors import KernelTableError, ServeError, ShapeError
-from repro.kernels import TABLES_ENV, KernelParamResolver, tune_table
-from repro.serve import (
-    AdvisoryClient,
-    AdvisoryServer,
-    ClusterServer,
-    ServeConfig,
-    ShapeQuery,
-    SocketTransport,
-    Supervisor,
-)
+from repro.kernels.registry import TABLES_ENV, KernelParamResolver
+from repro.kernels.search import tune_table
+from repro.serve.client import AdvisoryClient
+from repro.serve.cluster import ClusterServer
+from repro.serve.config import ServeConfig
+from repro.serve.netclient import SocketTransport
+from repro.serve.protocol import ShapeQuery
+from repro.serve.server import AdvisoryServer
+from repro.serve.supervisor import Supervisor
 
 #: Worker boot is interpreter start + imports; generous for loaded CI.
 _BOOT_S = 60.0

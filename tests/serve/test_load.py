@@ -16,14 +16,11 @@ import pytest
 
 from repro.engine.core import ShapeEngine
 from repro.errors import QueueFullError
-from repro.observability import metrics, reset_metrics
-from repro.serve import (
-    AdvisoryServer,
-    ServeConfig,
-    ShapeQuery,
-    generate_queries,
-    run_load,
-)
+from repro.observability.metrics import metrics, reset_metrics
+from repro.serve.config import ServeConfig
+from repro.serve.loadgen import generate_queries, run_load
+from repro.serve.protocol import ShapeQuery
+from repro.serve.server import AdvisoryServer
 
 
 @pytest.fixture(autouse=True)

@@ -13,15 +13,12 @@ from repro.errors import (
     ServeError,
     ServerClosedError,
 )
-from repro.observability import metrics, reset_metrics
-from repro.resilience import FaultPlan, clear_plan, install_plan
-from repro.serve import (
-    AdvisoryClient,
-    AdvisoryServer,
-    ServeConfig,
-    ShapeQuery,
-    shard_for,
-)
+from repro.observability.metrics import metrics, reset_metrics
+from repro.resilience.faults import FaultPlan, clear_plan, install_plan
+from repro.serve.client import AdvisoryClient
+from repro.serve.config import ServeConfig
+from repro.serve.protocol import ShapeQuery
+from repro.serve.server import AdvisoryServer, shard_for
 
 
 def _latency_query(m, n, k, batch=1, gpu="A100"):

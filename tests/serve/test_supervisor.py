@@ -14,13 +14,11 @@ import time
 
 import pytest
 
-from repro.errors import (
-    ClusterError,
-    LoadShedError,
-    ServeError,
-    ServerClosedError,
-)
-from repro.serve import AdvisoryServer, ServeConfig, ShapeQuery, Supervisor
+from repro.errors import ClusterError, LoadShedError, ServeError, ServerClosedError
+from repro.serve.config import ServeConfig
+from repro.serve.protocol import ShapeQuery
+from repro.serve.server import AdvisoryServer
+from repro.serve.supervisor import Supervisor
 
 #: Worker boot is interpreter start + imports; generous for loaded CI.
 _BOOT_S = 60.0

@@ -507,7 +507,7 @@ class TestObservability:
         assert "span(s) written" in out
 
     def test_tracing_left_uninstalled_after_run(self, tmp_path):
-        from repro.observability import current_recorder, tracing_enabled
+        from repro.observability.tracing import current_recorder, tracing_enabled
 
         assert main(["run", "fig14", "--trace", str(tmp_path / "t.jsonl")]) == 0
         assert not tracing_enabled()

@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import get_model, list_models
-from repro.engine import ShapeEngine
+from repro.engine.core import ShapeEngine
 from repro.errors import ParallelismError
-from repro.observability import metrics
-from repro.trainstep import TrainStepEstimator
+from repro.observability.metrics import metrics
 from repro.trainstep.memory import estimate_memory
 from repro.trainstep.step import (
     PHASE_BACKWARD,
@@ -25,6 +24,7 @@ from repro.trainstep.step import (
     ModuleCost,
     PhaseCost,
     TrainStepEstimate,
+    TrainStepEstimator,
     training_grid,
 )
 

@@ -10,9 +10,9 @@ GPUs and every feasible (t, p, checkpointing) below, each must agree with
 import pytest
 
 from repro.analysis.shape_rules import ShapeLinter
+from repro.analysis.whatif import WhatIfAnalyzer
 from repro.core.config import list_models
 from repro.core.memory import MemoryBudget
-from repro.core.whatif import WhatIfAnalyzer
 from repro.errors import ParallelismError
 from repro.gpu.specs import get_gpu
 from repro.parallelism.planner import ParallelPlanner

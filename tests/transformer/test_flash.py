@@ -107,7 +107,8 @@ class TestPerfModel:
     def test_faster_than_unfused_path(self):
         # The reason FlashAttention is recommended for small models: it
         # removes the memory-bound score materialization.
-        from repro.engine import default_engine, shape_array
+        from repro.engine.core import default_engine
+        from repro.engine.vectorized import shape_array
 
         flash = FlashAttentionModel("A100")
         b, s, h, a = 4, 2048, 2560, 32
