@@ -2,7 +2,8 @@
 
 These time the building blocks a user pays for when sweeping shapes:
 one analytic GEMM evaluation, a full layer-latency composition, the rule engine, an advisor search, a
-(t, p, d) parallelism plan, and the real NumPy substrates (transformer
+(t, p, d) parallelism plan, a tensor-parallel degree sweep, a whole
+training-step estimate, and the real NumPy substrates (transformer
 forward, FlashAttention kernel).
 """
 
@@ -15,6 +16,8 @@ from repro.core.latency import LayerLatencyModel
 from repro.core.rules import RuleEngine
 from repro.gpu.gemm_model import GemmModel
 from repro.parallelism.planner import ParallelPlanner
+from repro.parallelism.tensor_parallel import TensorParallelLayer
+from repro.trainstep import TrainStepEstimator
 from repro.transformer.flash import flash_attention
 from repro.transformer.model import DecoderModel
 from repro.transformer.trace import NullTrace
@@ -61,6 +64,25 @@ def bench_planner_plan(benchmark, system):
     cfg = get_model("gpt3-6.7b")
     plans = benchmark(planner.plan, cfg, 64)
     assert plans and all(plan.fits_memory for plan in plans)
+
+
+def bench_tp_layer_costs(benchmark):
+    # Degrees 1..6 of one layer on a 6-GPU node, priced from Table II
+    # rows in one engine grid (a = 32 rules out t = 3, 5 and 6).
+    tp = TensorParallelLayer("ornl-summit")
+    cfg = get_model("gpt3-6.7b")
+    costs = benchmark(tp.layer_costs, cfg, range(1, 7))
+    assert set(costs) == {1, 2, 4}
+
+
+@pytest.mark.parametrize("checkpointing", ["none", "full"])
+def bench_trainstep_estimate(benchmark, checkpointing):
+    # One rank's whole training step: rows, one distinct-shape engine
+    # call (a warm hit after the first round) and the memory timeline.
+    estimator = TrainStepEstimator("A100")
+    cfg = get_model("gpt3-2.7b")
+    est = benchmark(estimator.estimate, cfg, checkpointing=checkpointing)
+    assert est.total_s > 0
 
 
 def bench_numpy_transformer_forward(benchmark):

@@ -18,16 +18,24 @@ logit layer           ``(b*s, h) x (h, v)``
 
 SwiGLU MLPs contribute three matmuls (gate, up, down).  The logit GEMM
 appears once per model, not per layer.
+
+The table has one row source: :func:`layer_rows` (``t`` an argument),
+:func:`logit_row` and :func:`backward_rows` write it as integer
+``(batch, m, n, k)`` rows, which every pricing path reads directly;
+the :class:`TransformerGemm` lists are views of the same rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import TransformerConfig
 from repro.errors import ParallelismError
-from repro.gpu.bmm_model import BmmShape
+
+#: One Table II GEMM as ``(batch, m, n, k)``: ``batch`` independent
+#: ``(m, k) x (k, n)`` products.
+Row = Tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -51,10 +59,6 @@ class TransformerGemm:
     @property
     def is_bmm(self) -> bool:
         return self.batch > 1
-
-    def bmm_shape(self) -> BmmShape:
-        """As a :class:`~repro.gpu.bmm_model.BmmShape` for evaluation."""
-        return BmmShape(batch=self.batch, m=self.m, k=self.k, n=self.n)
 
     def shape_tuple(self) -> "tuple[int, int, int, int]":
         return (self.batch, self.m, self.k, self.n)
@@ -83,126 +87,125 @@ def tp_problem(
     return "infeasible TP: " + "; ".join(problems) if problems else None
 
 
-def _validate_tp(cfg: TransformerConfig) -> None:
-    problem = tp_problem(cfg)
+def validate_tp_feasible(cfg: TransformerConfig, t: int) -> None:
+    """Raise :class:`ParallelismError` if ``t``-way TP cannot shard cfg
+    (:func:`tp_problem`)."""
+    problem = tp_problem(cfg, t)
     if problem is not None:
         raise ParallelismError(f"{cfg.name}: {problem}")
 
 
-def layer_gemms(cfg: TransformerConfig) -> List[TransformerGemm]:
-    """Per-GPU GEMMs of one transformer layer, in execution order."""
-    _validate_tp(cfg)
-    b, s, h, a, t = (
-        cfg.microbatch,
-        cfg.seq_len,
-        cfg.hidden_size,
-        cfg.num_heads,
-        cfg.tp_degree,
-    )
+def layer_rows(
+    cfg: TransformerConfig, t: Optional[int] = None
+) -> Tuple[List[str], List[Row]]:
+    """Module labels and rows of one layer's forward GEMMs on one of
+    ``t`` ranks (default ``cfg.tp_degree``), in execution order.
+
+    Raises :class:`ParallelismError` if ``t``-way TP cannot shard cfg.
+    """
+    t = cfg.tp_degree if t is None else t
+    validate_tp_feasible(cfg, t)
+    b, s, h = cfg.microbatch, cfg.seq_len, cfg.hidden_size
     bs = b * s
     d = cfg.head_dim
-    heads = b * a // t
-
+    heads = b * cfg.num_heads // t
     # Fused QKV width: h for Q plus 2*kv_dim for K and V (= 3h for
     # classic MHA; narrower under grouped-query attention).  The score
     # and attention-over-value BMMs are unchanged by GQA — each query
     # head still attends over an (s x d) key/value slice, the slices
     # are just shared between query groups.
-    qkv_cols = h + 2 * cfg.kv_dim
-    ops = [
-        TransformerGemm("qkv_transform", m=bs, k=h, n=qkv_cols // t),
-        TransformerGemm("attention_score", m=s, k=d, n=s, batch=heads),
-        TransformerGemm("attention_over_value", m=s, k=s, n=d, batch=heads),
-        TransformerGemm("attention_projection", m=bs, k=h // t, n=h),
+    labels = [
+        "qkv_transform",
+        "attention_score",
+        "attention_over_value",
+        "attention_projection",
     ]
-    d_ff_shard = cfg.d_ff // t
+    rows: List[Row] = [
+        (1, bs, (h + 2 * cfg.kv_dim) // t, h),
+        (heads, s, s, d),
+        (heads, s, d, s),
+        (1, bs, h, h // t),
+    ]
+    d_ff = cfg.d_ff // t
+    prefix, batch, m = "", 1, bs
     if cfg.num_experts is not None:
         # Mixture of experts: a router GEMM plus E expert MLPs executed
         # as a grouped (batched) GEMM over the balanced per-expert row
         # count (capacity-padded; the NumPy substrate routes exactly).
-        m_e = cfg.tokens_per_expert
-        E = cfg.num_experts
-        ops.append(TransformerGemm("moe_router", m=bs, k=h, n=E))
-        if cfg.mlp_kind == "swiglu":
-            ops += [
-                TransformerGemm("moe_mlp_gate", m=m_e, k=h, n=d_ff_shard, batch=E),
-                TransformerGemm("moe_mlp_up", m=m_e, k=h, n=d_ff_shard, batch=E),
-                TransformerGemm("moe_mlp_down", m=m_e, k=d_ff_shard, n=h, batch=E),
-            ]
-        else:
-            ops += [
-                TransformerGemm("moe_mlp_h_to_4h", m=m_e, k=h, n=d_ff_shard, batch=E),
-                TransformerGemm("moe_mlp_4h_to_h", m=m_e, k=d_ff_shard, n=h, batch=E),
-            ]
-    elif cfg.mlp_kind == "swiglu":
-        ops += [
-            TransformerGemm("mlp_gate", m=bs, k=h, n=d_ff_shard),
-            TransformerGemm("mlp_up", m=bs, k=h, n=d_ff_shard),
-            TransformerGemm("mlp_down", m=bs, k=d_ff_shard, n=h),
-        ]
+        labels.append("moe_router")
+        rows.append((1, bs, cfg.num_experts, h))
+        prefix, batch, m = "moe_", cfg.num_experts, cfg.tokens_per_expert
+    up, down = (batch, m, d_ff, h), (batch, m, h, d_ff)
+    if cfg.mlp_kind == "swiglu":
+        labels += [prefix + "mlp_gate", prefix + "mlp_up", prefix + "mlp_down"]
+        rows += [up, up, down]
     else:
-        ops += [
-            TransformerGemm("mlp_h_to_4h", m=bs, k=h, n=d_ff_shard),
-            TransformerGemm("mlp_4h_to_h", m=bs, k=d_ff_shard, n=h),
-        ]
-    return ops
+        labels += [prefix + "mlp_h_to_4h", prefix + "mlp_4h_to_h"]
+        rows += [up, down]
+    return labels, rows
 
 
-def logit_gemm(cfg: TransformerConfig) -> TransformerGemm:
+def logit_row(cfg: TransformerConfig) -> Row:
     """The final vocabulary projection (Table II 'Linear Output', Fig 20).
 
     Computed as ``(b*s, h) x (h, v)``; the paper's table writes the
     transposed orientation, which has the same (m, n, k) multiset and
     identical performance characteristics.
     """
-    return TransformerGemm(
-        "logit", m=cfg.microbatch * cfg.seq_len, k=cfg.hidden_size, n=cfg.vocab_size
-    )
+    return (1, cfg.microbatch * cfg.seq_len, cfg.vocab_size, cfg.hidden_size)
 
 
-def model_gemms(cfg: TransformerConfig) -> List[TransformerGemm]:
-    """All per-GPU GEMMs of a full forward pass, in execution order.
-
-    One layer's operator list repeated L times, plus the logit GEMM.
-    (With tensor parallelism each listed GEMM runs once *per GPU*; this
-    list is the per-GPU view.)
-    """
-    per_layer = layer_gemms(cfg)
-    return per_layer * cfg.num_layers + [logit_gemm(cfg)]
-
-
-def layer_gemm_flops(cfg: TransformerConfig) -> int:
-    """Total matmul FLOPs of one layer (per tensor-parallel rank x t)."""
-    return sum(op.flops for op in layer_gemms(cfg)) * cfg.tp_degree
-
-
-def backward_gemms_for(op: TransformerGemm) -> List[TransformerGemm]:
-    """The two backward GEMMs induced by one forward GEMM.
+def backward_rows(
+    labels: Sequence[str], rows: Sequence[Row]
+) -> Tuple[List[str], List[Row]]:
+    """The dgrad and wgrad rows of each forward row, pair by pair.
 
     For ``y = x @ W`` with x: (m, k) and W: (k, n)::
 
-        dgrad:  dx = dy @ W^T   — (m, n) x (n, k)
-        wgrad:  dW = x^T @ dy   — (k, m) x (m, n)
+        dgrad:  dx = dy @ W^T   — (m, n) x (n, k), row (batch, m, k, n)
+        wgrad:  dW = x^T @ dy   — (k, m) x (m, n), row (batch, k, n, m)
 
     Both have exactly the forward GEMM's FLOP count, which is why
-    training costs ~3x a forward pass.  Module labels carry ``.dgrad``
-    / ``.wgrad`` suffixes matching the traced backward pass.
+    training costs ~3x a forward pass.  Labels carry ``.dgrad`` /
+    ``.wgrad`` suffixes matching the traced backward pass.
     """
+    return (
+        [f"{label}.{grad}" for label in labels for grad in ("dgrad", "wgrad")],
+        [pair for b, m, n, k in rows for pair in ((b, m, k, n), (b, k, n, m))],
+    )
+
+
+def as_gemms(labels: Sequence[str], rows: Sequence[Row]) -> List[TransformerGemm]:
+    """Labelled rows as :class:`TransformerGemm` operators."""
     return [
-        TransformerGemm(f"{op.module}.dgrad", m=op.m, k=op.n, n=op.k, batch=op.batch),
-        TransformerGemm(f"{op.module}.wgrad", m=op.k, k=op.m, n=op.n, batch=op.batch),
+        TransformerGemm(label, m=m, k=k, n=n, batch=b)
+        for label, (b, m, n, k) in zip(labels, rows)
     ]
+
+
+def layer_gemms(cfg: TransformerConfig) -> List[TransformerGemm]:
+    """Per-GPU GEMMs of one transformer layer, in execution order."""
+    return as_gemms(*layer_rows(cfg))
+
+
+def logit_gemm(cfg: TransformerConfig) -> TransformerGemm:
+    """The logit GEMM of :func:`logit_row`."""
+    return as_gemms(["logit"], [logit_row(cfg)])[0]
+
+
+def backward_gemms_for(op: TransformerGemm) -> List[TransformerGemm]:
+    """The dgrad and wgrad GEMMs (:func:`backward_rows`) of one forward GEMM."""
+    return as_gemms(*backward_rows([op.module], [(op.batch, op.m, op.n, op.k)]))
 
 
 def training_gemms(cfg: TransformerConfig) -> List[TransformerGemm]:
     """All per-GPU GEMMs of one training step (fwd + bwd), per layer
     repeated L times, plus the logit GEMM triple."""
-    ops: List[TransformerGemm] = []
-    per_layer = layer_gemms(cfg)
-    layer_full = list(per_layer)
-    for op in per_layer:
-        layer_full += backward_gemms_for(op)
-    ops += layer_full * cfg.num_layers
-    logit = logit_gemm(cfg)
-    ops += [logit] + backward_gemms_for(logit)
-    return ops
+    labels, rows = layer_rows(cfg)
+    grad_labels, grad_rows = backward_rows(labels, rows)
+    logit = [logit_row(cfg)]
+    logit_labels, logit_grads = backward_rows(["logit"], logit)
+    layer = as_gemms(labels + grad_labels, rows + grad_rows)
+    return layer * cfg.num_layers + as_gemms(
+        ["logit"] + logit_labels, logit + logit_grads
+    )

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import TransformerConfig
-from repro.core.gemms import TransformerGemm, layer_gemms, logit_gemm
+from repro.core.gemms import Row, TransformerGemm, as_gemms, layer_rows, logit_row
 from repro.engine.core import default_engine
 from repro.engine.vectorized import BatchResult
 from repro.errors import ConfigError
@@ -150,15 +150,9 @@ class LayerLatencyModel:
         bw = self.spec.mem_bw_bytes_per_s() * POINTWISE_BW_EFFICIENCY
         return traffic / bw + self.spec.kernel_overhead_s
 
-    def _layer_pointwise(self, cfg: TransformerConfig) -> Dict[str, float]:
-        """Non-GEMM kernels of one layer (per tensor-parallel rank)."""
-        b, s, h, a, t = (
-            cfg.microbatch,
-            cfg.seq_len,
-            cfg.hidden_size,
-            cfg.num_heads,
-            cfg.tp_degree,
-        )
+    def _layer_pointwise(self, cfg: TransformerConfig, t: int) -> Dict[str, float]:
+        """Non-GEMM kernels of one layer on one of ``t`` ranks."""
+        b, s, h, a = cfg.microbatch, cfg.seq_len, cfg.hidden_size, cfg.num_heads
         sbh = s * b * h
         out: Dict[str, float] = {}
         # Two layer norms: each reads and writes the full activation
@@ -203,16 +197,53 @@ class LayerLatencyModel:
         ).reshape(-1, 4)
         return default_engine().evaluate(shapes, self.spec, self.dtype)
 
-    def layer_ops(self, cfg: TransformerConfig) -> List[TransformerGemm]:
-        """The layer's GEMMs this model prices, in execution order.
+    def layer_rows(
+        self, cfg: TransformerConfig, t: int
+    ) -> Tuple[List[str], List[Row]]:
+        """The labelled Table II rows this model prices for one layer on
+        one of ``t`` ranks, in execution order.
 
         Under FlashAttention the score and attention-over-value BMMs are
-        fused into one kernel that :meth:`compose_layer` prices itself.
+        fused into one kernel that :meth:`compose_rows` prices itself.
         """
-        ops = layer_gemms(cfg)
+        labels, rows = layer_rows(cfg, t)
         if self.flash:
-            ops = [op for op in ops if op.module not in _FLASH_FUSED]
-        return ops
+            kept = [i for i, label in enumerate(labels) if label not in _FLASH_FUSED]
+            labels, rows = [labels[i] for i in kept], [rows[i] for i in kept]
+        return labels, rows
+
+    def layer_ops(self, cfg: TransformerConfig) -> List[TransformerGemm]:
+        """:meth:`layer_rows` at ``cfg.tp_degree`` as Table II operators."""
+        return as_gemms(*self.layer_rows(cfg, cfg.tp_degree))
+
+    def compose_rows(
+        self,
+        cfg: TransformerConfig,
+        t: int,
+        labels: Sequence[str],
+        rows: Sequence[Row],
+        gemm_latencies: Sequence[float],
+    ) -> LatencyBreakdown:
+        """One layer's breakdown on one of ``t`` ranks from its priced
+        :meth:`layer_rows`.
+
+        ``gemm_latencies[i]`` is the latency of ``rows[i]`` in seconds.
+        :meth:`_priced_layers` passes the engine's grid latencies; the
+        differential tests pass the scalar oracle's, which agree
+        bit-for-bit, so both compose the same totals.
+        """
+        bd = LatencyBreakdown()
+        for label, (b, m, n, k), seconds in zip(labels, rows, gemm_latencies):
+            bd.add(label, seconds)
+            bd.flops += 2 * b * m * n * k
+        if self.flash:
+            batch = cfg.microbatch * cfg.num_heads // t
+            fp = self.flash_model.evaluate(batch, cfg.seq_len, cfg.head_dim)
+            bd.add("flash_attention", fp.latency_s)
+            bd.flops += fp.flops
+        for name, seconds in self._layer_pointwise(cfg, t).items():
+            bd.add(name, seconds)
+        return bd
 
     def compose_layer(
         self,
@@ -220,25 +251,10 @@ class LayerLatencyModel:
         ops: Sequence[TransformerGemm],
         gemm_latencies: Sequence[float],
     ) -> LatencyBreakdown:
-        """One layer's breakdown from its priced :meth:`layer_ops`.
-
-        ``gemm_latencies[i]`` is the latency of ``ops[i]`` in seconds.
-        :meth:`_priced_layers` passes the engine's grid latencies; the
-        differential tests pass the scalar oracle's, which agree
-        bit-for-bit, so both compose the same totals.
-        """
-        bd = LatencyBreakdown()
-        for op, seconds in zip(ops, gemm_latencies):
-            bd.add(op.module, seconds)
-            bd.flops += op.flops
-        if self.flash:
-            batch = cfg.microbatch * cfg.num_heads // cfg.tp_degree
-            fp = self.flash_model.evaluate(batch, cfg.seq_len, cfg.head_dim)
-            bd.add("flash_attention", fp.latency_s)
-            bd.flops += fp.flops
-        for name, seconds in self._layer_pointwise(cfg).items():
-            bd.add(name, seconds)
-        return bd
+        """:meth:`compose_rows` at ``cfg.tp_degree`` for priced :meth:`layer_ops`."""
+        rows = [(op.batch, op.m, op.n, op.k) for op in ops]
+        labels = [op.module for op in ops]
+        return self.compose_rows(cfg, cfg.tp_degree, labels, rows, gemm_latencies)
 
     def compose_model(
         self, cfg: TransformerConfig, layer: LatencyBreakdown, logit_s: float
@@ -251,30 +267,38 @@ class LayerLatencyModel:
         bd.add("embedding", self._pointwise_s(sbh, reads_writes=3))
         bd.add("layernorm", self._pointwise_s(sbh, reads_writes=2))
         bd.add("logit", logit_s)
-        bd.flops += logit_gemm(cfg).flops
+        b, m, n, k = logit_row(cfg)
+        bd.flops += 2 * b * m * n * k
         return bd
 
     def _priced_layers(
-        self, cfgs: Sequence[TransformerConfig], with_logit: bool
+        self, cells: Sequence[Tuple[TransformerConfig, int]], with_logit: bool
     ) -> Tuple[List[LatencyBreakdown], List[float]]:
-        """Layer breakdowns (and logit latencies) of ``cfgs`` from one grid.
+        """Layer breakdowns (and logit latencies) of ``(cfg, t)`` cells
+        from one grid.
 
-        The grid stacks every config's :meth:`layer_ops`, then, with
-        ``with_logit``, each config's logit GEMM.
+        The grid stacks every cell's :meth:`layer_rows`, then, with
+        ``with_logit``, each cell's logit row.
         """
-        if not cfgs:
+        if not cells:
             return [], []
-        groups = [self.layer_ops(cfg) for cfg in cfgs]
-        logits = [logit_gemm(cfg) for cfg in cfgs] if with_logit else []
-        rows = [op for group in groups for op in group] + logits
-        latency = self.gemm_perfs(rows).latency_s.tolist()
+        groups = [self.layer_rows(cfg, t) for cfg, t in cells]
+        rows = [row for _, group in groups for row in group]
+        if with_logit:
+            rows += [logit_row(cfg) for cfg, _ in cells]
+        priced = default_engine().evaluate(
+            np.array(rows, dtype=np.int64), self.spec, self.dtype
+        )
+        seconds = priced.latency_s.tolist()
         layers = []
         start = 0
-        for cfg, group in zip(cfgs, groups):
+        for (cfg, t), (labels, group) in zip(cells, groups):
             stop = start + len(group)
-            layers.append(self.compose_layer(cfg, group, latency[start:stop]))
+            layers.append(
+                self.compose_rows(cfg, t, labels, group, seconds[start:stop])
+            )
             start = stop
-        return layers, latency[start:]
+        return layers, seconds[start:]
 
     # -- public API ------------------------------------------------------------------
 
@@ -286,7 +310,15 @@ class LayerLatencyModel:
         self, cfgs: Sequence[TransformerConfig]
     ) -> List[LatencyBreakdown]:
         """:meth:`layer_breakdown` of every config, priced in one grid."""
-        return self._priced_layers(cfgs, with_logit=False)[0]
+        return self._priced_layers(
+            [(cfg, cfg.tp_degree) for cfg in cfgs], with_logit=False
+        )[0]
+
+    def sharded_breakdowns(
+        self, cfg: TransformerConfig, degrees: Sequence[int]
+    ) -> List[LatencyBreakdown]:
+        """The layer breakdown on one of t ranks for each t in ``degrees``."""
+        return self._priced_layers([(cfg, t) for t in degrees], with_logit=False)[0]
 
     def layer_latency(self, cfg: TransformerConfig) -> float:
         """Seconds for one layer's forward pass."""
@@ -305,7 +337,9 @@ class LayerLatencyModel:
         self, cfgs: Sequence[TransformerConfig]
     ) -> List[Tuple[LatencyBreakdown, LatencyBreakdown]]:
         """Each config's (layer, model) breakdown pair, priced in one grid."""
-        layers, logit_s = self._priced_layers(cfgs, with_logit=True)
+        layers, logit_s = self._priced_layers(
+            [(cfg, cfg.tp_degree) for cfg in cfgs], with_logit=True
+        )
         return [
             (layer, self.compose_model(cfg, layer, s))
             for cfg, layer, s in zip(cfgs, layers, logit_s)

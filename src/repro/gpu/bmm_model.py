@@ -5,8 +5,9 @@ BMMs of ``b*a/t`` independent small GEMMs (paper Eq. 1, Table II).  A
 strided-batched kernel launches the union of the per-problem tile grids
 as one grid, so the analytic GEMM model and the shape engine already
 price it via their ``batch`` parameter; :class:`BmmShape` is the value
-type the Table II mapping (:func:`repro.core.gemms.layer_gemms`) and the
-kernel experiments use to name such a batch.
+type the kernel experiments use to name such a batch (the Table II
+mapping in :mod:`repro.core.gemms` writes it as a ``(batch, m, n, k)``
+row).
 """
 
 from __future__ import annotations

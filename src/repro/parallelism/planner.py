@@ -34,14 +34,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import TransformerConfig
+from repro.core.gemms import validate_tp_feasible
 from repro.core.memory import MemoryBudget
 from repro.errors import ParallelismError
 from repro.parallelism.comm import point_to_point_cost, ring_allreduce_cost
-from repro.parallelism.tensor_parallel import (
-    TensorParallelLayer,
-    TPLayerCost,
-    validate_tp_feasible,
-)
+from repro.parallelism.tensor_parallel import TensorParallelLayer, TPLayerCost
 from repro.parallelism.topology import NodeTopology, get_system
 from repro.trainstep.memory import (
     PHASES,

@@ -49,10 +49,10 @@ class SPLayerCost(TPLayerCost):
 class SequenceParallelLayer(TensorParallelLayer):
     """Layer cost under combined tensor + sequence parallelism."""
 
-    def shard_config(self, cfg: TransformerConfig, t: int) -> TransformerConfig:
-        """The rank's configuration; SP also needs ``s % t == 0``."""
+    def _check_feasible(self, cfg: TransformerConfig, t: int) -> None:
+        """TP's rule plus ``s % t == 0``."""
         validate_sp_feasible(cfg, t)
-        return super().shard_config(cfg, t)
+        super()._check_feasible(cfg, t)
 
     def _compose(
         self, cfg: TransformerConfig, t: int, bd: LatencyBreakdown

@@ -8,34 +8,26 @@ Sec VII-A case study turns on: ``a % t == 0`` and ``d_ff % t == 0``
 (plus ``kv_heads % t == 0``, which grouped-query attention adds), kept
 once in :func:`repro.core.gemms.tp_problem`.
 
-:meth:`TensorParallelLayer.layer_costs` prices every requested degree's
+:meth:`TensorParallelLayer.layer_costs` prices every feasible degree's
 per-rank GEMMs in **one** engine grid through
-:meth:`~repro.core.latency.LayerLatencyModel.layer_breakdowns`, so totals
-are bit-identical to pricing one GEMM at a time.
+:meth:`~repro.core.latency.LayerLatencyModel.sharded_breakdowns`, which
+reads each degree's rows straight from the Table II row source
+(:func:`repro.core.gemms.layer_rows`, ``t`` an argument): no sharded
+configuration is built.  Totals are bit-identical to pricing one GEMM
+at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List
 
 from repro.core.config import TransformerConfig
-from repro.core.gemms import tp_problem
+from repro.core.gemms import validate_tp_feasible
 from repro.core.latency import LatencyBreakdown, LayerLatencyModel
 from repro.errors import ParallelismError
-from repro.parallelism.comm import CommModel
 from repro.parallelism.topology import NodeTopology, get_system
 from repro.types import DType
-
-
-def validate_tp_feasible(cfg: TransformerConfig, t: int) -> None:
-    """Raise :class:`ParallelismError` if ``t``-way TP cannot shard cfg.
-
-    The rule itself is :func:`repro.core.gemms.tp_problem`.
-    """
-    problem = tp_problem(cfg, t)
-    if problem is not None:
-        raise ParallelismError(f"{cfg.name}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -75,17 +67,17 @@ class TensorParallelLayer:
             self.topology.gpu, self.dtype, flash_attention=flash_attention
         )
 
-    def shard_config(self, cfg: TransformerConfig, t: int) -> TransformerConfig:
-        """The configuration as seen by one rank (tp_degree = t)."""
+    def _check_feasible(self, cfg: TransformerConfig, t: int) -> None:
+        """Raise :class:`ParallelismError` if ``t`` ranks cannot shard cfg."""
         validate_tp_feasible(cfg, t)
-        return cfg.with_overrides(name=f"{cfg.name}@tp{t}", tp_degree=t)
 
     def layer_cost(self, cfg: TransformerConfig, t: int) -> TPLayerCost:
         """Per-rank compute + collective time of one layer forward.
 
         Raises :class:`ParallelismError` if ``t`` cannot shard ``cfg``.
         """
-        return self._price(cfg, {t: self.shard_config(cfg, t)})[t]
+        self._check_feasible(cfg, t)
+        return self.layer_costs(cfg, [t])[t]
 
     def layer_costs(
         self, cfg: TransformerConfig, degrees: Iterable[int]
@@ -96,21 +88,15 @@ class TensorParallelLayer:
         grid, so sweeping degrees costs one engine call, not one scalar
         call per GEMM.
         """
-        shards: Dict[int, TransformerConfig] = {}
+        feasible: List[int] = []
         for t in degrees:
             try:
-                shards[t] = self.shard_config(cfg, t)
+                self._check_feasible(cfg, t)
             except ParallelismError:
                 continue
-        return self._price(cfg, shards)
-
-    def _price(
-        self, cfg: TransformerConfig, shards: Dict[int, TransformerConfig]
-    ) -> Dict[int, TPLayerCost]:
-        layers = self.latency_model.layer_breakdowns(list(shards.values()))
-        return {
-            t: self._compose(cfg, t, layer) for t, layer in zip(shards, layers)
-        }
+            feasible.append(t)
+        layers = self.latency_model.sharded_breakdowns(cfg, feasible)
+        return {t: self._compose(cfg, t, layer) for t, layer in zip(feasible, layers)}
 
     def _compose(
         self, cfg: TransformerConfig, t: int, bd: LatencyBreakdown

@@ -15,11 +15,13 @@ The accounting is:
 - **under a checkpointing policy** — ``"none"`` stores every per-layer
   activation; ``"full"`` keeps only the 2sbh/t layer-boundary tensors
   plus one live layer's activations during recomputation,
-- **over one cell or many** — the per-module arithmetic takes t and p
-  as ints or as int arrays, so :func:`estimate_memory` (one (t, p) cell,
-  with its per-module rows) and :func:`estimate_memory_cells` (the
-  per-phase totals of a whole cell array in one NumPy pass) are the same
-  code and agree bit for bit.
+- **over one cell or many** — the per-module terms are one
+  (modules x cells) matrix: element counts as an int64 column times
+  ``ceil(L/p) / (L t)`` (``/ t`` for the vocab-sharded rows), and
+  phase totals an ordered top-to-bottom sum of it, so
+  :func:`estimate_memory` (one (t, p) cell, with its per-module rows)
+  and :func:`estimate_memory_cells` (the per-phase totals of a whole
+  cell array) are the same code and agree bit for bit.
 
 Accounting identities (pinned by the conservation-law suite):
 
@@ -203,79 +205,71 @@ def _total(
     return parameter + gradient + optimizer_state + activation + kv_cache
 
 
-def _module_terms(
+#: Bytes per resident parameter element held as weight, gradient and
+#: optimizer state: the first three components of a module's bytes.
+_ELEMENT_BYTES = np.array([PARAM_BYTES, GRADIENT_BYTES, OPTIMIZER_STATE_BYTES])
+
+#: Which of (parameter, gradient, optimizer-state, activation) bytes are
+#: resident in each of :data:`PHASES`.  Forward: weights + persistent
+#: optimizer states, activations accumulating to their full footprint.
+#: Backward start: activations still live, gradients now too — the
+#: step's peak.  Optimizer: activations freed, gradients consumed in
+#: place.
+_RESIDENT = np.array(
+    [[True, False, True, True], [True, True, True, True], [True, True, True, False]]
+)
+
+
+def _module_bytes(
     cfg: TransformerConfig,
-    t: Degree,
-    p: Degree,
+    t: np.ndarray,
+    p: np.ndarray,
     checkpointing: str,
     flash_attention: bool,
-) -> List[Tuple[str, Any, Any]]:
-    """``(module, parameter elements, activation bytes)`` per module on
-    the heaviest stage's rank, in module order.
+) -> Tuple[List[str], np.ndarray]:
+    """Module labels and the ``(modules, 4, cells)`` matrix of their
+    parameter, gradient, optimizer-state and activation bytes on the
+    heaviest stage's rank, one column per ``(t[i], p[i])`` cell.
 
-    Scalar ``t``/``p`` give floats; array ones give one array entry per
-    cell.  Under ``"full"`` the last row is :data:`BOUNDARY_MODULE`,
-    whose bytes are exactly 0.0 where a stage holds a single layer.
+    Under ``"full"`` the last module is :data:`BOUNDARY_MODULE`, whose
+    bytes are exactly 0.0 where a stage holds a single layer.
     """
     L = cfg.num_layers
     # ceil(L / p): at least one layer for L, p >= 1.
     lps = -(-L // p)
-    layer_shards = L * t
     param_elems = module_param_elements(cfg)
-    act_layer = module_activation_bytes(cfg, t, flash_attention)
-    rows: List[Tuple[str, Any, Any]] = []
+    # One unsharded layer's bytes (x / 1 == x), divided by each t below.
+    act_layer = module_activation_bytes(cfg, 1, flash_attention)
     # Union of labels: weighted modules plus activation-only ones (the
     # attention BMMs store scores/probs but own no learned tensors).
     names = list(param_elems)
     names += [n for n in act_layer if n not in param_elems]
-    for name in names:
-        elems = param_elems.get(name, 0)
-        if name in ("embedding", "logit"):
-            # Vocab-sharded across t; resident in full on its stage (the
-            # logit entry is zero under tied dedup).
-            elems_rank = elems / t
-        else:
-            # Per-layer weights: t-sharded, layers split over stages.
-            elems_rank = elems * lps / layer_shards
-        act = act_layer.get(name, 0.0)
-        if checkpointing != "full":
-            # Under "full" only the live (recomputing) layer's
-            # activations exist.
-            act = act * lps
-        rows.append((name, elems_rank, act))
     if checkpointing == "full":
-        rows.append(
-            (BOUNDARY_MODULE, 0.0, boundary_bytes_per_layer(cfg, t) * (lps - 1))
-        )
-    return rows
-
-
-def _phase_parts(
-    rows: List[Tuple[str, Any, Any]],
-) -> Tuple[Tuple[str, Any, Any, Any, Any], ...]:
-    """``(phase, parameter, gradient, optimizer-state, activation)``
-    bytes of each phase, from the module rows summed left to right."""
-    # Plain adds, not sum(): from Python 3.12 sum() compensates float
-    # rounding, which the same adds over arrays would not match.
-    params: Any = 0
-    grads: Any = 0
-    opt: Any = 0
-    acts: Any = 0
-    for _name, elems, act in rows:
-        params = params + elems * PARAM_BYTES
-        grads = grads + elems * GRADIENT_BYTES
-        opt = opt + elems * OPTIMIZER_STATE_BYTES
-        acts = acts + act
-    return (
-        # Forward: weights + persistent optimizer states, activations
-        # accumulating to their full footprint.
-        ("forward", params, 0.0, opt, acts),
-        # Backward start: activations still live, gradients now too —
-        # the step's peak.
-        ("backward", params, grads, opt, acts),
-        # Optimizer: activations freed, gradients consumed in place.
-        ("optimizer", params, grads, opt, 0.0),
+        names.append(BOUNDARY_MODULE)
+    elems = np.array([param_elems.get(n, 0) for n in names], dtype=np.int64)[:, None]
+    # Vocab-sharded across t and resident in full on its stage (the
+    # logit entry is zero under tied dedup); per-layer weights are
+    # t-sharded with the layers split over stages.
+    vocab = np.array([n in ("embedding", "logit") for n in names])[:, None]
+    elems_rank = np.where(vocab, elems / t, elems * lps / (L * t))
+    act = np.array([act_layer.get(n, 0.0) for n in names])[:, None] / t
+    if checkpointing == "full":
+        # Only the live (recomputing) layer's activations exist, plus
+        # the stored layer-boundary tensors.
+        act[-1] = boundary_bytes_per_layer(cfg, t) * (lps - 1)
+    else:
+        act = act * lps
+    return names, np.concatenate(
+        [elems_rank[:, None, :] * _ELEMENT_BYTES[:, None], act[:, None, :]], axis=1
     )
+
+
+def _phase_bytes(module_bytes: np.ndarray) -> np.ndarray:
+    """``(phases, 4, cells)`` component bytes of each of :data:`PHASES`,
+    from the module matrix summed top to bottom (``np.add.accumulate``
+    adds strictly in order; ``np.sum`` leaves its order to NumPy)."""
+    totals = np.add.accumulate(module_bytes, axis=0)[-1]
+    return np.where(_RESIDENT[:, :, None], totals, 0.0)
 
 
 @dataclass(frozen=True)
@@ -421,25 +415,23 @@ def estimate_memory(
     _check_sharding(t, p)
     _check_policy(checkpointing)
 
-    layers_per_stage = -(-cfg.num_layers // p)
-    rows = [
-        row
-        for row in _module_terms(cfg, t, p, checkpointing, flash_attention)
-        # A one-layer stage stores no boundary tensors: no row for them.
-        if row[0] != BOUNDARY_MODULE or layers_per_stage > 1
-    ]
-    modules = tuple(
-        ModuleMemory(
-            module=name,
-            parameter_bytes=elems * PARAM_BYTES,
-            gradient_bytes=elems * GRADIENT_BYTES,
-            optimizer_state_bytes=elems * OPTIMIZER_STATE_BYTES,
-            activation_bytes=act,
-            kv_cache_bytes=0.0,  # no decode cache during training
-        )
-        for name, elems, act in rows
+    names, module_bytes = _module_bytes(
+        cfg, np.array([t], dtype=np.int64), np.array([p], dtype=np.int64),
+        checkpointing, flash_attention,
     )
-    phases = tuple(PhaseMemory(*part) for part in _phase_parts(rows))
+    rows = module_bytes[:, :, 0].tolist()
+    # A one-layer stage stores no boundary tensors: no row for them.
+    if names[-1] == BOUNDARY_MODULE and -(-cfg.num_layers // p) == 1:
+        names, rows = names[:-1], rows[:-1]
+    modules = tuple(
+        # No decode cache during training.
+        ModuleMemory(name, *row, kv_cache_bytes=0.0)
+        for name, row in zip(names, rows)
+    )
+    phases = tuple(
+        PhaseMemory(phase, *parts)
+        for phase, parts in zip(PHASES, _phase_bytes(module_bytes)[:, :, 0].tolist())
+    )
     return TrainStepMemory(
         model=cfg.name,
         tp=t,
@@ -489,12 +481,10 @@ def estimate_memory_cells(
     """:func:`estimate_memory`'s phase totals over a cell array at once.
 
     ``tp`` and ``pipeline_stages`` broadcast against each other to one
-    1-D cell array.  The per-module arithmetic is
-    :func:`estimate_memory`'s own, run once over whole arrays, so
-    callers that sweep (t, p) — the planner, ``capacity_matrix``, the
-    capacity lint's fix-it — price every cell in one pass.  Results are
-    bit-identical to the one-cell view while per-module element counts
-    times layers per stage stay below 2**53.
+    1-D cell array.  The module matrix is :func:`estimate_memory`'s
+    own with one column per cell, so callers that sweep (t, p) — the
+    planner, ``capacity_matrix``, the capacity lint's fix-it — price
+    every cell in one pass, bit-identical to the one-cell view.
     """
     t, p = np.broadcast_arrays(
         np.atleast_1d(np.asarray(tp, dtype=np.int64)),
@@ -508,6 +498,5 @@ def estimate_memory_cells(
             f"{p.tolist()})"
         )
     _check_policy(checkpointing)
-    parts = _phase_parts(_module_terms(cfg, t, p, checkpointing, False))
-    totals = [_total(*part[1:]) for part in parts]
-    return MemoryCells(np.stack(np.broadcast_arrays(*totals)))
+    phase_bytes = _phase_bytes(_module_bytes(cfg, t, p, checkpointing, False)[1])
+    return MemoryCells(np.add.accumulate(phase_bytes, axis=1)[:, -1])

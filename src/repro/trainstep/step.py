@@ -2,14 +2,15 @@
 
 The estimator expands a configuration's training step — every forward
 GEMM, its mechanically-derived dgrad/wgrad pair, and (under full
-checkpointing) the recompute pass — into a single columnar
-:class:`~repro.engine.grid.ShapeGrid` with ``module`` / ``phase`` /
-``count`` annotation columns.  It prices the step in one engine
-evaluation over the grid's distinct shapes (backward and recompute
-GEMMs mostly repeat forward shapes, so both checkpointing policies
-share one engine entry), scatters the latencies back to the rows, and
-rolls them up per phase with masked NumPy sums and per module in one
-Python pass.  No engine call sits inside a loop on this path (the
+checkpointing) the recompute pass — into labelled ``(batch, m, n, k)``
+rows read straight from the Table II row source in
+:mod:`repro.core.gemms` (:func:`step_rows`; :func:`training_grid` is the
+same rows as a columnar :class:`~repro.engine.grid.ShapeGrid`).  It
+prices the step in one engine evaluation over the distinct shapes
+(backward and recompute GEMMs mostly repeat forward shapes, so both
+checkpointing policies share one engine entry), scatters the latencies
+back to the rows, and rolls them up per phase with masked NumPy sums
+and per module in one Python pass.  No engine call sits inside a loop on this path (the
 self-lint's ``engine-eval-in-loop`` rule enforces it), which is what
 makes the differential wall (:mod:`repro.trainstep.wall`) able to
 demand bit-identical totals against a per-record scalar accumulation.
@@ -30,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.config import TransformerConfig
-from repro.core.gemms import backward_gemms_for, layer_gemms, logit_gemm
+from repro.core.gemms import Row, backward_rows, layer_rows, logit_row
 from repro.core.latency import POINTWISE_BW_EFFICIENCY
 from repro.core.training import ADAM_TRAFFIC_BYTES_PER_PARAM
 from repro.engine.core import ShapeEngine, default_engine
@@ -50,15 +51,17 @@ PHASE_RECOMPUTE = "recompute"
 PHASE_OPTIMIZER = "optimizer"
 
 
-def training_grid(
+def step_rows(
     cfg: TransformerConfig, checkpointing: str = "none"
-) -> ShapeGrid:
-    """The whole training step as one annotated shape grid.
+) -> Tuple[List[str], List[str], List[int], List[Row]]:
+    """Module labels, phases, per-step counts and ``(batch, m, n, k)``
+    rows of one training step, read straight from the Table II row
+    source (:mod:`repro.core.gemms`).
 
-    One row per distinct (module, phase) GEMM with a ``count`` column
-    carrying its per-step repetition (L for layer operators, 1 for the
-    logit triple).  Row order is deterministic — forward layer ops,
-    their backward pairs, the optional recompute pass, then the logit
+    One row per distinct (module, phase) GEMM; its count is its per-step
+    repetition (L for layer operators, 1 for the logit triple).  Row
+    order is deterministic — forward layer ops, their backward pairs,
+    the optional recompute pass (the forward rows again), then the logit
     triple — and the differential wall relies on it: both the grid path
     and the scalar path reduce the same row order with the same
     ``np.sum``, so equal per-row latencies force bit-identical totals.
@@ -68,43 +71,40 @@ def training_grid(
             f"unknown checkpointing policy {checkpointing!r} "
             "(choose 'none' or 'full')"
         )
-    per_layer = layer_gemms(cfg)
-    L = cfg.num_layers
-    modules: List[str] = []
-    phases: List[str] = []
-    counts: List[int] = []
-    shapes: List[Tuple[int, int, int, int]] = []
+    labels, rows = layer_rows(cfg)
+    grad_labels, grad_rows = backward_rows(labels, rows)
+    n = len(rows)
+    # Recompute re-executes every layer forward GEMM once during
+    # backward; the logit/embedding are never checkpointed.
+    recompute = n if checkpointing == "full" else 0
+    logit = [logit_row(cfg)]
+    logit_grad_labels, logit_grads = backward_rows(["logit"], logit)
+    return (
+        labels + grad_labels + labels[:recompute] + ["logit"] + logit_grad_labels,
+        [PHASE_FORWARD] * n
+        + [PHASE_BACKWARD] * (2 * n)
+        + [PHASE_RECOMPUTE] * recompute
+        + [PHASE_FORWARD, PHASE_BACKWARD, PHASE_BACKWARD],
+        [cfg.num_layers] * (3 * n + recompute) + [1, 1, 1],
+        rows + grad_rows + rows[:recompute] + logit + logit_grads,
+    )
 
-    def add(op, phase: str, count: int) -> None:
-        modules.append(op.module)
-        phases.append(phase)
-        counts.append(count)
-        shapes.append((op.batch, op.m, op.n, op.k))
 
-    for op in per_layer:
-        add(op, PHASE_FORWARD, L)
-    for op in per_layer:
-        for bop in backward_gemms_for(op):
-            add(bop, PHASE_BACKWARD, L)
-    if checkpointing == "full":
-        # Recompute re-executes every layer forward GEMM once during
-        # backward; the logit/embedding are never checkpointed.
-        for op in per_layer:
-            add(op, PHASE_RECOMPUTE, L)
-    logit = logit_gemm(cfg)
-    add(logit, PHASE_FORWARD, 1)
-    for bop in backward_gemms_for(logit):
-        add(bop, PHASE_BACKWARD, 1)
-
-    arr = np.asarray(shapes, dtype=np.int64)
+def training_grid(
+    cfg: TransformerConfig, checkpointing: str = "none"
+) -> ShapeGrid:
+    """The whole training step (:func:`step_rows`) as one annotated
+    shape grid with ``module`` / ``phase`` / ``count`` columns."""
+    labels, phases, counts, rows = step_rows(cfg, checkpointing)
+    shapes = np.array(rows, dtype=np.int64)
     return ShapeGrid.from_columns(
-        batch=arr[:, 0],
-        m=arr[:, 1],
-        n=arr[:, 2],
-        k=arr[:, 3],
-        module=np.array(modules),
+        batch=shapes[:, 0],
+        m=shapes[:, 1],
+        n=shapes[:, 2],
+        k=shapes[:, 3],
+        module=np.array(labels),
         phase=np.array(phases),
-        count=np.asarray(counts, dtype=np.int64),
+        count=np.array(counts, dtype=np.int64),
     )
 
 
@@ -239,26 +239,20 @@ class TrainStepEstimator:
             gpu=self.spec.name,
             checkpointing=checkpointing,
         ) as sp:
-            grid = training_grid(cfg, checkpointing)
-            rows = grid.shapes.tolist()
+            labels, phase_names, counts, rows = step_rows(cfg, checkpointing)
             # Backward and recompute GEMMs mostly repeat forward shapes:
             # price each distinct shape once, in first-appearance order,
             # and scatter the latencies back to the rows.  The recompute
             # pass adds no new shape, so both checkpointing policies hit
             # the same engine entry.
-            index: Dict[Tuple[int, ...], int] = {}
-            inverse = [index.setdefault(tuple(row), len(index)) for row in rows]
+            index: Dict[Row, int] = {}
+            inverse = [index.setdefault(row, len(index)) for row in rows]
             priced = self.engine.evaluate(
                 np.array(list(index), dtype=np.int64), self.spec, self.dtype
             )
-            counts = grid.column("count")
-            seconds = priced.latency_s[inverse] * counts.astype(np.float64)
-            flops = [
-                2 * b * m * n * k * c
-                for (b, m, n, k), c in zip(rows, counts.tolist())
-            ]
-            phase_col = grid.column("phase")
-            phase_names = phase_col.tolist()
+            seconds = priced.latency_s[inverse] * np.array(counts, dtype=np.float64)
+            flops = [2 * b * m * n * k * c for (b, m, n, k), c in zip(rows, counts)]
+            phase_col = np.array(phase_names)
 
             memory = estimate_memory(
                 cfg,
@@ -281,14 +275,9 @@ class TrainStepEstimator:
                 )
             phases.append(self.optimizer_cost(memory))
 
-            modules = _module_rollup(
-                grid.column("module").tolist(),
-                phase_names,
-                seconds.tolist(),
-                flops,
-            )
+            modules = _module_rollup(labels, phase_names, seconds.tolist(), flops)
             sp.set(
-                rows=len(grid),
+                rows=len(rows),
                 total_s=sum(p.seconds for p in phases),
             )
             return TrainStepEstimate(

@@ -6,10 +6,10 @@ from repro.core.config import TransformerConfig, get_model
 from repro.core.gemms import (
     TransformerGemm,
     backward_gemms_for,
-    layer_gemm_flops,
     layer_gemms,
+    layer_rows,
     logit_gemm,
-    model_gemms,
+    logit_row,
     training_gemms,
 )
 from repro.errors import ParallelismError
@@ -18,6 +18,12 @@ from repro.errors import ParallelismError
 @pytest.fixture
 def cfg():
     return get_model("gpt3-2.7b")  # b=4, s=2048, h=2560, a=32
+
+
+def _layer_flops(cfg, t=None):
+    """Matmul FLOPs of one layer's rows at t, times t (all ranks)."""
+    t = cfg.tp_degree if t is None else t
+    return sum(2 * b * m * n * k for b, m, n, k in layer_rows(cfg, t)[1]) * t
 
 
 class TestLayerGemms:
@@ -60,10 +66,12 @@ class TestLayerGemms:
         with pytest.raises(ParallelismError):
             layer_gemms(cfg.with_overrides(tp_degree=3))
 
-    def test_bmm_shape_conversion(self, cfg):
-        score = layer_gemms(cfg)[1]
-        bmm = score.bmm_shape()
-        assert (bmm.batch, bmm.m, bmm.k, bmm.n) == score.shape_tuple()
+    def test_rows_take_t_as_an_argument(self, cfg):
+        sharded = cfg.with_overrides(tp_degree=4)
+        assert layer_rows(cfg, 4) == layer_rows(sharded)
+        assert [op.module for op in layer_gemms(sharded)] == layer_rows(cfg, 4)[0]
+        with pytest.raises(ParallelismError):
+            layer_rows(cfg, 3)
 
 
 class TestFlopsConsistency:
@@ -71,16 +79,16 @@ class TestFlopsConsistency:
         # GEMM flops of one layer must equal 24bsh^2 + 4bs^2h.
         from repro.core.formulas import forward_flops_per_layer
 
-        got = layer_gemm_flops(cfg)
+        got = _layer_flops(cfg)
         expected = forward_flops_per_layer(
             cfg.microbatch, cfg.seq_len, cfg.hidden_size
         )
         assert got == expected
 
     def test_tp_conserves_total_flops(self, cfg):
-        base = layer_gemm_flops(cfg)
+        base = _layer_flops(cfg)
         for t in (2, 4, 8):
-            assert layer_gemm_flops(cfg.with_overrides(tp_degree=t)) == base
+            assert _layer_flops(cfg, t) == base
 
     def test_score_and_aov_equal_flops(self, cfg):
         ops = {op.module: op for op in layer_gemms(cfg)}
@@ -89,14 +97,15 @@ class TestFlopsConsistency:
 
 class TestModelGemms:
     def test_count(self, cfg):
-        assert len(model_gemms(cfg)) == 6 * cfg.num_layers + 1
+        assert len(layer_rows(cfg)[1]) == 6
 
     def test_logit_last(self, cfg):
-        assert model_gemms(cfg)[-1].module == "logit"
+        assert training_gemms(cfg)[-3].module == "logit"
 
     def test_logit_shape(self, cfg):
         op = logit_gemm(cfg)
         assert op.shape_tuple() == (1, 8192, 2560, 50304)
+        assert logit_row(cfg) == (1, 8192, 50304, 2560)
         assert not op.is_bmm
 
 

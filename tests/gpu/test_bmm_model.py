@@ -22,7 +22,10 @@ def _attention(b, s, h, a, t=1):
         name="attn", hidden_size=h, num_heads=a, num_layers=1,
         seq_len=s, microbatch=b, tp_degree=t,
     )
-    ops = {op.module: op.bmm_shape() for op in layer_gemms(cfg)}
+    ops = {
+        op.module: BmmShape(batch=op.batch, m=op.m, k=op.k, n=op.n)
+        for op in layer_gemms(cfg)
+    }
     return ops["attention_score"], ops["attention_over_value"]
 
 

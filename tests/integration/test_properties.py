@@ -13,8 +13,8 @@ from repro.core.config import TransformerConfig
 from repro.core.formulas import forward_flops_per_layer
 from repro.core.gemms import (
     backward_gemms_for,
-    layer_gemm_flops,
     layer_gemms,
+    layer_rows,
     training_gemms,
 )
 from repro.errors import ConfigError, ParallelismError
@@ -87,6 +87,12 @@ class TestGemmModelPhysics:
         # area ratio 1/(1 - tile_waste).
         slack = 1.0 if many.tile == one.tile else 1.0 / (1.0 - many.tile_waste)
         assert many.latency_s <= batch * one.latency_s * slack * 1.001
+
+
+def layer_gemm_flops(cfg: TransformerConfig) -> int:
+    """Matmul FLOPs of one layer's Table II rows, times t (all ranks)."""
+    rows = layer_rows(cfg)[1]
+    return sum(2 * b * m * n * k for b, m, n, k in rows) * cfg.tp_degree
 
 
 class TestMappingConservation:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import get_model, list_models
-from repro.core.gemms import layer_gemms, tp_problem
+from repro.core.gemms import tp_problem
 from repro.errors import ParallelismError
 from repro.parallelism.tensor_parallel import (
     TensorParallelLayer,
@@ -58,16 +58,11 @@ class TestFeasibility:
 
 
 class TestSharding:
-    def test_shard_config_sets_degree(self, tp, cfg):
-        sharded = tp.shard_config(cfg, 4)
-        assert sharded.tp_degree == 4
-        assert "tp4" in sharded.name
-
     def test_rank_gemms_match_table2(self, tp, cfg):
-        ops = {op.module: op for op in layer_gemms(tp.shard_config(cfg, 4))}
-        assert ops["qkv_transform"].n == 3 * 4096 // 4
-        assert ops["mlp_h_to_4h"].n == 4 * 4096 // 4
-        assert ops["attention_score"].batch == cfg.microbatch * 32 // 4
+        rows = dict(zip(*tp.latency_model.layer_rows(cfg, 4)))
+        assert rows["qkv_transform"][2] == 3 * 4096 // 4
+        assert rows["mlp_h_to_4h"][2] == 4 * 4096 // 4
+        assert rows["attention_score"][0] == cfg.microbatch * 32 // 4
 
 
 class TestCost:

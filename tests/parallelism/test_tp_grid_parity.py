@@ -1,9 +1,10 @@
 """Differential wall: grid-priced TP/SP layer costs vs the scalar path.
 
-``TensorParallelLayer.layer_costs`` prices every degree's per-rank GEMMs
-in one engine grid; the references below price the same layers one GEMM
-at a time through ``LayerLatencyModel.layer_breakdown`` (the scalar
-``GemmModel``) and compose them as the parallelism package always has.
+``TensorParallelLayer.layer_costs`` prices every degree's per-rank rows
+in one engine grid without building sharded configs; the references
+below build each degree's shard config and price it through
+``LayerLatencyModel.layer_breakdown``, then compose it as the
+parallelism package always has, with FlashAttention off and on.
 Every comparison is ``==``: the engine agrees with the scalar model
 bit-for-bit and both paths merge components in the same order, so any
 drift is a bug, not noise.
@@ -84,30 +85,44 @@ class ScalarTP(TensorParallelLayer):
         return scalar_costs(self, cfg, degrees, scalar_tp_cost)
 
 
+def check_tp(name: str, system: str, flash: bool) -> None:
+    cfg = get_model(name)
+    layer = TensorParallelLayer(system, flash_attention=flash)
+    degrees = [t for t in DEGREES if t <= layer.topology.gpus_per_node]
+    grid = layer.layer_costs(cfg, degrees)
+    assert grid == scalar_costs(layer, cfg, degrees, scalar_tp_cost)
+    for t, cost in grid.items():
+        assert layer.layer_cost(cfg, t) == cost
+
+
+def check_sp(name: str, system: str, flash: bool) -> None:
+    cfg = get_model(name)
+    layer = SequenceParallelLayer(system, flash_attention=flash)
+    degrees = [t for t in DEGREES if t <= layer.topology.gpus_per_node]
+    grid = layer.layer_costs(cfg, degrees)
+    assert grid == scalar_costs(layer, cfg, degrees, scalar_sp_cost)
+    for t in degrees:
+        if t in grid:
+            assert layer.layer_cost(cfg, t) == grid[t]
+        else:
+            with pytest.raises(ParallelismError):
+                layer.layer_cost(cfg, t)
+
+
 @pytest.mark.parametrize("system", SYSTEMS)
 @pytest.mark.parametrize("name", MODELS)
 class TestParityWall:
     def test_tp_layer_costs(self, name, system):
-        cfg = get_model(name)
-        layer = TensorParallelLayer(system)
-        degrees = [t for t in DEGREES if t <= layer.topology.gpus_per_node]
-        grid = layer.layer_costs(cfg, degrees)
-        assert grid == scalar_costs(layer, cfg, degrees, scalar_tp_cost)
-        for t, cost in grid.items():
-            assert layer.layer_cost(cfg, t) == cost
+        check_tp(name, system, flash=False)
+
+    def test_tp_layer_costs_flash(self, name, system):
+        check_tp(name, system, flash=True)
 
     def test_sp_layer_costs(self, name, system):
-        cfg = get_model(name)
-        layer = SequenceParallelLayer(system)
-        degrees = [t for t in DEGREES if t <= layer.topology.gpus_per_node]
-        grid = layer.layer_costs(cfg, degrees)
-        assert grid == scalar_costs(layer, cfg, degrees, scalar_sp_cost)
-        for t in degrees:
-            if t in grid:
-                assert layer.layer_cost(cfg, t) == grid[t]
-            else:
-                with pytest.raises(ParallelismError):
-                    layer.layer_cost(cfg, t)
+        check_sp(name, system, flash=False)
+
+    def test_sp_layer_costs_flash(self, name, system):
+        check_sp(name, system, flash=True)
 
     def test_plan_matches_scalar_reference(self, name, system):
         cfg = get_model(name)
