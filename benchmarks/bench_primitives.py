@@ -1,19 +1,20 @@
 """Micro-benchmarks of the library's computational primitives.
 
 These time the building blocks a user pays for when sweeping shapes:
-one analytic GEMM evaluation, a full layer-latency composition, the rule engine, an advisor search, a
-(t, p, d) parallelism plan, a tensor-parallel degree sweep, a whole
-training-step estimate, and the real NumPy substrates (transformer
-forward, FlashAttention kernel).
+one analytic GEMM evaluation, a full layer-latency composition, the
+shape linter's rule set, an advisor search, a (t, p, d) parallelism
+plan, a tensor-parallel degree sweep, a whole training-step estimate,
+and the real NumPy substrates (transformer forward, FlashAttention
+kernel).
 """
 
 import numpy as np
 import pytest
 
+from repro.analysis.shape_rules import ShapeLinter
 from repro.core.advisor import ShapeAdvisor
 from repro.core.config import get_model
 from repro.core.latency import LayerLatencyModel
-from repro.core.rules import RuleEngine
 from repro.gpu.gemm_model import GemmModel
 from repro.parallelism.planner import ParallelPlanner
 from repro.parallelism.tensor_parallel import TensorParallelLayer
@@ -42,10 +43,12 @@ def bench_layer_breakdown(benchmark):
     assert bd.total_s > 0
 
 
-def bench_rule_engine(benchmark):
-    engine = RuleEngine("A100")
+def bench_shape_linter(benchmark):
+    # Every Sec VI-B rule on one config; fix-it neighbourhoods are warm
+    # engine hits after the first round.
+    linter = ShapeLinter("A100")
     cfg = get_model("gpt3-2.7b")
-    diags = benchmark(engine.check, cfg)
+    diags = benchmark(linter.diagnose, cfg)
     assert diags
 
 

@@ -12,7 +12,7 @@ Walks through the library's core loop in five steps:
 Run:  python examples/quickstart.py
 """
 
-from repro import GemmModel, LayerLatencyModel, RuleEngine, get_model
+from repro import GemmModel, LayerLatencyModel, ShapeLinter, get_model
 from repro.core.gemms import layer_gemms
 
 
@@ -47,9 +47,7 @@ def main() -> None:
 
     # 5. The paper's sizing rules.
     print("\nSizing-rule diagnostics:")
-    for diag in RuleEngine("A100").check(cfg):
-        if diag.severity.name != "OK":
-            print(f"  {diag}")
+    print(ShapeLinter("A100").lint(cfg).render_text())
 
 
 if __name__ == "__main__":

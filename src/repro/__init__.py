@@ -70,9 +70,6 @@ _EXPORTS: Dict[str, str] = {
     "MemoryBudget": "repro.core.memory",
     "estimate_memory": "repro.trainstep.memory",
     "inference_bytes": "repro.core.memory",
-    "RuleEngine": "repro.core.rules",
-    "Diagnostic": "repro.core.rules",
-    "Severity": "repro.core.rules",
     "ShapeAdvisor": "repro.core.advisor",
     "Proposal": "repro.core.advisor",
     # lint (repro.analysis)
@@ -80,6 +77,7 @@ _EXPORTS: Dict[str, str] = {
     "SelfLinter": "repro.analysis.selflint",
     "LintReport": "repro.analysis.diagnostics",
     "LintDiagnostic": "repro.analysis.diagnostics",
+    "Severity": "repro.analysis.diagnostics",
     # inference
     "InferenceModel": "repro.inference.latency",
     # common types

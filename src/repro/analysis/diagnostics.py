@@ -3,10 +3,10 @@
 The co-design shape linter (:mod:`repro.analysis.shape_rules`) and the
 AST self-lint pass (:mod:`repro.analysis.selflint`) emit the same
 currency: a :class:`LintDiagnostic` carrying a stable rule id, a
-severity (reusing :class:`repro.core.rules.Severity` so lint output
-sorts/filters exactly like the Sec VI-B rule engine), a message, a
-:class:`Location` (source file/line for AST findings, config path for
-shape findings), and an optional quantified :class:`FixIt`.
+:class:`Severity` (ordered, so lint output sorts and filters by it),
+a message, a :class:`Location` (source file/line for AST findings,
+config path for shape findings), and an optional quantified
+:class:`FixIt`.
 
 A :class:`LintReport` aggregates diagnostics for one target and owns
 the exit-code contract of ``repro lint``:
@@ -22,11 +22,10 @@ code  meaning
 
 from __future__ import annotations
 
+import enum
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
-
-from repro.core.rules import Severity
 
 __all__ = [
     "FixIt",
@@ -35,6 +34,15 @@ __all__ = [
     "Location",
     "Severity",
 ]
+
+
+class Severity(enum.IntEnum):
+    """Ordered severity of a diagnostic (higher is worse)."""
+
+    OK = 0
+    INFO = 1
+    WARNING = 2
+    ERROR = 3
 
 
 @dataclass(frozen=True)

@@ -5,20 +5,22 @@ against the paper's sizing rules *under its tensor-parallel degree*:
 every per-GPU GEMM dimension the config induces — ``h/t``, ``h/a``,
 ``d_ff/t``, ``v/t`` — should be divisible by 64 for full Tensor Core
 utilization (Sec VI-B, VII-A/B), and the microbatch should not sit
-just past a tile/wave-quantization cliff (Sec III-B).
+just past a tile/wave-quantization cliff (Sec III-B).  This is the one
+implementation of the paper's Sec VI-B rule list: ``repro lint``, the
+harness preflight and the advisory service's lint queries all run it.
 
-Unlike :class:`repro.core.rules.RuleEngine` (which reports the paper's
-recommendations qualitatively), every fix-it here is *quantified*: the
-rule proposes the nearest compliant value and batch-evaluates the whole
-candidate neighborhood through the memoized engine
-(:mod:`repro.analysis.fixit`), so suggestions carry modeled
-before/after latencies and the neighborhood ranking is by modeled
-latency, not divisibility alone.
+Every shape fix-it is *quantified*: the rule proposes the nearest
+compliant value and batch-evaluates the whole candidate neighborhood
+through the memoized engine (:mod:`repro.analysis.fixit`), so
+suggestions carry modeled before/after latencies and the neighborhood
+ranking is by modeled latency, not divisibility alone.  The advisory
+rules (``b*s`` alignment, microbatch size, minimal ``t``, MoE tokens
+per expert) state the paper's recommendation without a fix-it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import (
     FixIt,
@@ -36,12 +38,14 @@ from repro.analysis.fixit import (
 )
 from repro.core.config import TransformerConfig
 from repro.core.memory import MemoryBudget
-from repro.core.rules import POW2_TARGET
 from repro.engine.core import default_engine
 from repro.engine.vectorized import shape_array
 from repro.gpu.alignment import largest_pow2_divisor
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.trainstep.memory import estimate_memory, estimate_memory_cells
+
+#: "There is no further benefit to going beyond 64" (Sec VI-B).
+POW2_TARGET = 64
 
 #: Head dims worth proposing: small enough for attention kernels, large
 #: enough that per-head GEMMs are not overhead-dominated.
@@ -58,6 +62,17 @@ ShapeRuleFn = Callable[["ShapeLinter", TransformerConfig], List[LintDiagnostic]]
 
 def _loc(cfg: TransformerConfig, field: str) -> Location:
     return Location(config_path=f"{cfg.name}.{field}")
+
+
+def _pow2_shortfall(p: int) -> Tuple[Severity, str]:
+    """Severity and reason for a dimension whose largest power-of-two
+    divisor ``p`` is below :data:`POW2_TARGET`."""
+    if p < 8:
+        return Severity.ERROR, "below the 8-element MMA fragment granularity"
+    return (
+        Severity.WARNING,
+        f"Tensor Core efficiency improves up to divisibility by {POW2_TARGET}",
+    )
 
 
 class ShapeLinter:
@@ -86,6 +101,10 @@ class ShapeLinter:
         out += self.rule_hidden_tp(cfg)
         out += self.rule_dff_alignment(cfg)
         out += self.rule_heads_tp(cfg)
+        out += self.rule_tokens_alignment(cfg)
+        out += self.rule_microbatch_size(cfg)
+        out += self.rule_tp_minimal(cfg)
+        out += self.rule_moe_tokens(cfg)
         out += self.rule_microbatch_wave(cfg)
         out += self.rule_layers_pipeline(cfg, pipeline_stages)
         out += self.rule_memory_capacity(cfg, pipeline_stages)
@@ -207,12 +226,7 @@ class ShapeLinter:
                     paper_ref="Sec VI-B",
                 )
             ]
-        severity = Severity.ERROR if p < 8 else Severity.WARNING
-        detail = (
-            "below the 8-element MMA fragment granularity"
-            if p < 8
-            else f"Tensor Core efficiency improves up to divisibility by {POW2_TARGET}"
-        )
+        severity, detail = _pow2_shortfall(p)
         message = f"h/a = {d} is divisible only by {p}; {detail}"
 
         # Nearest compliant head count, with the whole neighborhood
@@ -479,7 +493,7 @@ class ShapeLinter:
                 field="num_heads",
                 current=a,
                 suggested=nearest,
-                note=f"nearest head count dividing h with t | a",
+                note="nearest head count dividing h with t | a",
             )
         return [
             LintDiagnostic(
@@ -491,6 +505,114 @@ class ShapeLinter:
                 fixit=fixit,
                 paper_ref="Sec VI-B",
             )
+        ]
+
+    def rule_tokens_alignment(self, cfg: TransformerConfig) -> List[LintDiagnostic]:
+        """``b*s`` should be divisible by a power of two, ideally 64
+        (Sec VI-B rule 3).  ``b`` itself needs no divisibility because
+        ``s`` is normally a large power of two already."""
+        tokens = cfg.tokens_per_microbatch
+        p = largest_pow2_divisor(tokens)
+        if p >= POW2_TARGET:
+            severity = Severity.OK
+            message = f"b*s = {tokens} is a multiple of {POW2_TARGET}"
+        else:
+            severity, detail = _pow2_shortfall(p)
+            message = f"b*s = {tokens} is divisible only by {p}; {detail}"
+        return [
+            LintDiagnostic(
+                "shape/tokens-alignment",
+                severity,
+                message,
+                _loc(cfg, "seq_len"),
+                paper_ref="Sec VI-B",
+            )
+        ]
+
+    def rule_microbatch_size(self, cfg: TransformerConfig) -> List[LintDiagnostic]:
+        """``b`` should be as large as memory allows (Sec VI-B rule 2)."""
+        b = cfg.microbatch
+        if b >= 4:
+            severity, message = Severity.OK, f"b = {b}"
+        else:
+            severity = Severity.INFO
+            message = (
+                f"b = {b} is small; larger microbatches raise GEMM "
+                "arithmetic intensity until activation memory binds"
+            )
+        return [
+            LintDiagnostic(
+                "shape/microbatch-size",
+                severity,
+                message,
+                _loc(cfg, "microbatch"),
+                paper_ref="Sec VI-B",
+            )
+        ]
+
+    def rule_tp_minimal(self, cfg: TransformerConfig) -> List[LintDiagnostic]:
+        """``t`` should be as small as memory allows (Sec VI-B rule 5)."""
+        t = cfg.tp_degree
+        if t == 1:
+            severity, message = Severity.OK, "t = 1"
+        else:
+            severity = Severity.INFO
+            message = (
+                f"t = {t} shrinks every per-GPU GEMM by {t}x; use the "
+                "smallest t that fits memory"
+            )
+        return [
+            LintDiagnostic(
+                "shape/tp-minimal",
+                severity,
+                message,
+                _loc(cfg, "tp_degree"),
+                paper_ref="Sec VI-B",
+            )
+        ]
+
+    def rule_moe_tokens(self, cfg: TransformerConfig) -> List[LintDiagnostic]:
+        """MoE: the per-expert row count ``b*s*k/E`` should be large and
+        64-aligned; small or ragged values waste tiles and launches."""
+        if cfg.num_experts is None:
+            return []
+        experts, m_e = cfg.num_experts, cfg.tokens_per_expert
+        total = cfg.tokens_per_microbatch * cfg.moe_top_k
+        found = []
+        if total % experts:
+            found.append(
+                (
+                    Severity.INFO,
+                    f"b*s*k = {total} does not divide evenly over {experts} "
+                    f"experts; capacity padding wastes {experts * m_e - total} "
+                    "token slots per layer",
+                )
+            )
+        if m_e < 256:
+            found.append(
+                (
+                    Severity.WARNING,
+                    f"only ~{m_e} tokens per expert: expert GEMMs are launch-"
+                    "overhead- and tile-quantization-dominated; increase b, "
+                    "reduce experts, or raise top_k",
+                )
+            )
+        elif m_e % POW2_TARGET:
+            found.append(
+                (
+                    Severity.INFO,
+                    f"tokens per expert ({m_e}) is not a multiple of "
+                    f"{POW2_TARGET}; expert GEMM tile rows are padded",
+                )
+            )
+        else:
+            found.append(
+                (Severity.OK, f"~{m_e} tokens per expert ({POW2_TARGET}-aligned)")
+            )
+        loc = _loc(cfg, "num_experts")
+        return [
+            LintDiagnostic("shape/moe-tokens", sev, msg, loc, paper_ref="Sec VI-B")
+            for sev, msg in found
         ]
 
     def rule_microbatch_wave(self, cfg: TransformerConfig) -> List[LintDiagnostic]:

@@ -3,7 +3,6 @@
 Verbs::
 
     repro analyze  <model> [--gpu A100]       latency breakdown of a preset
-    repro rules    <model> [--gpu A100]       run the Sec VI-B rule engine
     repro advise   <model> [--gpu A100]       propose faster shapes
     repro figure   <id> [--csv] [--check]     regenerate a paper figure/table
     repro figures                             list all experiment ids
@@ -145,11 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     _add_gpu(p)
     p.add_argument("--flash", action="store_true", help="use FlashAttention")
-
-    p = sub.add_parser("rules", help="run the sizing-rule diagnostics")
-    p.add_argument("model")
-    _add_gpu(p)
-    p.add_argument("--pipeline-stages", type=int, default=1)
 
     p = sub.add_parser("advise", help="propose faster equal-size shapes")
     p.add_argument("model")
@@ -583,16 +577,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"\ntokens/s: {model.tokens_per_second(cfg):,.0f}   "
         f"MFU: {100 * model.mfu(cfg):.1f}%"
     )
-    return 0
-
-
-def cmd_rules(args: argparse.Namespace) -> int:
-    from repro.core.config import get_model
-    from repro.core.rules import RuleEngine
-
-    cfg = get_model(args.model)
-    engine = RuleEngine(args.gpu)
-    print(engine.report(cfg, pipeline_stages=args.pipeline_stages))
     return 0
 
 
@@ -1257,7 +1241,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "analyze": cmd_analyze,
-    "rules": cmd_rules,
     "advise": cmd_advise,
     "figure": cmd_figure,
     "figures": cmd_figures,

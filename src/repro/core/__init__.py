@@ -5,8 +5,6 @@
   suite, Llama-2, the Fig 1 C1/C2 retunes, ...),
 - :mod:`repro.core.formulas` — parameter/FLOP/memory formulas (Sec III-C),
 - :mod:`repro.core.gemms` — the Table II operator -> GEMM mapping,
-- :mod:`repro.core.rules` — the Sec VI-B sizing rules as a diagnostics
-  engine,
 - :mod:`repro.core.latency` — per-layer / per-model latency composition
   over the GPU substrate,
 - :mod:`repro.core.breakdown` — latency-proportion analyses (Figs 2, 11),

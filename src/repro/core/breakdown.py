@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.core.config import TransformerConfig, get_model
+from repro.core.config import TransformerConfig
 from repro.core.latency import LayerLatencyModel
-from repro.gpu.specs import GPUSpec
 
 # Reference shapes for "medium" and "large" models used by the Sec I /
 # Fig 2 discussion; medium ~ GPT-3 1.3B-class layer, large ~ 20B-class.

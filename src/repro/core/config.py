@@ -11,7 +11,7 @@ can refer to them by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from repro.core import formulas

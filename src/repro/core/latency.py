@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import TransformerConfig
-from repro.core.gemms import Row, TransformerGemm, as_gemms, layer_rows, logit_row
+from repro.core.gemms import Row, TransformerGemm, layer_rows, logit_row
 from repro.engine.core import default_engine
 from repro.engine.vectorized import BatchResult
 from repro.errors import ConfigError
@@ -212,10 +212,6 @@ class LayerLatencyModel:
             labels, rows = [labels[i] for i in kept], [rows[i] for i in kept]
         return labels, rows
 
-    def layer_ops(self, cfg: TransformerConfig) -> List[TransformerGemm]:
-        """:meth:`layer_rows` at ``cfg.tp_degree`` as Table II operators."""
-        return as_gemms(*self.layer_rows(cfg, cfg.tp_degree))
-
     def compose_rows(
         self,
         cfg: TransformerConfig,
@@ -244,17 +240,6 @@ class LayerLatencyModel:
         for name, seconds in self._layer_pointwise(cfg, t).items():
             bd.add(name, seconds)
         return bd
-
-    def compose_layer(
-        self,
-        cfg: TransformerConfig,
-        ops: Sequence[TransformerGemm],
-        gemm_latencies: Sequence[float],
-    ) -> LatencyBreakdown:
-        """:meth:`compose_rows` at ``cfg.tp_degree`` for priced :meth:`layer_ops`."""
-        rows = [(op.batch, op.m, op.n, op.k) for op in ops]
-        labels = [op.module for op in ops]
-        return self.compose_rows(cfg, cfg.tp_degree, labels, rows, gemm_latencies)
 
     def compose_model(
         self, cfg: TransformerConfig, layer: LatencyBreakdown, logit_s: float

@@ -8,7 +8,7 @@ min/max tick labels, and a per-series legend.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ExperimentError
 

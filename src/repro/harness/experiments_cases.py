@@ -8,7 +8,7 @@
 
 from __future__ import annotations
 
-from repro.autotune.swiglu import candidate_for, swiglu_intermediate_search
+from repro.autotune.swiglu import swiglu_intermediate_search
 from repro.core.advisor import ShapeAdvisor
 from repro.core.config import get_model
 from repro.gpu.alignment import largest_pow2_divisor

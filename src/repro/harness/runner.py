@@ -30,10 +30,9 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.diagnostics import LintReport
+from repro.analysis.diagnostics import LintReport, Severity
 from repro.analysis.shape_rules import ShapeLinter
 from repro.core.config import get_model
-from repro.core.rules import Severity
 from repro.engine.core import default_engine
 from repro.errors import ExperimentError
 from repro.harness.compare import CheckResult

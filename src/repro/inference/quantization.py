@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from repro.core.config import TransformerConfig
 from repro.errors import ConfigError
 from repro.gpu.specs import GPUSpec, get_gpu
-from repro.inference.latency import InferenceModel, _KERNELS_PER_LAYER_DECODE
+from repro.inference.latency import InferenceModel
 from repro.types import DType
 
 #: Supported weight-only schemes: name -> bits per weight.

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.config import TransformerConfig, get_model
+from repro.core.config import get_model
 from repro.core.gemms import (
-    TransformerGemm,
     backward_gemms_for,
     layer_gemms,
     layer_rows,

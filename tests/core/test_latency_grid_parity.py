@@ -6,7 +6,7 @@ Every forward-latency caller prices its GEMMs through the engine grid
 one-config views ``layer_breakdown`` / ``model_breakdown`` and the
 methods built on them.  The references below price the same configs
 one GEMM at a time through the scalar ``GemmModel.evaluate`` and
-compose them with ``compose_layer`` / ``compose_model``.  Every
+compose them with ``compose_rows`` / ``compose_model``.  Every
 comparison is ``==``: the engine agrees with the scalar model
 bit-for-bit and both paths compose components in the same order, so
 any drift is a bug, not noise.
@@ -67,10 +67,22 @@ def _scalar_s(model: LayerLatencyModel, op: TransformerGemm) -> float:
     return gemm.evaluate(op.m, op.n, op.k, batch=op.batch).latency_s
 
 
+#: The BMMs FlashAttention fuses into one kernel that ``compose_rows``
+#: prices itself.
+_FLASH_FUSED = ("attention_score", "attention_over_value")
+
+
 def scalar_layer(model: LayerLatencyModel, cfg: TransformerConfig) -> LatencyBreakdown:
     """One layer priced one GEMM at a time through ``GemmModel``."""
-    ops = model.layer_ops(cfg)
-    return model.compose_layer(cfg, ops, [_scalar_s(model, op) for op in ops])
+    ops = [
+        op
+        for op in layer_gemms(cfg)
+        if not (model.flash and op.module in _FLASH_FUSED)
+    ]
+    labels = [op.module for op in ops]
+    rows = [(op.batch, op.m, op.n, op.k) for op in ops]
+    seconds = [_scalar_s(model, op) for op in ops]
+    return model.compose_rows(cfg, cfg.tp_degree, labels, rows, seconds)
 
 
 def scalar_model(model: LayerLatencyModel, cfg: TransformerConfig) -> LatencyBreakdown:

@@ -16,7 +16,6 @@ structural facts the paper's figures rely on, rather than point values:
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

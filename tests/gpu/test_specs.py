@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import GPUModelError
-from repro.gpu.specs import GPUSpec, get_gpu, list_gpus, register_gpu
+from repro.gpu.specs import get_gpu, list_gpus, register_gpu
 from repro.types import DType
 
 

@@ -112,11 +112,11 @@ class TestPresetsSurviveEverything:
     def test_full_pipeline_on_presets(self, name):
         """Every preset flows through rules, latency, training, memory
         and inference without error."""
+        from repro.analysis.shape_rules import ShapeLinter
         from repro.core.latency import LayerLatencyModel
-        from repro.core.rules import RuleEngine
 
         cfg = get_model(name, microbatch=1)
-        assert RuleEngine("A100").check(cfg)
+        assert ShapeLinter("A100").diagnose(cfg)
         assert LayerLatencyModel("A100").model_latency(cfg) > 0
         assert TrainStepEstimator("A100").estimate(cfg).total_s > 0
         assert estimate_memory(cfg).peak_bytes > 0

@@ -6,8 +6,6 @@ and checks it against the band recorded in
 bands are wide because the substrate is a model, not their silicon).
 """
 
-import pytest
-
 from repro.calibration.data import get_anchor
 from repro.core.advisor import ShapeAdvisor
 from repro.core.breakdown import LARGE_CONFIG, MEDIUM_CONFIG, gemm_share

@@ -5,8 +5,6 @@ leans on: physical bounds of the GPU model, conservation laws of the
 GEMM mappings, and round-trip guarantees of the harness structures.
 """
 
-import numpy as np
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.config import TransformerConfig
@@ -17,7 +15,7 @@ from repro.core.gemms import (
     layer_rows,
     training_gemms,
 )
-from repro.errors import ConfigError, ParallelismError
+from repro.errors import ParallelismError
 from repro.gpu.gemm_model import GemmModel
 from repro.gpu.specs import get_gpu
 from repro.harness.results import ResultTable
@@ -172,13 +170,16 @@ class TestResultTableRoundTrips:
         assert best["b"] == max(b for _, b in rows)
 
 
-class TestRuleEngineTotality:
+class TestShapeLinterTotality:
     @settings(max_examples=30, deadline=None)
-    @given(configs)
-    def test_rules_never_crash_on_valid_configs(self, cfg):
-        from repro.core.rules import RuleEngine, Severity
+    @given(configs, st.sampled_from([1, 2, 4, 8]))
+    def test_rules_never_crash_on_valid_configs(self, cfg, t):
+        # TP-infeasible shapes (t not dividing a or h) are ERROR
+        # findings, never exceptions.
+        from repro.analysis.diagnostics import Severity
+        from repro.analysis.shape_rules import ShapeLinter
 
-        diags = RuleEngine("A100").check(cfg)
+        diags = ShapeLinter("A100").diagnose(cfg.with_overrides(tp_degree=t))
         assert diags
         assert all(isinstance(d.severity, Severity) for d in diags)
 
@@ -189,7 +190,8 @@ class TestRuleEngineTotality:
         st.integers(min_value=1, max_value=48),
     )
     def test_aligned_shapes_never_error(self, a, dim_mult, L):
-        from repro.core.rules import RuleEngine, Severity
+        from repro.analysis.diagnostics import Severity
+        from repro.analysis.shape_rules import ShapeLinter
 
         cfg = TransformerConfig(
             name="aligned",
@@ -197,7 +199,7 @@ class TestRuleEngineTotality:
             num_heads=a,
             num_layers=L,
         )
-        assert RuleEngine("A100").worst(cfg) < Severity.ERROR
+        assert ShapeLinter("A100").lint(cfg).worst < Severity.ERROR
 
 
 class TestAdvisorContract:

@@ -4,7 +4,6 @@ advisories, retryability, and the unwrap inverse."""
 import pytest
 
 from repro.errors import (
-    ClusterError,
     ConfigError,
     DeadlineExceededError,
     FaultInjectionError,

@@ -26,13 +26,20 @@ class TestAnalyze:
 
 class TestRules:
     def test_basic(self, capsys):
-        assert main(["rules", "gpt3-2.7b"]) == 0
+        # h/a = 80 warns, so lint exits 1; --min-severity ok also lists
+        # the passing checks.
+        assert main(["lint", "gpt3-2.7b", "--min-severity", "ok"]) == 1
         out = capsys.readouterr().out
-        assert "head_dim_pow2" in out
+        assert "shape/head-alignment" in out
+        assert "shape/tokens-alignment" in out
 
     def test_pipeline_stages(self, capsys):
-        assert main(["rules", "gpt3-2.7b", "--pipeline-stages", "5"]) == 0
-        assert "pipeline" in capsys.readouterr().out
+        assert main(["lint", "gpt3-2.7b", "--pipeline-stages", "5"]) == 1
+        assert "shape/layers-pipeline" in capsys.readouterr().out
+
+    def test_rules_verb_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["rules", "gpt3-2.7b"])
 
 
 class TestAdvise:

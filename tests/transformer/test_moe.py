@@ -180,11 +180,14 @@ class TestAnalyticMapping:
         )
 
     def test_rules_flag_small_expert_batches(self):
-        from repro.core.rules import RuleEngine, Severity
+        from repro.analysis.diagnostics import Severity
+        from repro.analysis.shape_rules import ShapeLinter
 
         tiny = get_model("mixtral-8x7b", microbatch=1, seq_len=512)
         diags = [
-            d for d in RuleEngine("A100").check(tiny) if d.rule == "moe_tokens"
+            d
+            for d in ShapeLinter("A100").diagnose(tiny)
+            if d.rule_id == "shape/moe-tokens"
         ]
         assert diags and diags[0].severity == Severity.WARNING
 
