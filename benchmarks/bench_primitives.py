@@ -4,7 +4,7 @@ These time the building blocks a user pays for when sweeping shapes:
 one analytic GEMM evaluation, a full layer-latency composition, the
 shape linter's rule set, an advisor search, a (t, p, d) parallelism
 plan, a tensor-parallel degree sweep, a whole training-step estimate,
-and the real NumPy substrates (transformer forward, FlashAttention
+one kernel-parameter table tune, and the real NumPy substrates (transformer forward, FlashAttention
 kernel).
 """
 
@@ -15,7 +15,9 @@ from repro.analysis.shape_rules import ShapeLinter
 from repro.core.advisor import ShapeAdvisor
 from repro.core.config import get_model
 from repro.core.latency import LayerLatencyModel
+from repro.engine.core import ShapeEngine
 from repro.gpu.gemm_model import GemmModel
+from repro.kernels.search import TUNE_BATCHES, TUNE_DIMS, tune_table
 from repro.parallelism.planner import ParallelPlanner
 from repro.parallelism.tensor_parallel import TensorParallelLayer
 from repro.trainstep import TrainStepEstimator
@@ -86,6 +88,14 @@ def bench_trainstep_estimate(benchmark, checkpointing):
     cfg = get_model("gpt3-2.7b")
     est = benchmark(estimator.estimate, cfg, checkpointing=checkpointing)
     assert est.total_s > 0
+
+
+def bench_tune_table(benchmark):
+    # The full A100 fp16 grid (1,024 buckets) on a fresh engine each
+    # round, as `repro tune-kernels` pays it: one tile sweep, the argmin
+    # columns and one KernelEntry per bucket.
+    table = benchmark(lambda: tune_table("A100", "fp16", engine=ShapeEngine()))
+    assert len(table.entries) == len(TUNE_BATCHES) * len(TUNE_DIMS) ** 3
 
 
 def bench_numpy_transformer_forward(benchmark):

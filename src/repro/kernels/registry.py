@@ -92,6 +92,9 @@ class KernelParamResolver:
         self._indexes: Dict[
             Tuple[str, str], Dict[Tuple[int, int, int, int], KernelEntry]
         ] = {}
+        # Canonical JSON plus sha256 over every entry: computed once per
+        # table here, not on every table hit.
+        self._checksums: Dict[Tuple[str, str], str] = {}
         self._stale: List[str] = []
         current = model_version()
         for table in tables or []:
@@ -108,6 +111,7 @@ class KernelParamResolver:
             key = (table.gpu, table.dtype)
             self._tables[key] = table
             self._indexes[key] = table.index()
+            self._checksums[key] = table.checksum()
 
     @classmethod
     def from_env(
@@ -120,14 +124,14 @@ class KernelParamResolver:
 
     # -- resolution ----------------------------------------------------------
 
+    @staticmethod
     def _entry_payload(
-        self, entry: KernelEntry, table: Optional[KernelTable]
+        entry: KernelEntry, checksum: Optional[str]
     ) -> Dict[str, Any]:
+        """``checksum`` is the answering table's, or None on a miss."""
         payload = entry.to_dict()
-        payload["table_hit"] = table is not None
-        payload["table_checksum"] = (
-            table.checksum() if table is not None else None
-        )
+        payload["table_hit"] = checksum is not None
+        payload["table_checksum"] = checksum
         payload["model_version"] = model_version()
         return payload
 
@@ -159,15 +163,15 @@ class KernelParamResolver:
                 return dict(hit)
 
         key = (spec.name, parsed.name)
-        table = self._tables.get(key)
+        index = self._indexes.get(key)
         entry = None
-        if table is not None:
+        if index is not None:
             bucket = (
                 bucket_of(batch), bucket_of(m), bucket_of(n), bucket_of(k),
             )
-            entry = self._indexes[key].get(bucket)
+            entry = index.get(bucket)
         if entry is not None:
-            payload = self._entry_payload(entry, table)
+            payload = self._entry_payload(entry, self._checksums[key])
         else:
             payload = self._entry_payload(
                 best_for_shape(

@@ -26,17 +26,16 @@ yields byte-identical artifacts.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.cache import model_version
+from repro.engine.cache import LRUCache, model_version
 from repro.engine.core import ShapeEngine, default_engine
-from repro.engine.grid import ShapeGrid, TileSweep
+from repro.engine.grid import SHAPE_COLUMNS, ShapeGrid, TileSweep
 from repro.errors import KernelTableError
 from repro.gpu.specs import get_gpu
-from repro.gpu.tiles import candidate_tiles
+from repro.gpu.tiles import TileConfig, candidate_tiles
 from repro.kernels.table import SCHEMA_VERSION, KernelEntry, KernelTable
 from repro.observability.tracing import span as _span
 from repro.types import DType
@@ -94,60 +93,74 @@ def tune_grid(
     )
 
 
+#: Tile columns per candidate pool, keyed on the pool's identity: the
+#: engine hands out one memoized tuple per default pool, so the
+#: one-shape fallback hits without hashing every tile.  Each value holds
+#: its pool, which keeps the id from being reused while it is cached.
+_POOL_COLUMNS = LRUCache(maxsize=64)
+
+
+def _pool_columns(
+    pool: Tuple[TileConfig, ...],
+) -> Tuple[Tuple[TileConfig, ...], np.ndarray, np.ndarray]:
+    """``(pool, names, geometry)`` for one candidate pool.
+
+    ``names`` is an object array of tile names with a trailing ``None``
+    (index ``len(pool)`` means "no runner-up"); ``geometry`` is the
+    ``(C, 4)`` array of ``(tile_m, tile_n, k_stage, threads)``.
+    """
+    hit = _POOL_COLUMNS.get(id(pool))
+    if hit is None:
+        names = np.array([t.name for t in pool] + [None], dtype=object)
+        geometry = np.array(
+            [(t.m, t.n, t.k_stage, t.threads) for t in pool], dtype=np.int64
+        )
+        hit = (pool, names, geometry)
+        _POOL_COLUMNS.put(id(pool), hit)
+    return hit
+
+
 def _argmin_entries(grid: ShapeGrid, sweep: TileSweep) -> Tuple[KernelEntry, ...]:
-    """Per-shape winners (and runners-up) from a tile sweep."""
+    """Per-shape winners (and runners-up) from a tile sweep.
+
+    Every field is computed as a column; the entries are then one
+    positional ``KernelEntry._make`` per shape over the zipped columns.
+    """
     # (candidates, shapes) views of the sweep; nothing is copied.
     latency = sweep.matrix("latency_s")
-    tflops = sweep.matrix("tflops")
-    waves = sweep.matrix("waves")
-    blocks = sweep.matrix("blocks")
     best = np.argmin(latency, axis=0)
     cols = np.arange(len(grid))
     # Runner-up: mask the winner out and argmin again (vectorized).
     masked = latency.copy()
     masked[best, cols] = np.inf
     second = np.argmin(masked, axis=0)
-    tiles = sweep.pool
-    names = [tile.name for tile in tiles]
-    # One tolist() per column; the loop below only assembles entries.
-    rows = zip(
-        grid.shapes.tolist(),
-        best.tolist(),
-        second.tolist(),
-        latency[best, cols].tolist(),
-        masked[second, cols].tolist(),
-        tflops[best, cols].tolist(),
-        waves[best, cols].tolist(),
-        blocks[best, cols].tolist(),
+    win_latency = latency[best, cols]
+    second_latency = masked[second, cols]
+    has_second = np.isfinite(second_latency)
+    # Runner-up over winner latency; 1.0 without a runner-up or when
+    # the winner's latency is not positive.
+    margin = np.divide(
+        second_latency, win_latency, out=np.ones_like(win_latency),
+        where=has_second & (win_latency > 0),
     )
-    entries = []
-    for (b, m, n, k), win, sec, win_latency, second_latency, tf, wv, bl in rows:
-        tile = tiles[win]
-        has_second = math.isfinite(second_latency)
-        entries.append(
-            KernelEntry(
-                batch=b,
-                m=m,
-                n=n,
-                k=k,
-                tile=names[win],
-                tile_m=tile.m,
-                tile_n=tile.n,
-                k_stage=tile.k_stage,
-                threads=tile.threads,
-                waves=wv,
-                blocks=bl,
-                latency_s=win_latency,
-                tflops=tf,
-                runner_up=names[sec] if has_second else None,
-                margin=(
-                    second_latency / win_latency
-                    if has_second and win_latency > 0
-                    else 1.0
-                ),
-            )
+    _, names, geometry = _pool_columns(sweep.pool)
+    runner_up = np.where(has_second, second, len(names) - 1)
+    return tuple(
+        map(
+            KernelEntry._make,
+            zip(
+                *(grid.column(c).tolist() for c in SHAPE_COLUMNS),
+                names[best].tolist(),
+                *geometry[best].T.tolist(),
+                sweep.matrix("waves")[best, cols].tolist(),
+                sweep.matrix("blocks")[best, cols].tolist(),
+                win_latency.tolist(),
+                sweep.matrix("tflops")[best, cols].tolist(),
+                names[runner_up].tolist(),
+                margin.tolist(),
+            ),
         )
-    return tuple(entries)
+    )
 
 
 def tune_table(

@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import KernelTableError
 
@@ -62,8 +62,7 @@ def bucket_of(value: int) -> int:
     return value.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class KernelEntry:
+class KernelEntry(NamedTuple):
     """One tuned bucket: the winning tile/wave parameters.
 
     ``batch``/``m``/``n``/``k`` are the bucket's *representative*
@@ -72,6 +71,11 @@ class KernelEntry:
     prediction for the winning tile at that representative shape;
     ``margin`` is runner-up latency over winner latency
     (dimensionless, >= 1; large margin = robust pick).
+
+    A named tuple, not a frozen dataclass: a tuning pass builds one per
+    bucket, and the tuner assembles them positionally with
+    :meth:`_make` from its argmin columns.  Copies with changed fields
+    come from :meth:`_replace`.
     """
 
     batch: int
@@ -100,23 +104,8 @@ class KernelEntry:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "batch": self.batch,
-            "m": self.m,
-            "n": self.n,
-            "k": self.k,
-            "tile": self.tile,
-            "tile_m": self.tile_m,
-            "tile_n": self.tile_n,
-            "k_stage": self.k_stage,
-            "threads": self.threads,
-            "waves": self.waves,
-            "blocks": self.blocks,
-            "latency_s": self.latency_s,
-            "tflops": self.tflops,
-            "runner_up": self.runner_up,
-            "margin": self.margin,
-        }
+        """The entry as a JSON object, keys in field order."""
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "KernelEntry":

@@ -28,8 +28,7 @@ call of the same scorer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,9 +65,12 @@ def _links(
     return bw[inverse], alpha[inverse]
 
 
-@dataclass(frozen=True)
-class ParallelPlan:
-    """One (t, p, d) decomposition and its modelled iteration time."""
+class ParallelPlan(NamedTuple):
+    """One (t, p, d) decomposition and its modelled iteration time.
+
+    A named tuple, not a frozen dataclass: one sizing pass builds about
+    a thousand, positionally from the planner's cell columns.
+    """
 
     tp: int
     pp: int
@@ -210,11 +212,12 @@ class ParallelPlanner:
         peak_phase = np.zeros(len(cells), dtype=np.int64)
         for i, name in enumerate(policies):
             memory = estimate_memory_cells(cfg, t, p, name)
+            cell_peak = memory.peak_bytes
             take = policy < 0
             if require_fit:
-                take &= memory.peak_bytes <= usable
+                take &= cell_peak <= usable
             policy[take] = i
-            peak[take] = memory.peak_bytes[take]
+            peak[take] = cell_peak[take]
             peak_phase[take] = memory.peak_index[take]
             if (policy >= 0).all():
                 break
@@ -256,30 +259,23 @@ class ParallelPlanner:
             comm_frac = np.where(
                 iteration_s != 0, np.minimum(1.0, comm_s / iteration_s), 0.0
             )
-        return [
-            ParallelPlan(
-                tp=tp,
-                pp=pp,
-                dp=dp,
-                iteration_time_s=it,
-                comm_fraction=cf,
-                fits_memory=pk <= usable,
-                balanced_pipeline=L % pp == 0,
-                checkpointing=policies[pol],
-                peak_memory_bytes=pk,
-                peak_memory_phase=PHASES[ph],
+        return list(
+            map(
+                ParallelPlan._make,
+                zip(
+                    t.tolist(),
+                    p.tolist(),
+                    d.tolist(),
+                    iteration_s.tolist(),
+                    comm_frac.tolist(),
+                    (peak <= usable).tolist(),
+                    (L % p == 0).tolist(),
+                    np.array(policies, dtype=object)[policy].tolist(),
+                    peak.tolist(),
+                    np.array(PHASES, dtype=object)[peak_phase].tolist(),
+                ),
             )
-            for tp, pp, dp, it, cf, pk, pol, ph in zip(
-                t.tolist(),
-                p.tolist(),
-                d.tolist(),
-                iteration_s.tolist(),
-                comm_frac.tolist(),
-                peak.tolist(),
-                policy.tolist(),
-                peak_phase.tolist(),
-            )
-        ]
+        )
 
     def plan(
         self,

@@ -8,6 +8,7 @@ from repro.engine.cache import model_version
 from repro.errors import KernelTableError
 from repro.kernels.registry import TABLES_ENV, KernelParamResolver, load_tables
 from repro.kernels.search import best_for_shape
+from repro.kernels.table import KernelTable
 
 
 @pytest.fixture()
@@ -73,6 +74,27 @@ class TestResolver:
         assert "stale" in resolver.describe()
         payload = resolver.resolve(1, 256, 256, 256, "A100", "fp16")
         assert payload["table_hit"] is False
+
+    def test_table_checksum_is_computed_once_per_table(
+        self, tiny_table, engine, monkeypatch
+    ):
+        want = tiny_table.checksum()
+        calls = []
+        original = KernelTable.checksum
+
+        def counted(table):
+            calls.append(table.gpu)
+            return original(table)
+
+        monkeypatch.setattr(KernelTable, "checksum", counted)
+        resolver = KernelParamResolver(tables=[tiny_table], engine=engine)
+        # Distinct shapes in covered buckets: every resolve is a table
+        # hit past the memo.
+        for m in (256, 300, 400, 511, 512, 700, 1000, 1023):
+            payload = resolver.resolve(1, m, 256, 256, "A100", "fp16")
+            assert payload["table_hit"] is True
+            assert payload["table_checksum"] == want
+        assert len(calls) <= 1
 
     def test_memo_returns_copies(self, tiny_table, engine):
         resolver = KernelParamResolver(tables=[tiny_table], engine=engine)

@@ -179,8 +179,8 @@ class TestCompareTables:
         stored = _table([small, big])
         fresh = _table([
             # Small move on the m=256 bucket, big move on m=512.
-            dataclasses.replace(small, tile="64x64", latency_s=1.05e-4),
-            dataclasses.replace(big, tile="32x32", latency_s=3e-4),
+            small._replace(tile="64x64", latency_s=1.05e-4),
+            big._replace(tile="32x32", latency_s=3e-4),
         ])
         diff = compare_tables(stored, fresh)
         picks = [line for line in diff if "pick" in line]
@@ -192,7 +192,7 @@ class TestCompareTables:
     def test_numeric_drift_without_pick_change_is_reported(self):
         entry = _entry()
         stored = _table([entry])
-        fresh = _table([dataclasses.replace(entry, latency_s=2e-4)])
+        fresh = _table([entry._replace(latency_s=2e-4)])
         diff = compare_tables(stored, fresh)
         assert any("numbers drifted" in line for line in diff)
 
