@@ -10,7 +10,12 @@ Compares a fresh benchmark record against the checked-in baseline
 - no experiment may appear in the fresh record's ``warm_regressions``,
 - any experiment whose warm run hit the cache in the baseline must
   still hit it now — losing cache hits is how vectorization quietly
-  rots back into recomputation.
+  rots back into recomputation,
+- no experiment may make more cold engine computes
+  (``cold_engine_misses``) than in the baseline — a sweep that falls
+  back to one engine call per point shows up here first.  Both records
+  must cover the same experiments in the same order: a cold run's
+  misses depend on what the experiments before it already priced.
 
 Usage::
 
@@ -58,10 +63,18 @@ def gate_failures(fresh: dict, baseline: dict, floor: float) -> List[str]:
         failures.append("warm regressions: " + ", ".join(regressions))
     fresh_exp = _experiments(fresh)
     for exp_id, base in sorted(_experiments(baseline).items()):
+        now = fresh_exp.get(exp_id)
+        base_misses = base.get("cold_engine_misses")
+        if now is not None and base_misses is not None:
+            misses = int(now.get("cold_engine_misses", 0))
+            if misses > int(base_misses):
+                failures.append(
+                    f"{exp_id}: {misses} cold engine computes "
+                    f"(baseline {base_misses})"
+                )
         base_hits = _warm_hits(base)
         if base_hits <= 0:
             continue
-        now = fresh_exp.get(exp_id)
         if now is None:
             failures.append(f"{exp_id}: in baseline but missing from fresh record")
         elif _warm_hits(now) <= 0:

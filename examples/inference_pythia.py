@@ -32,9 +32,9 @@ def main() -> None:
     # Decompose the off-trend pair's decode step.
     model = InferenceModel("A100")
     print("\nDecode-step decomposition at 512 tokens of context:")
-    for name in ("pythia-410m", "pythia-1b"):
-        cfg = get_model(name)
-        step = model.decode_step(cfg, context_len=512)
+    names = ("pythia-410m", "pythia-1b")
+    steps = model.decode_steps([(get_model(name), 512, 1) for name in names])
+    for name, step in zip(names, steps):
         print(
             f"  {name:<14} weights {step.weight_s * 1e3:6.3f} ms  "
             f"kv {step.kv_cache_s * 1e3:6.3f} ms  "

@@ -267,9 +267,11 @@ def run_ext_gqa() -> ResultTable:
         "Extension: GQA decode effect (Llama-2-70B shape, ctx 4096)",
         ["kv_heads", "kv_cache_ms", "latency_ms", "params_b"],
     )
-    for kv in (64, 8, 1):
-        cfg = base.with_overrides(num_kv_heads=kv)
-        step = model.decode_step(cfg, context_len=4096)
+    kv_heads = (64, 8, 1)
+    cfgs = [base.with_overrides(num_kv_heads=kv) for kv in kv_heads]
+    # Every KV-head variant's decode step in one engine call.
+    steps = model.decode_steps([(cfg, 4096, 1) for cfg in cfgs])
+    for kv, cfg, step in zip(kv_heads, cfgs, steps):
         table.add(kv, step.kv_cache_s * 1e3, step.latency_s * 1e3, cfg.param_count() / 1e9)
     return table
 
@@ -345,8 +347,10 @@ def run_ext_batching() -> ResultTable:
         ["batch", "per_token_ms", "tokens_per_s", "fits_memory"],
         notes=f"knee at batch {analyzer.knee(cfg)}",
     )
-    for pt in analyzer.sweep(cfg, max_batch=128):
-        table.add(pt.batch, pt.per_token_ms, pt.tokens_per_s, pt.fits_memory)
+    # The knee's default sweep, cut at 128: its rows are already priced.
+    for pt in analyzer.sweep(cfg):
+        if pt.batch <= 128:
+            table.add(pt.batch, pt.per_token_ms, pt.tokens_per_s, pt.fits_memory)
     return table
 
 
@@ -389,8 +393,8 @@ def run_ext_window() -> ResultTable:
             s,
             pairs_w / pairs_f,
             ff / fw,
-            infer.decode_step(cfg, s).kv_cache_s * 1e3,
-            infer.decode_step(full, s).kv_cache_s * 1e3,
+            infer.decode_streaming(cfg, s).kv_cache_s * 1e3,
+            infer.decode_streaming(full, s).kv_cache_s * 1e3,
         )
     return table
 

@@ -33,7 +33,9 @@ from repro.harness.runner import ExperimentReport, run_experiment
 
 #: The headline experiments the golden wall pins (fig1/fig2 throughput
 #: comparisons, fig5 tiling, fig7 alignment, fig12 attention sizing,
-#: and the Sec VII-B 2.7B retune case study).
+#: the Sec VII-B 2.7B retune case study, and the decode experiments:
+#: fig13's Pythia trend plus the GQA, batching, window and quantized
+#: decode extensions).
 GOLDEN_EXPERIMENTS = (
     "fig1",
     "fig2",
@@ -43,6 +45,11 @@ GOLDEN_EXPERIMENTS = (
     "case_gpt3",
     "ext_trainstep",
     "ext_capacity",
+    "fig13",
+    "ext_gqa",
+    "ext_batching",
+    "ext_window",
+    "ext_quant",
 )
 
 #: Where snapshots live relative to the repo root.

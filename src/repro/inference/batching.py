@@ -16,7 +16,7 @@ throughput gains drop off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
 from repro.core.config import TransformerConfig
 from repro.core.memory import MemoryBudget, inference_bytes
@@ -51,16 +51,26 @@ class BatchingAnalyzer:
         self, cfg: TransformerConfig, batch: int, context_len: int = 1024
     ) -> BatchPoint:
         """Evaluate one batch size."""
-        if batch <= 0:
-            raise ConfigError("batch must be positive")
-        step = self.model.decode_step(cfg, context_len=context_len, batch=batch)
-        latency = step.latency_s
-        usage = inference_bytes(cfg, context_len=context_len, batch=batch)
-        return BatchPoint(
-            batch=batch,
-            per_token_ms=latency * 1e3,
-            tokens_per_s=batch / latency,
-            fits_memory=self.budget.fits(usage),
+        return self._points(cfg, [batch], context_len)[0]
+
+    def _points(
+        self, cfg: TransformerConfig, batches: Sequence[int], context_len: int
+    ) -> List[BatchPoint]:
+        """Several batch sizes, priced as one decode sweep."""
+        steps = self.model.decode_steps([(cfg, context_len, b) for b in batches])
+        return [
+            BatchPoint(
+                batch=batch,
+                per_token_ms=step.latency_s * 1e3,
+                tokens_per_s=batch / step.latency_s,
+                fits_memory=self._fits(cfg, batch, context_len),
+            )
+            for batch, step in zip(batches, steps)
+        ]
+
+    def _fits(self, cfg: TransformerConfig, batch: int, context_len: int) -> bool:
+        return self.budget.fits(
+            inference_bytes(cfg, context_len=context_len, batch=batch)
         )
 
     def sweep(
@@ -72,21 +82,24 @@ class BatchingAnalyzer:
         """Power-of-two batch sweep up to ``max_batch``."""
         if max_batch <= 0:
             raise ConfigError("max_batch must be positive")
-        points = []
+        batches = []
         b = 1
         while b <= max_batch:
-            points.append(self.point(cfg, b, context_len))
+            batches.append(b)
             b *= 2
-        return points
+        return self._points(cfg, batches, context_len)
 
     def max_feasible_batch(
         self, cfg: TransformerConfig, context_len: int = 1024, max_batch: int = 4096
     ) -> int:
-        """Largest power-of-two batch whose KV cache + weights fit."""
+        """Largest power-of-two batch whose KV cache + weights fit.
+
+        A memory question only: no decode step is priced.
+        """
         best = 0
         b = 1
         while b <= max_batch:
-            if not self.point(cfg, b, context_len).fits_memory:
+            if not self._fits(cfg, b, context_len):
                 break
             best = b
             b *= 2

@@ -9,11 +9,19 @@ what it is on hardware: a sweep of skinny GEMMs (m = batch) that stream
 every weight matrix and the KV cache from DRAM once per token, plus a
 fixed launch overhead per kernel — which is why *layer count* hurts
 small models (Pythia-410M) and *large hidden sizes* help (Pythia-1B).
+
+A decode sweep is priced as one engine batch:
+:meth:`InferenceModel.decode_steps` takes every ``(cfg, context_len,
+batch)`` point of the sweep, and :meth:`~InferenceModel.decode_step` is
+its one-point view.  Readers of the streaming terms alone (KV-cache
+traffic, weight stream, launch overhead) use
+:meth:`~InferenceModel.decode_streaming`, which prices no GEMM.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, NamedTuple, Sequence, Tuple
 
 from repro.core.config import TransformerConfig
 from repro.core.formulas import kv_cache_bytes
@@ -44,6 +52,14 @@ class PrefillPerf:
         return self.tokens / self.latency_s if self.latency_s else 0.0
 
 
+class StreamingTerms(NamedTuple):
+    """The engine-free seconds of one decode step."""
+
+    weight_s: float
+    kv_cache_s: float
+    overhead_s: float
+
+
 @dataclass(frozen=True)
 class DecodePerf:
     """Per-token decode latency decomposition."""
@@ -61,6 +77,47 @@ class DecodePerf:
     @property
     def tokens_per_s(self) -> float:
         return 1.0 / self.latency_s if self.latency_s else 0.0
+
+
+def _check_point(context_len: int, batch: int) -> None:
+    if context_len <= 0 or batch <= 0:
+        raise ConfigError("context_len and batch must be positive")
+
+
+def _attended(cfg: TransformerConfig, context_len: int) -> int:
+    """Cached context a decode step attends over.
+
+    Sliding-window attention bounds the attended (and cached) context.
+    (Grouped-query attention shrinks the cached *width* instead: the KV
+    term uses ``cfg.kv_dim``.)
+    """
+    if cfg.attention_window is not None:
+        return min(context_len, cfg.attention_window)
+    return context_len
+
+
+def _decode_rows(
+    cfg: TransformerConfig, context_len: int, batch: int
+) -> List[Tuple[int, int, int, int]]:
+    """One decode step's skinny (m, n, k, batch) rows, logit row last.
+
+    Reuses the Table II mapping with b*s replaced by the decode row
+    count (batch x 1 token); the attention GEMMs run over the attended
+    context.
+    """
+    decode_cfg = cfg.with_overrides(microbatch=batch, seq_len=1)
+    rows = []
+    for op in layer_gemms(decode_cfg):
+        if op.module == "attention_score":
+            # Context-length attention: (1, d) x (d, ctx) per head.
+            rows.append((1, context_len, op.k, op.batch))
+        elif op.module == "attention_over_value":
+            rows.append((1, cfg.head_dim, context_len, op.batch))
+        else:
+            rows.append((op.m, op.n, op.k, 1))
+    logit = logit_gemm(decode_cfg)
+    rows.append((logit.m, logit.n, logit.k, 1))
+    return rows
 
 
 class InferenceModel:
@@ -91,6 +148,81 @@ class InferenceModel:
 
     # -- decode ------------------------------------------------------------------
 
+    def decode_streaming(
+        self,
+        cfg: TransformerConfig,
+        context_len: int,
+        batch: int = 1,
+    ) -> StreamingTerms:
+        """Weight, KV-cache and launch-overhead seconds of one decode step.
+
+        The engine-free part of :meth:`decode_step`, for readers that
+        need only the streaming terms: no GEMM is priced.
+        """
+        _check_point(context_len, batch)
+        return self._streaming(cfg, context_len, batch)
+
+    def _streaming(
+        self, cfg: TransformerConfig, context_len: int, batch: int
+    ) -> StreamingTerms:
+        bw = self.spec.mem_bw_bytes_per_s() * _BW_EFFICIENCY
+        weight_bytes = float(cfg.param_count()) * self.dtype.bytes
+        kv_bytes = kv_cache_bytes(
+            batch,
+            _attended(cfg, context_len),
+            cfg.kv_dim,
+            cfg.num_layers,
+            self.dtype.bytes,
+        )
+        kernels = cfg.num_layers * _KERNELS_PER_LAYER_DECODE + 2
+        return StreamingTerms(
+            weight_s=weight_bytes / bw,
+            kv_cache_s=kv_bytes / bw,
+            overhead_s=kernels * self.spec.kernel_overhead_s,
+        )
+
+    def decode_steps(
+        self, points: "Sequence[Tuple[TransformerConfig, int, int]]"
+    ) -> List[DecodePerf]:
+        """Decode steps at many ``(cfg, context_len, batch)`` points.
+
+        Each step composes (a) the weight-streaming floor — every
+        parameter read once, (b) KV-cache traffic for the attention
+        over the context, (c) per-kernel launch overhead, and (d) the
+        skinny GEMM estimates themselves, taking the max of the
+        GEMM-model and streaming views (they converge for large h).
+        Every point is validated before any GEMM is priced; the skinny
+        rows of all points go to the engine as one batch (one engine
+        call per sweep), and a point gets the same answer whether it is
+        priced alone or in a sweep.
+        """
+        points = list(points)
+        for _, context_len, batch in points:
+            _check_point(context_len, batch)
+        if not points:
+            return []
+        rows: List[Tuple[int, int, int, int]] = []
+        ends = []
+        for cfg, context_len, batch in points:
+            rows += _decode_rows(cfg, _attended(cfg, context_len), batch)
+            ends.append(len(rows))
+        latencies = default_engine().latency(
+            shape_array(*zip(*rows)), self.spec, self.dtype
+        )
+        steps = []
+        start = 0
+        for (cfg, context_len, batch), end in zip(points, ends):
+            # Per-layer rows times the layer count, plus the logit row.
+            gemm_s = (
+                float(latencies[start : end - 1].sum()) * cfg.num_layers
+                + float(latencies[end - 1])
+            )
+            steps.append(
+                DecodePerf(*self._streaming(cfg, context_len, batch), gemm_s=gemm_s)
+            )
+            start = end
+        return steps
+
     def decode_step(
         self,
         cfg: TransformerConfig,
@@ -99,65 +231,10 @@ class InferenceModel:
     ) -> DecodePerf:
         """One autoregressive step with ``context_len`` cached tokens.
 
-        Composes (a) the weight-streaming floor — every parameter read
-        once, (b) KV-cache traffic for the attention over the context,
-        (c) per-kernel launch overhead, and (d) the skinny GEMM
-        estimates themselves, taking the max of the GEMM-model and
-        streaming views (they converge for large h).
+        A one-point :meth:`decode_steps`; callers pricing a sweep should
+        pass every point to that method instead.
         """
-        if context_len <= 0 or batch <= 0:
-            raise ConfigError("context_len and batch must be positive")
-        bw = self.spec.mem_bw_bytes_per_s() * _BW_EFFICIENCY
-
-        weight_bytes = float(cfg.param_count()) * self.dtype.bytes
-        weight_s = weight_bytes / bw
-
-        # Sliding-window attention bounds the attended (and cached)
-        # context; grouped-query attention shrinks the cached width
-        # from h to kv_heads * head_dim (cfg.kv_dim).
-        if cfg.attention_window is not None:
-            context_len = min(context_len, cfg.attention_window)
-        kv_bytes = kv_cache_bytes(
-            batch, context_len, cfg.kv_dim, cfg.num_layers, self.dtype.bytes
-        )
-        kv_s = kv_bytes / bw
-
-        kernels = cfg.num_layers * _KERNELS_PER_LAYER_DECODE + 2
-        overhead_s = kernels * self.spec.kernel_overhead_s
-
-        # Skinny per-token GEMMs: reuse the Table II mapping with b*s
-        # replaced by the decode row count (batch x 1 token), evaluated
-        # as one engine batch per decode step.
-        decode_cfg = cfg.with_overrides(microbatch=batch, seq_len=1)
-        shapes = []
-        for op in layer_gemms(decode_cfg):
-            if op.module == "attention_score":
-                # Context-length attention: (1, d) x (d, ctx) per head.
-                shapes.append((1, context_len, op.k, op.batch))
-            elif op.module == "attention_over_value":
-                shapes.append((1, cfg.head_dim, context_len, op.batch))
-            else:
-                shapes.append((op.m, op.n, op.k, 1))
-        logit = logit_gemm(decode_cfg)
-        shapes.append((logit.m, logit.n, logit.k, 1))
-        latencies = default_engine().latency(
-            shape_array(
-                [s[0] for s in shapes],
-                [s[1] for s in shapes],
-                [s[2] for s in shapes],
-                [s[3] for s in shapes],
-            ),
-            self.spec,
-            self.dtype,
-        )
-        gemm_s = float(latencies[:-1].sum()) * cfg.num_layers + float(latencies[-1])
-
-        return DecodePerf(
-            weight_s=weight_s,
-            kv_cache_s=kv_s,
-            overhead_s=overhead_s,
-            gemm_s=gemm_s,
-        )
+        return self.decode_steps([(cfg, context_len, batch)])[0]
 
     def generate_latency(
         self,

@@ -101,14 +101,17 @@ def trend_analysis(
 def run_suite(gpu: str = "A100", context_len: int = 512) -> List[TrendPoint]:
     """Model the whole suite's decode latency and fit the trend.
 
-    The trend line is fitted through the on-trend members only, then
+    The suite is priced as one decode sweep (one engine call).  The
+    trend line is fitted through the on-trend members only, then
     every model (including the known off-trend pair) is judged against
     it, mirroring the paper's Fig 13 reading.
     """
-    model = InferenceModel(gpu)
-    rows = []
-    for cfg in pythia_configs():
-        rows.append(
-            (cfg.name, cfg.param_count(), model.per_token_ms(cfg, context_len))
-        )
+    configs = pythia_configs()
+    steps = InferenceModel(gpu).decode_steps(
+        [(cfg, context_len, 1) for cfg in configs]
+    )
+    rows = [
+        (cfg.name, cfg.param_count(), step.latency_s * 1e3)
+        for cfg, step in zip(configs, steps)
+    ]
     return trend_analysis(rows, fit_exclude=tuple(OFF_TREND_EXPECTED))

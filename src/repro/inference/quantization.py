@@ -79,7 +79,8 @@ class QuantizedInferenceModel:
         weight_s = weight_bytes / bw
         dequant_s = 0.0 if scheme == "fp16" else weight_s * _DEQUANT_OVERHEAD
 
-        base = self._fp16.decode_step(cfg, context_len, batch)
+        # The KV cache and launch overhead stay fp16; no GEMM is priced.
+        base = self._fp16.decode_streaming(cfg, context_len, batch)
         return QuantizedDecodePerf(
             scheme=scheme,
             weight_s=weight_s,

@@ -62,6 +62,34 @@ class TestGateFailures:
         # and its absence from fresh is also fine.
         assert not any("fig12" in f for f in fails)
 
+    def test_more_cold_engine_computes_flagged(self):
+        def record(misses):
+            return _record(
+                experiments=[
+                    {"id": "fig13", "cold_engine_misses": misses[0]},
+                    {"id": "ext_gqa", "cold_engine_misses": misses[1]},
+                ]
+            )
+
+        baseline = record((1, 1))
+        assert perf_gate.gate_failures(record((1, 1)), baseline, 4.0) == []
+        # Fewer computes than the baseline is an improvement, not a failure.
+        assert perf_gate.gate_failures(record((0, 1)), baseline, 4.0) == []
+        fails = perf_gate.gate_failures(record((8, 1)), baseline, 4.0)
+        assert fails == ["fig13: 8 cold engine computes (baseline 1)"]
+
+    def test_cold_engine_computes_unchecked_without_baseline_value(self):
+        # Records without the field (or experiments new since the
+        # baseline) are not gated on it.
+        fresh = _record(
+            experiments=[
+                {"id": "fig5", "warm_engine_hits": 3, "cold_engine_misses": 9},
+                {"id": "table2", "warm_cache_hits": 5, "cold_engine_misses": 9},
+                {"id": "new", "cold_engine_misses": 9},
+            ]
+        )
+        assert perf_gate.gate_failures(fresh, _record(), 4.0) == []
+
     def test_missing_experiment_flagged(self):
         fresh = _record(experiments=[])
         fails = perf_gate.gate_failures(fresh, _record(), 4.0)
