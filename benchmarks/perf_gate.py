@@ -10,7 +10,10 @@ Compares a fresh benchmark record against the checked-in baseline
 - no experiment may appear in the fresh record's ``warm_regressions``,
 - any experiment whose warm run hit the cache in the baseline must
   still hit it now — losing cache hits is how vectorization quietly
-  rots back into recomputation,
+  rots back into recomputation.  An experiment whose warm run makes no
+  engine lookups at all (``warm_engine_hits + warm_engine_misses`` is
+  0) is exempt: it stopped calling the engine, which is an improvement,
+  not a lost hit,
 - no experiment may make more cold engine computes
   (``cold_engine_misses``) than in the baseline — a sweep that falls
   back to one engine call per point shows up here first.  Both records
@@ -77,7 +80,9 @@ def gate_failures(fresh: dict, baseline: dict, floor: float) -> List[str]:
             continue
         if now is None:
             failures.append(f"{exp_id}: in baseline but missing from fresh record")
-        elif _warm_hits(now) <= 0:
+        # A warm run that stopped calling the engine has no hits to
+        # lose; only one that still looks up and always misses fails.
+        elif _warm_hits(now) <= 0 and int(now.get("warm_engine_misses", 0)) > 0:
             failures.append(
                 f"{exp_id}: warm run lost all cache hits "
                 f"(baseline had {base_hits})"

@@ -3,8 +3,9 @@
 :class:`KernelParamResolver` is what the serve tier holds: a set of
 loaded :class:`~repro.kernels.table.KernelTable` artifacts keyed by
 (GPU, dtype), a bounded memo of answered shapes, and the deterministic
-analytical fallback (:func:`~repro.kernels.search.best_for_shape`) for
-anything the tables miss.  Resolution is a pure function of (query,
+analytical fallback (:func:`~repro.kernels.search.best_for_shapes`) for
+anything the tables miss, priced in one tile sweep per call however many
+shapes miss.  Resolution is a pure function of (query,
 loaded tables, engine model version), which is what makes answers
 bit-identical across the in-process server, supervisor pipe workers,
 and the TCP cluster: every process resolves from the same environment
@@ -25,13 +26,13 @@ import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.cache import model_version
 from repro.engine.core import ShapeEngine
 from repro.errors import KernelTableError
 from repro.gpu.specs import get_gpu
-from repro.kernels.search import best_for_shape
+from repro.kernels.search import best_for_shapes
 from repro.kernels.table import KernelEntry, KernelTable, bucket_of
 from repro.types import DType
 
@@ -92,9 +93,6 @@ class KernelParamResolver:
         self._indexes: Dict[
             Tuple[str, str], Dict[Tuple[int, int, int, int], KernelEntry]
         ] = {}
-        # Canonical JSON plus sha256 over every entry: computed once per
-        # table here, not on every table hit.
-        self._checksums: Dict[Tuple[str, str], str] = {}
         self._stale: List[str] = []
         current = model_version()
         for table in tables or []:
@@ -111,7 +109,6 @@ class KernelParamResolver:
             key = (table.gpu, table.dtype)
             self._tables[key] = table
             self._indexes[key] = table.index()
-            self._checksums[key] = table.checksum()
 
     @classmethod
     def from_env(
@@ -152,39 +149,66 @@ class KernelParamResolver:
         geometry, wave/block counts, predicted latency and throughput,
         the runner-up tile with its latency margin, and the provenance
         needed to audit the answer (table checksum, model version).
+        One-shape view of :meth:`resolve_many`.
+        """
+        return self.resolve_many([(batch, m, n, k)], gpu, dtype)[0]
+
+    def resolve_many(
+        self,
+        shapes: Iterable[Sequence[int]],
+        gpu: str,
+        dtype: str = "fp16",
+    ) -> List[Dict[str, Any]]:
+        """The ``kernel_params`` payloads for ``(batch, m, n, k)`` rows.
+
+        Memo and table hits are answered per shape; every remaining
+        distinct shape is priced together in *one* tile sweep
+        (:func:`~repro.kernels.search.best_for_shapes`).  The sweep
+        prices each row independently, so every payload equals what
+        :meth:`resolve` returns for that shape alone.  Each payload is
+        a fresh dict, also for duplicate shapes.
         """
         spec = get_gpu(gpu)
         parsed = DType.parse(dtype)
-        memo_key = (batch, m, n, k, spec.name, parsed.name)
-        with self._lock:
-            hit = self._memo.get(memo_key)
-            if hit is not None:
-                self._memo.move_to_end(memo_key)
-                return dict(hit)
-
         key = (spec.name, parsed.name)
-        index = self._indexes.get(key)
-        entry = None
-        if index is not None:
-            bucket = (
-                bucket_of(batch), bucket_of(m), bucket_of(n), bucket_of(k),
-            )
-            entry = index.get(bucket)
-        if entry is not None:
-            payload = self._entry_payload(entry, self._checksums[key])
-        else:
-            payload = self._entry_payload(
-                best_for_shape(
-                    batch, m, n, k, spec.name, parsed.name,
-                    engine=self._engine,
-                ),
-                None,
-            )
+        rows = [(int(b), int(m), int(n), int(k)) for b, m, n, k in shapes]
+        out: List[Optional[Dict[str, Any]]] = [None] * len(rows)
         with self._lock:
-            self._memo[memo_key] = dict(payload)
-            while len(self._memo) > _MEMO_ENTRIES:
-                self._memo.popitem(last=False)
-        return payload
+            for i, row in enumerate(rows):
+                hit = self._memo.get(row + key)
+                if hit is not None:
+                    self._memo.move_to_end(row + key)
+                    out[i] = dict(hit)
+
+        # Distinct shapes the memo did not answer, in first-seen order.
+        pending = dict.fromkeys(
+            row for row, hit in zip(rows, out) if hit is None
+        )
+        index = self._indexes.get(key)
+        answered: Dict[Tuple[int, ...], Dict[str, Any]] = {}
+        if index is not None:
+            checksum = self._tables[key].checksum()
+            for row in pending:
+                entry = index.get(tuple(map(bucket_of, row)))
+                if entry is not None:
+                    answered[row] = self._entry_payload(entry, checksum)
+        misses = [row for row in pending if row not in answered]
+        if misses:
+            entries = best_for_shapes(
+                misses, spec.name, parsed.name, engine=self._engine
+            )
+            for row, entry in zip(misses, entries):
+                answered[row] = self._entry_payload(entry, None)
+        if answered:
+            with self._lock:
+                for row, payload in answered.items():
+                    self._memo[row + key] = dict(payload)
+                while len(self._memo) > _MEMO_ENTRIES:
+                    self._memo.popitem(last=False)
+        return [
+            dict(answered[row]) if payload is None else payload
+            for row, payload in zip(rows, out)
+        ]
 
     # -- introspection -------------------------------------------------------
 

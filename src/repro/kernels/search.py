@@ -13,9 +13,9 @@ The tuning grid is the set of bucket representatives: every power of
 two in the tuned octave range for m/n/k, crossed with the tuned batch
 points.  Because representatives are exactly one per bucket, the table
 is a total function over its octave range and a clean *miss* outside
-it — which is where :func:`best_for_shape`, the deterministic
+it — which is where :func:`best_for_shapes`, the deterministic
 analytical fallback the resolver uses, takes over with the same argmin
-over the same candidate pool at the exact query shape.
+over the same candidate pool at the exact query shapes.
 
 Determinism: candidate order comes from
 :func:`~repro.gpu.tiles.candidate_tiles` (fixed), ``np.argmin`` breaks
@@ -45,6 +45,7 @@ __all__ = [
     "TUNE_DIMS",
     "TUNE_DIMS_QUICK",
     "best_for_shape",
+    "best_for_shapes",
     "tune_grid",
     "tune_table",
 ]
@@ -206,6 +207,33 @@ def tune_table(
     )
 
 
+def best_for_shapes(
+    shapes: Sequence[Sequence[int]],
+    gpu: str,
+    dtype: str = "fp16",
+    engine: Optional[ShapeEngine] = None,
+) -> Tuple[KernelEntry, ...]:
+    """The analytical fallback: argmin over candidates at exact shapes.
+
+    ``shapes`` holds ``(batch, m, n, k)`` rows; every row is priced in
+    *one* tile sweep and answered by its own argmin.  The sweep prices
+    each row independently, so a row's entry does not depend on which
+    other rows share the sweep.  Used by the resolver on table misses;
+    the pick is computed with the *same* tile sweep the tuner uses, so
+    a fallback answer at a representative shape is identical to the
+    table entry tuned there.
+    """
+    spec = get_gpu(gpu)
+    parsed = DType.parse(dtype)
+    eng = engine if engine is not None else default_engine()
+    rows = np.asarray(shapes, dtype=np.int64).reshape(-1, 4)
+    grid = ShapeGrid.from_columns(
+        batch=rows[:, 0], m=rows[:, 1], n=rows[:, 2], k=rows[:, 3]
+    )
+    sweep = eng.evaluate_tiles(grid, spec, parsed)
+    return _argmin_entries(grid, sweep)
+
+
 def best_for_shape(
     batch: int,
     m: int,
@@ -215,21 +243,5 @@ def best_for_shape(
     dtype: str = "fp16",
     engine: Optional[ShapeEngine] = None,
 ) -> KernelEntry:
-    """The analytical fallback: argmin over candidates at one exact shape.
-
-    Used by the resolver on table misses and usable standalone; the
-    pick is computed with the *same* tile sweep the tuner uses, so a
-    fallback answer at a representative shape is identical to the table
-    entry tuned there.
-    """
-    spec = get_gpu(gpu)
-    parsed = DType.parse(dtype)
-    eng = engine if engine is not None else default_engine()
-    grid = ShapeGrid.from_columns(
-        batch=np.asarray([batch], dtype=np.int64),
-        m=np.asarray([m], dtype=np.int64),
-        n=np.asarray([n], dtype=np.int64),
-        k=np.asarray([k], dtype=np.int64),
-    )
-    sweep = eng.evaluate_tiles(grid, spec, parsed)
-    return _argmin_entries(grid, sweep)[0]
+    """One-shape view of :func:`best_for_shapes`."""
+    return best_for_shapes([(batch, m, n, k)], gpu, dtype, engine=engine)[0]

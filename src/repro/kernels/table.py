@@ -165,11 +165,23 @@ class KernelTable:
         }
 
     def checksum(self) -> str:
-        """sha256 (truncated) over the canonical payload JSON."""
-        canonical = json.dumps(
-            self.payload(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()[:_CHECKSUM_LEN]
+        """sha256 (truncated) over the canonical payload JSON.
+
+        Hashed once per instance: the table is frozen and its entries
+        are tuples, so the digest cannot change after construction, and
+        :meth:`from_json`, :meth:`to_json`, :meth:`describe` and
+        :func:`compare_tables` all reuse the first computation.
+        """
+        digest = self.__dict__.get("_checksum")
+        if digest is None:
+            canonical = json.dumps(
+                self.payload(), sort_keys=True, separators=(",", ":")
+            )
+            digest = hashlib.sha256(canonical.encode()).hexdigest()[
+                :_CHECKSUM_LEN
+            ]
+            object.__setattr__(self, "_checksum", digest)
+        return digest
 
     def to_json(self) -> str:
         """The artifact text: payload plus its checksum, stable layout."""

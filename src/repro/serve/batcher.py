@@ -8,13 +8,16 @@ they unit-test in isolation:
   :class:`~repro.errors.QueueFullError`); ``take_batch`` blocks for the
   first waiting request, then lingers up to the batching window to let
   concurrent callers pile on, returning at most ``max_batch`` requests.
-- :func:`plan_batch` — given one batch of pending shape requests, build
-  the minimal set of engine calls: requests are bucketed per
+- :func:`plan_batch` — given one batch of pending requests, build the
+  minimal set of engine calls: shape requests are bucketed per
   ``(gpu, dtype)`` (one vectorized
   :meth:`~repro.engine.core.ShapeEngine.evaluate` per bucket) and
   *deduplicated* within the bucket (identical shapes share one row).
-  The returned :class:`EngineCall` records, for every pending request,
-  which row of the merged shape array answers it — the scatter step.
+  ``kernel_params`` requests are grouped the same way, into calls
+  flagged ``kernel`` (one resolver call, hence at most one tile sweep,
+  per bucket).  The returned :class:`EngineCall` records, for every
+  pending request, which row of the merged shape array answers it —
+  the scatter step.
 
 The coalescing win is measured, not assumed: the server counts
 requests dispatched vs engine calls issued, and the load tests assert
@@ -128,6 +131,8 @@ class EngineCall:
     answers it.  ``duplicates`` counts requests folded onto an
     already-present row — the dedup half of the coalescing win (the
     merge half is ``len(assignments) - 1`` requests sharing one call).
+    ``kernel`` marks a group of ``kernel_params`` requests, answered by
+    the kernel resolver instead of the shape engine.
     """
 
     gpu: str
@@ -135,10 +140,15 @@ class EngineCall:
     shapes: np.ndarray
     assignments: List[Tuple[PendingRequest, int]]
     duplicates: int = 0
+    kernel: bool = False
 
     @property
     def rows(self) -> int:
         return int(self.shapes.shape[0])
+
+
+#: ``(kernel, gpu, dtype)``: which calls a request may share.
+_Bucket = Tuple[bool, str, str]
 
 
 def plan_batch(
@@ -146,23 +156,24 @@ def plan_batch(
 ) -> Tuple[List[EngineCall], List[PendingRequest]]:
     """Coalesce one drained batch into minimal engine work.
 
-    Returns ``(engine_calls, passthrough)``: one :class:`EngineCall`
-    per distinct ``(gpu, dtype)`` among the shape queries (rows
-    deduplicated, first-seen order), plus the non-shape requests
-    (lint) the worker answers individually.
+    Returns ``(calls, passthrough)``: one :class:`EngineCall` per
+    distinct ``(gpu, dtype)`` among the shape queries and one per
+    distinct ``(gpu, dtype)`` among the ``kernel_params`` queries
+    (flagged ``kernel``), rows deduplicated in first-seen order, plus
+    the lint requests the worker answers individually.
     """
-    buckets: Dict[Tuple[str, str], Dict[Tuple[int, int, int, int], int]] = {}
-    rows: Dict[Tuple[str, str], List[Tuple[int, int, int, int]]] = {}
-    assigns: Dict[Tuple[str, str], List[Tuple[PendingRequest, int]]] = {}
-    dupes: Dict[Tuple[str, str], int] = {}
+    buckets: Dict[_Bucket, Dict[Tuple[int, int, int, int], int]] = {}
+    rows: Dict[_Bucket, List[Tuple[int, int, int, int]]] = {}
+    assigns: Dict[_Bucket, List[Tuple[PendingRequest, int]]] = {}
+    dupes: Dict[_Bucket, int] = {}
     passthrough: List[PendingRequest] = []
 
     for item in pending:
         query = item.query
-        if not query.is_shape_query:
+        if not (query.is_shape_query or query.is_kernel_query):
             passthrough.append(item)
             continue
-        bucket = (query.gpu, query.dtype)
+        bucket = (query.is_kernel_query, query.gpu, query.dtype)
         index = buckets.setdefault(bucket, {})
         row_list = rows.setdefault(bucket, [])
         shape = query.shape_tuple()
@@ -179,10 +190,11 @@ def plan_batch(
         EngineCall(
             gpu=gpu,
             dtype=dtype,
-            shapes=np.asarray(rows[(gpu, dtype)], dtype=np.int64),
-            assignments=assigns[(gpu, dtype)],
-            duplicates=dupes.get((gpu, dtype), 0),
+            shapes=np.asarray(row_list, dtype=np.int64),
+            assignments=assigns[(kernel, gpu, dtype)],
+            duplicates=dupes.get((kernel, gpu, dtype), 0),
+            kernel=kernel,
         )
-        for (gpu, dtype) in rows
+        for (kernel, gpu, dtype), row_list in rows.items()
     ]
     return calls, passthrough

@@ -4,12 +4,14 @@
 tier: a stdlib-``asyncio`` TCP server speaking the same newline-JSON
 protocol as the worker pipes (:mod:`repro.serve.wire`), fronting a
 :class:`~repro.serve.supervisor.Supervisor` that owns the worker
-processes.  The event loop never blocks on an engine: each query is
-handed to a bounded thread pool that calls the supervisor's blocking
-``request()`` (which routes, fails over, sheds, or degrades), and each
-connection serializes its replies through a writer task fed by a
-queue, so concurrent answers for one client interleave safely and may
-legally arrive out of submission order (``id`` correlates them).
+processes.  The event loop never blocks on an engine and parks no
+thread on a query: each query is admitted with the supervisor's
+``submit()`` (which routes, fails over, sheds, or degrades) and its
+future is awaited on the loop, at most ``_FRONTEND_POOL_SIZE`` at a
+time.  Each connection serializes its replies through a writer task
+fed by a queue, which writes every ready reply in one go, so concurrent
+answers for one client interleave safely and may legally arrive out of
+submission order (``id`` correlates them).
 
 Lifecycle: ``serve_forever()`` runs in the calling thread (the CLI
 path, with SIGTERM -> drain and SIGHUP -> config hot-reload when
@@ -30,10 +32,14 @@ from __future__ import annotations
 import asyncio
 import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Set
 
-from repro.errors import ClusterError, ConfigError, ReproError
+from repro.errors import (
+    ClusterError,
+    ConfigError,
+    DeadlineExceededError,
+    ReproError,
+)
 from repro.observability.metrics import metrics as _metrics
 from repro.observability.tracing import event as _event
 from repro.resilience import faults
@@ -45,9 +51,9 @@ from repro.serve.supervisor import Supervisor
 
 __all__ = ["ClusterServer"]
 
-#: Upper bound on concurrent engine calls the front-end will hold in
-#: flight; beyond this, requests queue in the pool (and the
-#: supervisor's shed policy sees the sustained depth).
+#: Upper bound on queries the front-end holds admitted to the
+#: supervisor at once; beyond this, requests wait on the event loop
+#: (and the supervisor's shed policy sees the sustained depth).
 _FRONTEND_POOL_SIZE = 32
 
 #: How long ``start_background`` waits for the socket to bind.
@@ -81,15 +87,12 @@ class ClusterServer:
         self._own_supervisor = supervisor is None
         #: Called with the bound port once listening (CLI announce).
         self._on_bound = on_bound
-        self._pool = ThreadPoolExecutor(
-            max_workers=_FRONTEND_POOL_SIZE,
-            thread_name_prefix="repro-cluster-fe",
-        )
         #: The bound port (resolves ``port=0`` ephemeral binds); set
         #: once the listener is up.
         self.bound_port: Optional[int] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_async: Optional[asyncio.Event] = None
+        self._admission: Optional[asyncio.Semaphore] = None
         self._client_tasks: "Set[asyncio.Task[None]]" = set()
         self._ready = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -109,7 +112,6 @@ class ClusterServer:
         finally:
             if self._own_supervisor:
                 self.supervisor.close()
-            self._pool.shutdown(wait=False)
             self._ready.set()  # never leave start_background hanging
 
     def start_background(self) -> "ClusterServer":
@@ -154,6 +156,9 @@ class ClusterServer:
         loop = asyncio.get_running_loop()
         self._loop = loop
         self._stop_async = asyncio.Event()
+        # Built on the running loop: before Python 3.10 asyncio
+        # primitives bind the loop current at construction.
+        self._admission = asyncio.Semaphore(_FRONTEND_POOL_SIZE)
         server = await asyncio.start_server(
             self._handle_client, self.host, self.port
         )
@@ -260,14 +265,25 @@ class ClusterServer:
     async def _answer(
         self, message: Dict[str, Any], out_q: "asyncio.Queue[Optional[str]]"
     ) -> None:
-        loop = asyncio.get_running_loop()
         raw: Optional[Dict[str, Any]] = None
         query: Optional[ShapeQuery] = None
         try:
             raw = wire.request_payload(message)
             query = ShapeQuery.from_dict(raw)
-            advisory = await loop.run_in_executor(
-                self._pool, self._blocking_request, query
+            assert self._admission is not None  # set before listening
+            async with self._admission:
+                advisory = await asyncio.wait_for(
+                    asyncio.wrap_future(self.supervisor.submit(query)),
+                    self.request_timeout_s,
+                )
+        except asyncio.TimeoutError:
+            advisory = error_to_advisory(
+                query,
+                DeadlineExceededError(
+                    f"cluster gave no advisory within "
+                    f"{self.request_timeout_s}s"
+                ),
+                raw_query=raw,
             )
         except ReproError as exc:
             advisory = error_to_advisory(query, exc, raw_query=raw)
@@ -277,16 +293,11 @@ class ClusterServer:
             )
         )
 
-    def _blocking_request(self, query: ShapeQuery) -> Any:
-        return self.supervisor.request(
-            query, timeout_s=self.request_timeout_s
-        )
-
     async def _answer_stats(
         self, message: Dict[str, Any], out_q: "asyncio.Queue[Optional[str]]"
     ) -> None:
         loop = asyncio.get_running_loop()
-        stats = await loop.run_in_executor(self._pool, self._stats_payload)
+        stats = await loop.run_in_executor(None, self._stats_payload)
         out_q.put_nowait(
             wire.encode_message("stats", id=message.get("id"), stats=stats)
         )
@@ -305,10 +316,17 @@ class ClusterServer:
         try:
             while True:
                 line = await out_q.get()
+                lines = []
+                while line is not None:
+                    lines.append(line)
+                    if out_q.empty():
+                        break
+                    line = out_q.get_nowait()
+                if lines:
+                    writer.write("".join(lines).encode("utf-8"))
+                    await writer.drain()
                 if line is None:
                     break
-                writer.write(line.encode("utf-8"))
-                await writer.drain()
         except (ConnectionError, OSError):
             pass  # peer vanished; nothing left to tell it
         finally:

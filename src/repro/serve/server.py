@@ -18,9 +18,13 @@ asynchronously (:meth:`~AdvisoryServer.submit` returns a
    requests (lingering ``linger_s`` for stragglers), dedups identical
    shapes, and merges distinct ones into single vectorized
    :meth:`~repro.engine.core.ShapeEngine.evaluate` calls
-   (:func:`~repro.serve.batcher.plan_batch`).  Row independence of the
-   vectorized model makes merged answers bit-identical to one-off
-   evaluations — the load wall asserts it.
+   (:func:`~repro.serve.batcher.plan_batch`).  ``kernel_params``
+   requests are grouped the same way: one
+   :meth:`~repro.kernels.registry.KernelParamResolver.resolve_many`
+   call per ``(gpu, dtype)``, so a batch's table misses share one tile
+   sweep.  Row independence of the vectorized model makes merged
+   answers bit-identical to one-off evaluations — the load wall
+   asserts it.
 4. **Resilience** — every batched engine call runs under
    :func:`~repro.resilience.execute.run_one` with the configured
    :class:`~repro.resilience.execute.RetryPolicy` and per-attempt
@@ -452,6 +456,7 @@ class AdvisoryServer:
         )
 
         calls, passthrough = plan_batch(live)
+        engine_calls = [c for c in calls if not c.kernel]
         with self._stats_lock:
             self._stats.dispatched += len(live)
             self._stats.batches += 1
@@ -466,17 +471,17 @@ class AdvisoryServer:
             "serve.batch",
             shard=shard,
             size=len(live),
-            engine_calls=len(calls),
-            rows=sum(c.rows for c in calls),
-            duplicates=sum(c.duplicates for c in calls),
+            engine_calls=len(engine_calls),
+            rows=sum(c.rows for c in engine_calls),
+            duplicates=sum(c.duplicates for c in engine_calls),
         ):
             for call in calls:
-                self._run_engine_call(shard, batch_no, call, len(live))
-            for item in passthrough:
-                if item.query.is_kernel_query:
-                    self._run_kernel(shard, item, len(live))
+                if call.kernel:
+                    self._run_kernel_call(shard, call, len(live))
                 else:
-                    self._run_lint(shard, item, len(live))
+                    self._run_engine_call(shard, batch_no, call, len(live))
+            for item in passthrough:
+                self._run_lint(shard, item, len(live))
 
     def _run_engine_call(
         self, shard: int, batch_no: int, call: Any, batch_size: int
@@ -618,37 +623,48 @@ class AdvisoryServer:
                     raise
             return self._kernel_resolver
 
-    def _run_kernel(
-        self, shard: int, item: PendingRequest, batch_size: int
+    def _run_kernel_call(
+        self, shard: int, call: Any, batch_size: int
     ) -> None:
-        query = item.query
-        with _span("serve.kernel", shard=shard, gpu=query.gpu):
+        """Answer one (gpu, dtype) group of ``kernel_params`` requests.
+
+        One resolver call prices every table miss in the group in one
+        tile sweep; a resolver error fails every request of the group.
+        """
+        with _span(
+            "serve.kernel", shard=shard, gpu=call.gpu, rows=call.rows,
+            size=len(call.assignments),
+        ):
             try:
                 resolver = self._kernel_params_resolver()
-                payload = resolver.resolve(
-                    query.batch, query.m, query.n, query.k,
-                    query.gpu, query.dtype,
+                payloads = resolver.resolve_many(
+                    call.shapes.tolist(), call.gpu, call.dtype
                 )
             except ReproError as exc:
-                self._count("failed")
-                _metrics().counter("serve.failed").inc()
-                self._resolve(
-                    item,
-                    Advisory(
-                        query=query, status="failed", error=str(exc),
-                        error_type=type(exc).__name__, shard=shard,
-                        batch_size=batch_size, retryable=is_retryable(exc),
-                    ),
-                )
+                for item, _row in call.assignments:
+                    self._count("failed")
+                    _metrics().counter("serve.failed").inc()
+                    self._resolve(
+                        item,
+                        Advisory(
+                            query=item.query, status="failed",
+                            error=str(exc), error_type=type(exc).__name__,
+                            shard=shard, batch_size=batch_size,
+                            retryable=is_retryable(exc),
+                        ),
+                    )
                 return
-        advisory = Advisory(
-            query=query, status="ok", payload=payload, source="engine",
-            shard=shard, queue_wait_s=time.monotonic() - item.enqueued_at_s,
-            batch_size=batch_size,
-        )
-        self._cache.put(self._cache_key(query), payload)
-        self._count("served")
-        self._count("kernel_served")
-        _metrics().counter("serve.served").inc()
-        _metrics().counter("serve.kernel_served").inc()
-        self._resolve(item, advisory)
+        now = time.monotonic()
+        for item, row in call.assignments:
+            payload = dict(payloads[row])
+            advisory = Advisory(
+                query=item.query, status="ok", payload=payload,
+                source="engine", shard=shard,
+                queue_wait_s=now - item.enqueued_at_s, batch_size=batch_size,
+            )
+            self._cache.put(self._cache_key(item.query), payload)
+            self._count("served")
+            self._count("kernel_served")
+            _metrics().counter("serve.served").inc()
+            _metrics().counter("serve.kernel_served").inc()
+            self._resolve(item, advisory)

@@ -12,8 +12,8 @@ issue's robustness story is about:
   declared hung and killed (then restarted like any crash).
 - **crash recovery** — worker death (crash, SIGKILL, torn pipe) fails
   its in-flight requests with :class:`~repro.errors.WorkerDiedError`;
-  the dispatcher retries them on a live sibling (queries are
-  idempotent), while a restart thread respawns the dead worker after
+  each request's done-callback replays it on a live sibling (queries
+  are idempotent), while a restart thread respawns the dead worker after
   :class:`~repro.resilience.execute.RetryPolicy` exponential backoff.
   A worker that dies ``restart_budget`` times within
   ``restart_window_s`` is a crash loop and stays down.
@@ -27,9 +27,14 @@ issue's robustness story is about:
   :class:`~repro.serve.server.AdvisoryServer` and stamps the advisory
   ``source="degraded"`` (payloads stay bit-identical — same engine).
 
-The third layer, the asyncio socket front-end, lives in
-:mod:`repro.serve.cluster` and treats the supervisor as a plain
-blocking :class:`~repro.serve.dispatch.Transport`.
+Dispatch is future-based: :meth:`Supervisor.submit` admits, routes
+and sends a query, then returns a ``concurrent.futures.Future`` that
+the worker's reader thread resolves; failover and degradation chain
+from done-callbacks, so no thread waits on a worker.
+:meth:`Supervisor.request` is the blocking wrapper that makes the
+supervisor a :class:`~repro.serve.dispatch.Transport`.  The third
+layer, the asyncio socket front-end in :mod:`repro.serve.cluster`,
+awaits the futures on its event loop.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any, Deque, Dict, List, Optional
 
@@ -89,6 +94,21 @@ def _worker_env() -> Dict[str, str]:
             pkg_root + os.pathsep + existing if existing else pkg_root
         )
     return env
+
+
+def _settle_future(
+    future: "Future[Any]",
+    result: Any = None,
+    exc: Optional[BaseException] = None,
+) -> None:
+    """Resolve ``future`` unless it is already done (e.g. cancelled)."""
+    try:
+        if exc is not None:
+            future.set_exception(exc)
+        else:
+            future.set_result(result)
+    except InvalidStateError:
+        pass  # the caller gave up on it; its in-flight slot is settled
 
 
 class WorkerHandle:
@@ -204,18 +224,6 @@ class WorkerHandle:
             self._pending[request_id] = future
         self._send(wire.query_message(query.to_dict(), request_id))
         return future
-
-    def request(
-        self, query: ShapeQuery, timeout_s: Optional[float] = None
-    ) -> Advisory:
-        """Blocking round-trip for one query."""
-        future = self.submit(query)
-        try:
-            return future.result(timeout=timeout_s)
-        except FutureTimeoutError:
-            raise DeadlineExceededError(
-                f"worker {self.index} gave no advisory within {timeout_s}s"
-            ) from None
 
     def stats(self, timeout_s: float = 5.0) -> Dict[str, Any]:
         """The worker's embedded-server counters snapshot."""
@@ -359,12 +367,13 @@ class WorkerHandle:
 
 
 class Supervisor:
-    """N supervised worker processes behind one blocking Transport.
+    """N supervised worker processes behind one dispatch path.
 
-    Satisfies :class:`~repro.serve.dispatch.Transport` — ``request()``
-    routes to the query's GPU shard, falls over to live siblings on
-    worker death, sheds under sustained backpressure, and degrades to
-    an in-process engine when the whole fleet is down.
+    :meth:`submit` routes to the query's GPU shard, falls over to live
+    siblings on worker death, sheds under sustained backpressure, and
+    degrades to an in-process engine when the whole fleet is down;
+    :meth:`request` blocks on it, which satisfies
+    :class:`~repro.serve.dispatch.Transport`.
     """
 
     def __init__(
@@ -570,17 +579,42 @@ class Supervisor:
 
     # -- dispatch -----------------------------------------------------------
 
+    def submit(self, query: ShapeQuery) -> "Future[Advisory]":
+        """Asynchronously answer one query: shed, route, fail over, or degrade.
+
+        Admission is synchronous: :class:`~repro.errors.LoadShedError`
+        and :class:`~repro.errors.ServerClosedError` raise here, before
+        any worker is touched.  The returned future resolves off-thread
+        (on a worker's reader thread); it never blocks the caller.  A
+        worker that dies with the query in flight fails over to the
+        next live sibling from its done-callback (queries are
+        idempotent), and with no sibling left the query degrades to the
+        in-process server or fails typed.  The in-flight count is
+        settled once, when the future completes or is cancelled.
+        """
+        self._admit(query)
+        outer: "Future[Advisory]" = Future()
+        outer.add_done_callback(self._settle)
+        with _span("cluster.request", kind=query.kind, gpu=query.gpu):
+            self._send(query, outer, self._candidates(query), None)
+        return outer
+
     def request(
         self, query: ShapeQuery, timeout_s: Optional[float] = None
     ) -> Advisory:
-        """Answer one query: shed, route, fail over, or degrade."""
-        self._admit(query)
+        """Blocking wrapper: :meth:`submit`, then wait up to ``timeout_s``."""
+        future = self.submit(query)
         try:
-            with _span("cluster.request", kind=query.kind, gpu=query.gpu):
-                return self._dispatch(query, timeout_s)
-        finally:
-            with self._lock:
-                self._inflight -= 1
+            return future.result(timeout=timeout_s)
+        except FutureTimeoutError:
+            future.cancel()  # settles the in-flight count now
+            raise DeadlineExceededError(
+                f"cluster gave no advisory within {timeout_s}s"
+            ) from None
+
+    def _settle(self, _future: "Future[Advisory]") -> None:
+        with self._lock:
+            self._inflight -= 1
 
     def _admit(self, query: ShapeQuery) -> None:
         with self._lock:
@@ -627,28 +661,84 @@ class Supervisor:
                 live.append(handle)
         return live
 
-    def _dispatch(
-        self, query: ShapeQuery, timeout_s: Optional[float]
-    ) -> Advisory:
-        last_death: Optional[WorkerDiedError] = None
-        for handle in self._candidates(query):
-            try:
-                return handle.request(query, timeout_s=timeout_s)
-            except WorkerDiedError as exc:
-                last_death = exc
-                continue  # idempotent: replay on the next live sibling
-        # Whole fleet is down (or died while we were failing over).
+    def _send(
+        self,
+        query: ShapeQuery,
+        outer: "Future[Advisory]",
+        candidates: List[WorkerHandle],
+        death: Optional[WorkerDiedError],
+    ) -> None:
+        """Hand ``query`` to the first candidate that takes it.
+
+        ``candidates`` are the live workers in routing order at
+        admission, minus those already tried; ``death`` is the failure
+        that sent the query here (``None`` on first dispatch).  Any
+        error resolves ``outer`` instead of escaping, because this also
+        runs on worker reader threads.
+        """
+        try:
+            for position, handle in enumerate(candidates):
+                if outer.done():
+                    return  # cancelled by the caller; nothing to answer
+                try:
+                    inner = handle.submit(query)
+                except WorkerDiedError as exc:
+                    death = exc
+                    continue
+                siblings = candidates[position + 1:]
+                inner.add_done_callback(
+                    lambda done: self._on_reply(done, query, outer, siblings)
+                )
+                return
+            self._degrade(query, outer, death)
+        except Exception as exc:  # never leave an admitted query pending
+            _settle_future(outer, exc=exc)
+
+    def _on_reply(
+        self,
+        inner: "Future[Advisory]",
+        query: ShapeQuery,
+        outer: "Future[Advisory]",
+        siblings: List[WorkerHandle],
+    ) -> None:
+        """Worker reply callback: resolve, or replay on the next sibling."""
+        exc = inner.exception()
+        if isinstance(exc, WorkerDiedError):
+            self._send(query, outer, siblings, exc)
+        elif exc is not None:
+            _settle_future(outer, exc=exc)
+        else:
+            _settle_future(outer, result=inner.result())
+
+    def _degrade(
+        self,
+        query: ShapeQuery,
+        outer: "Future[Advisory]",
+        last_death: Optional[WorkerDiedError],
+    ) -> None:
+        """The whole fleet is down (or died while we were failing over)."""
         with self._lock:
             degrade = self.config.degrade_local
-        if degrade:
-            local = self._local_server()
-            advisory = local.request(query, timeout_s=timeout_s)
+        if not degrade:
+            _settle_future(
+                outer, exc=last_death or ClusterError("no live workers")
+            )
+            return
+        local_future = self._local_server().submit(query)
+
+        def finish(done: "Future[Advisory]") -> None:
+            exc = done.exception()
+            if exc is not None:
+                _settle_future(outer, exc=exc)
+                return
+            advisory = done.result()
             advisory.source = "degraded"
             with self._lock:
                 self._degraded_total += 1
             _metrics().counter("cluster.degraded_requests").inc()
-            return advisory
-        raise last_death or ClusterError("no live workers")
+            _settle_future(outer, result=advisory)
+
+        local_future.add_done_callback(finish)
 
     def _local_server(self) -> AdvisoryServer:
         with self._lock:

@@ -52,7 +52,8 @@ class TestGateFailures:
     def test_lost_cache_hits_flagged(self):
         fresh = _record(
             experiments=[
-                {"id": "fig5", "warm_cache_hits": 0, "warm_engine_hits": 0},
+                {"id": "fig5", "warm_cache_hits": 0, "warm_engine_hits": 0,
+                 "warm_engine_misses": 3},
                 {"id": "table2", "warm_cache_hits": 5, "warm_engine_hits": 0},
             ]
         )
@@ -61,6 +62,36 @@ class TestGateFailures:
         # fig12 never hit the cache in the baseline: not required now,
         # and its absence from fresh is also fine.
         assert not any("fig12" in f for f in fails)
+
+    def test_experiment_without_engine_calls_is_not_a_lost_hit(self):
+        # ext_quant and ext_window once hit the cache on every warm
+        # lookup; once priced without the engine they make no lookups,
+        # which must pass.  A warm run that still looks up and only
+        # misses is flagged.
+        baseline = _record(
+            experiments=[
+                {"id": "ext_quant", "warm_engine_hits": 8,
+                 "warm_engine_misses": 0, "cold_engine_misses": 2},
+                {"id": "ext_window", "warm_engine_hits": 8,
+                 "warm_engine_misses": 0, "cold_engine_misses": 4},
+            ]
+        )
+
+        def fresh(window_misses):
+            return _record(
+                experiments=[
+                    {"id": "ext_quant", "warm_engine_hits": 0,
+                     "warm_engine_misses": 0, "cold_engine_misses": 0},
+                    {"id": "ext_window", "warm_engine_hits": 0,
+                     "warm_engine_misses": window_misses,
+                     "cold_engine_misses": 0},
+                ]
+            )
+
+        assert perf_gate.gate_failures(fresh(0), baseline, 4.0) == []
+        assert perf_gate.gate_failures(fresh(2), baseline, 4.0) == [
+            "ext_window: warm run lost all cache hits (baseline had 8)"
+        ]
 
     def test_more_cold_engine_computes_flagged(self):
         def record(misses):

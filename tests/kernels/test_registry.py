@@ -1,14 +1,21 @@
-"""Resolver behaviour: loading, staleness refusal, memo, fallback."""
+"""Resolver behaviour: loading, staleness refusal, memo, fallback, and
+the batched ``resolve_many`` wall (== one shape at a time)."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.engine.cache import model_version
+from repro.engine.core import ShapeEngine
+from repro.engine.grid import ShapeGrid
 from repro.errors import KernelTableError
+from repro.gpu.specs import get_gpu
 from repro.kernels.registry import TABLES_ENV, KernelParamResolver, load_tables
-from repro.kernels.search import best_for_shape
+from repro.kernels.search import _argmin_entries, best_for_shape, tune_table
 from repro.kernels.table import KernelTable
+from repro.observability.metrics import metrics
+from repro.types import DType
 
 
 @pytest.fixture()
@@ -78,16 +85,19 @@ class TestResolver:
     def test_table_checksum_is_computed_once_per_table(
         self, tiny_table, engine, monkeypatch
     ):
+        # A fresh instance, so no digest is memoized yet.  Hashing
+        # serializes ``payload()``; count those builds.
+        table = dataclasses.replace(tiny_table)
         want = tiny_table.checksum()
         calls = []
-        original = KernelTable.checksum
+        original = KernelTable.payload
 
-        def counted(table):
-            calls.append(table.gpu)
-            return original(table)
+        def counted(self):
+            calls.append(self.gpu)
+            return original(self)
 
-        monkeypatch.setattr(KernelTable, "checksum", counted)
-        resolver = KernelParamResolver(tables=[tiny_table], engine=engine)
+        monkeypatch.setattr(KernelTable, "payload", counted)
+        resolver = KernelParamResolver(tables=[table], engine=engine)
         # Distinct shapes in covered buckets: every resolve is a table
         # hit past the memo.
         for m in (256, 300, 400, 511, 512, 700, 1000, 1023):
@@ -123,3 +133,110 @@ class TestFromEnv:
         monkeypatch.setenv(TABLES_ENV, str(tmp_path / "missing"))
         with pytest.raises(KernelTableError):
             KernelParamResolver.from_env(engine=engine)
+
+
+# -- resolve_many wall ---------------------------------------------------------
+
+_WALL_GPUS = ("A100", "H100", "V100", "MI250X")
+
+
+def _computes():
+    return metrics().counter("engine.evaluate.computes").value
+
+
+def reference_resolve(tables, batch, m, n, k, gpu, dtype="fp16"):
+    """The per-shape resolution ``resolve_many`` replaced: a bucket
+    lookup, else a one-row tile sweep at the exact shape."""
+    spec = get_gpu(gpu)
+    parsed = DType.parse(dtype)
+    table = {(t.gpu, t.dtype): t for t in tables}.get((spec.name, parsed.name))
+    entry = table.lookup(batch, m, n, k) if table is not None else None
+    checksum = table.checksum() if entry is not None else None
+    if entry is None:
+        grid = ShapeGrid.from_columns(
+            batch=np.asarray([batch]), m=np.asarray([m]),
+            n=np.asarray([n]), k=np.asarray([k]),
+        )
+        sweep = ShapeEngine().evaluate_tiles(grid, spec, parsed)
+        (entry,) = _argmin_entries(grid, sweep)
+    payload = entry.to_dict()
+    payload["table_hit"] = checksum is not None
+    payload["table_checksum"] = checksum
+    payload["model_version"] = model_version()
+    return payload
+
+
+def _wall_shapes(seed):
+    """Table hits, misses (untuned octaves and batches) and duplicates."""
+    rng = np.random.default_rng(seed)
+    hits = [(1, int(m), int(n), int(k))
+            for m, n, k in rng.integers(256, 1024, size=(6, 3))]
+    misses = [(int(b), int(m), int(n), int(k))
+              for b, m, n, k in zip(rng.integers(2, 9, 8),
+                                    *rng.integers(1, 6000, size=(3, 8)))]
+    shapes = hits + misses + [misses[0], hits[0], misses[3], misses[0]]
+    order = rng.permutation(len(shapes))
+    return [shapes[i] for i in order]
+
+
+@pytest.fixture(scope="module")
+def wall_tables(engine):
+    return [
+        tune_table(gpu, dims=(256, 512), batches=(1,), engine=engine)
+        for gpu in _WALL_GPUS
+    ]
+
+
+class TestResolveMany:
+    @pytest.mark.parametrize("gpu", _WALL_GPUS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batched_equals_one_at_a_time(self, wall_tables, gpu, seed):
+        shapes = _wall_shapes(seed)
+        batched = KernelParamResolver(
+            tables=wall_tables, engine=ShapeEngine()
+        ).resolve_many(shapes, gpu)
+        single = KernelParamResolver(tables=wall_tables, engine=ShapeEngine())
+        one_at_a_time = [single.resolve(*s, gpu) for s in shapes]
+        reference = [reference_resolve(wall_tables, *s, gpu) for s in shapes]
+        assert batched == one_at_a_time == reference
+        assert any(p["table_hit"] for p in batched)
+        assert not all(p["table_hit"] for p in batched)
+
+    @pytest.mark.parametrize("gpu", _WALL_GPUS)
+    def test_memo_hits_mixed_with_fresh_shapes(self, wall_tables, gpu):
+        shapes = _wall_shapes(3)
+        resolver = KernelParamResolver(tables=wall_tables, engine=ShapeEngine())
+        reference = [reference_resolve(wall_tables, *s, gpu) for s in shapes]
+        # Memoize every other shape first, then answer the whole list.
+        for s in shapes[::2]:
+            resolver.resolve(*s, gpu)
+        assert resolver.resolve_many(shapes, gpu) == reference
+        # Everything is memoized now: a repeat prices nothing.
+        before = _computes()
+        assert resolver.resolve_many(shapes, gpu) == reference
+        assert _computes() == before
+
+    def test_payloads_are_distinct_dicts(self, wall_tables):
+        resolver = KernelParamResolver(tables=wall_tables, engine=ShapeEngine())
+        shape = (2, 96, 96, 96)
+        first, second = resolver.resolve_many([shape, shape], "A100")
+        assert first == second and first is not second
+        first["tile"] = "tampered"
+        assert resolver.resolve(*shape, "A100")["tile"] != "tampered"
+
+    def test_misses_cost_one_tile_sweep(self, wall_tables):
+        resolver = KernelParamResolver(tables=wall_tables, engine=ShapeEngine())
+        misses = [(2, 100 + i, 300, 700) for i in range(5)]
+        before = _computes()
+        resolver.resolve_many(misses + misses[:2], "H100")
+        assert _computes() == before + 1
+        hits = [(1, 256 + i, 512, 256) for i in range(5)]
+        before = _computes()
+        resolver.resolve_many(hits, "H100")
+        assert _computes() == before
+
+    def test_empty_request_prices_nothing(self, wall_tables):
+        resolver = KernelParamResolver(tables=wall_tables, engine=ShapeEngine())
+        before = _computes()
+        assert resolver.resolve_many([], "A100") == []
+        assert _computes() == before

@@ -160,3 +160,20 @@ class TestPlanBatch:
         assert rows[id(b)] == 1
         assert call.shapes[rows[id(a)]].tolist() == [1, 512, 512, 512]
         assert call.shapes[rows[id(b)]].tolist() == [1, 1024, 512, 512]
+
+    def test_kernel_queries_group_per_gpu_dtype_apart_from_shapes(self):
+        k1 = _shape(512, 512, 512, kind="kernel_params")
+        k2 = _shape(1024, 512, 512, kind="kernel_params")
+        k3 = _shape(512, 512, 512, kind="kernel_params")
+        k_h100 = _shape(512, 512, 512, gpu="H100", kind="kernel_params")
+        shape = _shape(512, 512, 512)
+        calls, passthrough = plan_batch([k1, shape, k2, k3, k_h100])
+        assert passthrough == []
+        by_key = {(c.kernel, c.gpu): c for c in calls}
+        assert set(by_key) == {(True, "A100"), (False, "A100"), (True, "H100")}
+        group = by_key[(True, "A100")]
+        assert group.rows == 2
+        assert group.duplicates == 1
+        assert [row for _, row in group.assignments] == [0, 1, 0]
+        assert by_key[(False, "A100")].assignments == [(shape, 0)]
+        assert by_key[(True, "H100")].rows == 1

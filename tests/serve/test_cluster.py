@@ -7,6 +7,7 @@ kill things get private clusters so carnage never leaks across tests.
 
 import os
 import signal
+import socket
 import threading
 import time
 
@@ -16,6 +17,7 @@ from repro.errors import ServeError
 from repro.resilience.execute import RetryPolicy
 from repro.resilience.faults import FaultPlan, FaultSpec, clear_plan, install_plan
 from repro.serve.client import AdvisoryClient
+from repro.serve import wire
 from repro.serve.cluster import ClusterServer
 from repro.serve.config import ServeConfig
 from repro.serve.loadgen import (
@@ -247,3 +249,67 @@ class TestMultiProcessWall:
         assert report.verify_mismatches == 0
         # The merged report still carries the front-end's view.
         assert report.server.get("cluster", {}).get("workers") == 2
+
+
+def _stopped_worker_cluster(**kw):
+    """One-worker cluster whose heartbeat never kills a stopped worker."""
+    return ClusterServer(
+        _fast_config(workers=1, heartbeat_s=30.0, heartbeat_timeout_s=30.0),
+        **kw,
+    )
+
+
+class TestFrontEndFutures:
+    """The front-end awaits supervisor futures on its event loop."""
+
+    def test_expired_request_timeout_is_a_typed_retryable_advisory(self):
+        with _stopped_worker_cluster(request_timeout_s=0.3) as server:
+            sup = server.supervisor
+            victim = sup.worker_pids()[0]
+            with SocketTransport("127.0.0.1", server.bound_port) as transport:
+                os.kill(victim, signal.SIGSTOP)
+                try:
+                    advisory = transport.request(_query(), timeout_s=_BOOT_S)
+                finally:
+                    os.kill(victim, signal.SIGCONT)
+                assert advisory.status == "rejected"
+                assert advisory.error_type == "DeadlineExceededError"
+                assert advisory.retryable is True
+                assert advisory.query == _query()
+                assert _wait_for(lambda: sup.cluster_stats()["inflight"] == 0)
+                # The worker's late answer is dropped; the next query
+                # is served normally.
+                assert transport.request(
+                    _query(m=640), timeout_s=_BOOT_S
+                ).ok
+                assert _wait_for(lambda: sup.cluster_stats()["inflight"] == 0)
+
+    def test_front_end_admits_at_most_32_queries_at_once(self):
+        total = 100
+        with _stopped_worker_cluster() as server:
+            sup = server.supervisor
+            victim = sup.worker_pids()[0]
+            lines = "".join(
+                wire.query_message(_query(m=8 * (i + 1)).to_dict(), i)
+                for i in range(total)
+            )
+            with socket.create_connection(
+                ("127.0.0.1", server.bound_port), timeout=_BOOT_S
+            ) as sock:
+                os.kill(victim, signal.SIGSTOP)
+                try:
+                    sock.sendall(lines.encode("utf-8"))
+                    assert _wait_for(
+                        lambda: sup.cluster_stats()["inflight"] == 32
+                    )
+                    time.sleep(0.3)  # the rest wait on the event loop
+                    assert sup.cluster_stats()["inflight"] == 32
+                finally:
+                    os.kill(victim, signal.SIGCONT)
+                reader = sock.makefile("r", encoding="utf-8")
+                replies = [
+                    wire.decode_line(reader.readline()) for _ in range(total)
+                ]
+            assert sorted(r["id"] for r in replies) == list(range(total))
+            assert all(r["advisory"]["status"] == "ok" for r in replies)
+            assert _wait_for(lambda: sup.cluster_stats()["inflight"] == 0)

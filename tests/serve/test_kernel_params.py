@@ -10,9 +10,11 @@ payload dict, hit or miss.  Errors stay typed across the same paths.
 
 import pytest
 
+from repro.engine.core import ShapeEngine
 from repro.errors import KernelTableError, ServeError, ShapeError
 from repro.kernels.registry import TABLES_ENV, KernelParamResolver
 from repro.kernels.search import tune_table
+from repro.observability.metrics import metrics
 from repro.serve.client import AdvisoryClient
 from repro.serve.cluster import ClusterServer
 from repro.serve.config import ServeConfig
@@ -167,3 +169,70 @@ class TestTypedErrors:
                 assert shape.ok
         finally:
             mp.undo()
+
+
+class TestBatchedKernelDispatch:
+    """A dispatch batch prices its ``kernel_params`` misses together."""
+
+    @staticmethod
+    def _run_one_batch(queries, engine):
+        # Submitted before start, the queries form one dispatch batch.
+        server = AdvisoryServer(
+            ServeConfig(workers=1, cache_ttl_s=0, max_batch=64),
+            engine=engine,
+        )
+        futures = [server.submit(q) for q in queries]
+        with server:
+            advisories = [f.result(timeout=_BOOT_S) for f in futures]
+        return advisories, server.stats()
+
+    def test_one_tile_sweep_per_gpu_dtype_group(self, tables_env):
+        a100_misses = [
+            ShapeQuery(kind="kernel_params", m=96 + 32 * i, n=512, k=512,
+                       batch=2, gpu="A100")
+            for i in range(3)
+        ]
+        h100_misses = [
+            ShapeQuery(kind="kernel_params", m=700, n=300 + i, k=64,
+                       gpu="H100")
+            for i in range(2)
+        ]
+        queries = (
+            a100_misses + [ShapeQuery(**_HIT)] + h100_misses
+            + [a100_misses[0], ShapeQuery(kind="latency", m=64, n=64, k=64)]
+        )
+        before = metrics().counter("engine.evaluate.computes").value
+        advisories, stats = self._run_one_batch(queries, ShapeEngine())
+        computes = metrics().counter("engine.evaluate.computes").value - before
+        # One tile sweep for the A100 misses, one for the H100 misses,
+        # one engine call for the latency query; the table hit and the
+        # duplicate price nothing.
+        assert computes == 3
+        assert stats.batches == 1
+        assert stats.kernel_served == len(queries) - 1
+        assert stats.served == len(queries)
+        resolver = KernelParamResolver.from_env(engine=ShapeEngine())
+        for query, advisory in zip(queries[:-1], advisories):
+            assert advisory.ok
+            assert advisory.payload == resolver.resolve(
+                query.batch, query.m, query.n, query.k, query.gpu, query.dtype
+            )
+        assert advisories[3].payload["table_hit"] is True
+        assert advisories[0].payload is not advisories[-2].payload
+
+    def test_resolver_failure_fails_every_item_of_the_group(self, tmp_path):
+        mp = pytest.MonkeyPatch()
+        mp.setenv(TABLES_ENV, str(tmp_path / "missing"))
+        try:
+            queries = [ShapeQuery(**_MISS), ShapeQuery(**_HIT),
+                       ShapeQuery(**_MISS),
+                       ShapeQuery(kind="latency", m=256, n=256, k=256)]
+            advisories, stats = self._run_one_batch(queries, ShapeEngine())
+        finally:
+            mp.undo()
+        assert [a.status for a in advisories] == ["failed"] * 3 + ["ok"]
+        assert all(
+            a.error_type == KernelTableError.__name__ for a in advisories[:3]
+        )
+        assert stats.failed == 3
+        assert stats.kernel_served == 0

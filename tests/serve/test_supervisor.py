@@ -10,14 +10,23 @@ machine load.
 
 import os
 import signal
+import sys
+import threading
 import time
 
 import pytest
 
-from repro.errors import ClusterError, LoadShedError, ServeError, ServerClosedError
+from repro.errors import (
+    ClusterError,
+    DeadlineExceededError,
+    LoadShedError,
+    ServeError,
+    ServerClosedError,
+)
+from repro.gpu.specs import get_gpu
 from repro.serve.config import ServeConfig
 from repro.serve.protocol import ShapeQuery
-from repro.serve.server import AdvisoryServer
+from repro.serve.server import AdvisoryServer, shard_for
 from repro.serve.supervisor import Supervisor
 
 #: Worker boot is interpreter start + imports; generous for loaded CI.
@@ -230,5 +239,127 @@ class TestLoadShedding:
             sup._admit(_query())  # streak 2: still below shed_after
             with pytest.raises(LoadShedError):
                 sup._admit(_query())  # streak 3: sheds
+        finally:
+            sup.close()
+
+
+class TestFuturePath:
+    """``Supervisor.submit``: futures, failover from the done-callback,
+    and the in-flight count settled exactly once per request."""
+
+    def test_submit_resolves_without_blocking(self):
+        with Supervisor(_fast_config()) as sup:
+            futures = [sup.submit(_query(m=256 + i)) for i in range(8)]
+            advisories = [f.result(timeout=_BOOT_S) for f in futures]
+            assert all(a.ok and a.source != "degraded" for a in advisories)
+            assert [a.query.m for a in advisories] == [
+                256 + i for i in range(8)
+            ]
+            assert _wait_for(lambda: sup.cluster_stats()["inflight"] == 0)
+
+    def test_concurrent_submitters_settle_inflight_exactly_once(self):
+        # More submitting threads than cores and a short switch interval:
+        # a lost update to the shared in-flight count would leave it
+        # off zero once every future has resolved.
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Supervisor(_fast_config()) as sup:
+                results = []
+
+                def drive(t):
+                    futures = [
+                        sup.submit(_query(m=64 * (1 + (t * 25 + i) % 40)))
+                        for i in range(25)
+                    ]
+                    results.extend(f.result(timeout=_BOOT_S) for f in futures)
+
+                threads = [
+                    threading.Thread(target=drive, args=(t,)) for t in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=_BOOT_S)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(results) == 200
+                assert all(a.ok for a in results)
+                assert _wait_for(lambda: sup.cluster_stats()["inflight"] == 0)
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_sigkill_home_worker_replays_pending_futures_on_sibling(self):
+        queries = [_query(m=128 + 8 * i) for i in range(12)]
+        with AdvisoryServer(ServeConfig(workers=1, cache_ttl_s=0)) as local:
+            expected = [
+                local.request(q, timeout_s=_BOOT_S).payload for q in queries
+            ]
+        # A slow heartbeat keeps the monitor from killing the stopped
+        # worker first: the SIGKILL below is the only death.
+        config = _fast_config(heartbeat_s=30.0, heartbeat_timeout_s=30.0)
+        with Supervisor(config) as sup:
+            home = shard_for(get_gpu("A100").name, config.workers)
+            victim = sup.worker_pids()[home]
+            os.kill(victim, signal.SIGSTOP)  # queries reach it, no answers
+            try:
+                futures = [sup.submit(q) for q in queries]
+                time.sleep(0.2)
+                assert not any(f.done() for f in futures)
+                assert sup.cluster_stats()["inflight"] == len(queries)
+            finally:
+                os.kill(victim, signal.SIGKILL)
+            advisories = [f.result(timeout=_BOOT_S) for f in futures]
+            assert all(a.ok for a in advisories)
+            assert all(a.source != "degraded" for a in advisories)
+            assert [a.payload for a in advisories] == expected
+            assert _wait_for(lambda: sup.cluster_stats()["inflight"] == 0)
+            assert _wait_for(lambda: sup.cluster_stats()["restarts"] >= 1)
+
+    def test_request_timeout_is_typed_and_settles_inflight(self):
+        config = _fast_config(
+            workers=1, heartbeat_s=30.0, heartbeat_timeout_s=30.0,
+        )
+        with Supervisor(config) as sup:
+            victim = sup.worker_pids()[0]
+            os.kill(victim, signal.SIGSTOP)
+            try:
+                with pytest.raises(DeadlineExceededError):
+                    sup.request(_query(), timeout_s=0.2)
+                assert sup.cluster_stats()["inflight"] == 0
+            finally:
+                os.kill(victim, signal.SIGCONT)
+            # The late reply lands on a cancelled future: dropped
+            # quietly, and the count is not settled twice.
+            assert sup.request(_query(m=320), timeout_s=_BOOT_S).ok
+            assert _wait_for(lambda: sup.cluster_stats()["inflight"] == 0)
+            assert sup.cluster_stats()["inflight"] == 0
+
+    def test_admission_errors_raise_from_submit(self):
+        sup = Supervisor(_fast_config(workers=1))
+        sup.close()
+        with pytest.raises(ServerClosedError):
+            sup.submit(_query())
+        assert sup.cluster_stats()["inflight"] == 0
+
+    def test_fleet_down_without_degrade_fails_the_future(self):
+        config = _fast_config(workers=1, degrade_local=False)
+        sup = Supervisor(config)  # never started: no live workers
+        try:
+            future = sup.submit(_query())
+            with pytest.raises(ClusterError):
+                future.result(timeout=_BOOT_S)
+            assert sup.cluster_stats()["inflight"] == 0
+        finally:
+            sup.close()
+
+    def test_fleet_down_degrades_through_the_local_server(self):
+        config = _fast_config(workers=1, degrade_local=True)
+        sup = Supervisor(config)  # never started: no live workers
+        try:
+            advisory = sup.submit(_query()).result(timeout=_BOOT_S)
+            assert advisory.ok
+            assert advisory.source == "degraded"
+            assert _wait_for(lambda: sup.cluster_stats()["inflight"] == 0)
+            assert sup.cluster_stats()["degraded"] == 1
         finally:
             sup.close()
