@@ -4,14 +4,18 @@
 tier: a stdlib-``asyncio`` TCP server speaking the same newline-JSON
 protocol as the worker pipes (:mod:`repro.serve.wire`), fronting a
 :class:`~repro.serve.supervisor.Supervisor` that owns the worker
-processes.  The event loop never blocks on an engine and parks no
-thread on a query: each query is admitted with the supervisor's
-``submit()`` (which routes, fails over, sheds, or degrades) and its
-future is awaited on the loop, at most ``_FRONTEND_POOL_SIZE`` at a
-time.  Each connection serializes its replies through a writer task
-fed by a queue, which writes every ready reply in one go, so concurrent
-answers for one client interleave safely and may legally arrive out of
-submission order (``id`` correlates them).
+processes.  The supervisor runs on the front-end's own event loop, so
+one thread carries a query from the socket read, down a worker pipe
+and back, to the socket write, and no lock is taken on the way.  Each
+query goes to the supervisor's loop-side ``dispatch`` (which routes,
+fails over, sheds, or degrades) with a reply callback and a deadline
+of ``request_timeout_s``, at most ``_FRONTEND_POOL_SIZE`` at a time;
+the rest wait in arrival order.  The worker's advisory object is
+relayed under the client's ``id`` as it came off the pipe, never
+rebuilt as an :class:`~repro.serve.protocol.Advisory`.  Each connection
+queues its replies and writes all those ready in one loop iteration
+with one ``write``, so answers for one client may legally arrive out
+of submission order (``id`` correlates them).
 
 Lifecycle: ``serve_forever()`` runs in the calling thread (the CLI
 path, with SIGTERM -> drain and SIGHUP -> config hot-reload when
@@ -30,16 +34,13 @@ exercises client reconnect logic.
 from __future__ import annotations
 
 import asyncio
+import collections
+import functools
 import signal
 import threading
-from typing import Any, Dict, Optional, Set
+from typing import Any, Deque, Dict, Optional, Set, Tuple
 
-from repro.errors import (
-    ClusterError,
-    ConfigError,
-    DeadlineExceededError,
-    ReproError,
-)
+from repro.errors import ClusterError, ConfigError, ReproError
 from repro.observability.metrics import metrics as _metrics
 from repro.observability.tracing import event as _event
 from repro.resilience import faults
@@ -52,12 +53,63 @@ from repro.serve.supervisor import Supervisor
 __all__ = ["ClusterServer"]
 
 #: Upper bound on queries the front-end holds admitted to the
-#: supervisor at once; beyond this, requests wait on the event loop
+#: supervisor at once; beyond this, requests wait in arrival order
 #: (and the supervisor's shed policy sees the sustained depth).
 _FRONTEND_POOL_SIZE = 32
 
 #: How long ``start_background`` waits for the socket to bind.
 _BIND_TIMEOUT_S = 60.0
+
+
+class _Connection:
+    """The reply side of one client socket.
+
+    Lines queued during one loop iteration go out in one ``write``.
+    ``pending`` counts the requests accepted on this connection and not
+    answered yet.
+    """
+
+    __slots__ = ("_writer", "_loop", "_out", "send", "pending", "_idle")
+
+    def __init__(
+        self, writer: asyncio.StreamWriter, loop: asyncio.AbstractEventLoop
+    ) -> None:
+        self._writer = writer
+        self._loop = loop
+        self._out = wire.LineBatch(loop, self._write)
+        #: Queue one line for the client.
+        self.send = self._out.send
+        self.pending = 0
+        self._idle: "Optional[asyncio.Future[None]]" = None
+
+    def answered(self, line: str) -> None:
+        """Send the answer to one pending request."""
+        self.send(line)
+        self.pending -= 1
+        if self.pending == 0 and self._idle is not None:
+            if not self._idle.done():
+                self._idle.set_result(None)
+
+    async def drained(self) -> None:
+        """Wait until every accepted request has its answer queued."""
+        if self.pending:
+            self._idle = self._loop.create_future()
+            await self._idle
+
+    def close(self) -> None:
+        self._out.flush()
+        try:
+            self._writer.close()  # the transport writes out its buffer first
+        except (ConnectionError, OSError):  # pragma: no cover
+            pass
+
+    def _write(self, data: bytes) -> None:
+        if not self._writer.is_closing():
+            self._writer.write(data)
+
+
+#: A query the front-end accepted: (client id, query, raw object, connection).
+_Request = Tuple[Any, ShapeQuery, Dict[str, Any], _Connection]
 
 
 class ClusterServer:
@@ -71,7 +123,6 @@ class ClusterServer:
         config_path: Optional[str] = None,
         fault_plan_path: Optional[str] = None,
         request_timeout_s: Optional[float] = 120.0,
-        supervisor: Optional[Supervisor] = None,
         on_bound: Optional[Any] = None,
     ) -> None:
         self.config = config or ServeConfig()
@@ -81,10 +132,8 @@ class ClusterServer:
         #: requests are rejected).
         self.config_path = config_path
         self.request_timeout_s = request_timeout_s
-        self.supervisor = supervisor or Supervisor(
-            self.config, fault_plan_path
-        )
-        self._own_supervisor = supervisor is None
+        #: Started and closed on the front-end's event loop.
+        self.supervisor = Supervisor(self.config, fault_plan_path)
         #: Called with the bound port once listening (CLI announce).
         self._on_bound = on_bound
         #: The bound port (resolves ``port=0`` ephemeral binds); set
@@ -92,8 +141,12 @@ class ClusterServer:
         self.bound_port: Optional[int] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_async: Optional[asyncio.Event] = None
-        self._admission: Optional[asyncio.Semaphore] = None
+        #: Queries dispatched to the supervisor and not answered yet.
+        self._admitted = 0
+        #: Accepted queries waiting for one of the admitted to finish.
+        self._waiting: Deque[_Request] = collections.deque()
         self._client_tasks: "Set[asyncio.Task[None]]" = set()
+        self._stats_tasks: "Set[asyncio.Task[None]]" = set()
         self._ready = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -106,12 +159,9 @@ class ClusterServer:
         drain and SIGHUP rereads ``config_path`` (an invalid file is
         rejected and the old config stays in force).
         """
-        self.supervisor.start()
         try:
             asyncio.run(self._serve_async(install_signals))
         finally:
-            if self._own_supervisor:
-                self.supervisor.close()
             self._ready.set()  # never leave start_background hanging
 
     def start_background(self) -> "ClusterServer":
@@ -156,32 +206,35 @@ class ClusterServer:
         loop = asyncio.get_running_loop()
         self._loop = loop
         self._stop_async = asyncio.Event()
-        # Built on the running loop: before Python 3.10 asyncio
-        # primitives bind the loop current at construction.
-        self._admission = asyncio.Semaphore(_FRONTEND_POOL_SIZE)
-        server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
-        )
-        self.bound_port = server.sockets[0].getsockname()[1]
-        if install_signals:
-            loop.add_signal_handler(signal.SIGTERM, self._stop_async.set)
-            loop.add_signal_handler(signal.SIGINT, self._stop_async.set)
-            loop.add_signal_handler(
-                signal.SIGHUP,
-                lambda: loop.create_task(self._reload_async()),
-            )
-        _event("cluster.listening", host=self.host, port=self.bound_port)
-        if self._on_bound is not None:
-            self._on_bound(self.bound_port)
-        self._ready.set()
         try:
-            async with server:
-                await self._stop_async.wait()
+            await self.supervisor.start_async()
+            server = await asyncio.start_server(
+                self._handle_client, self.host, self.port
+            )
+            self.bound_port = server.sockets[0].getsockname()[1]
+            if install_signals:
+                loop.add_signal_handler(signal.SIGTERM, self._stop_async.set)
+                loop.add_signal_handler(signal.SIGINT, self._stop_async.set)
+                loop.add_signal_handler(
+                    signal.SIGHUP,
+                    lambda: loop.create_task(self._reload_async()),
+                )
+            _event("cluster.listening", host=self.host, port=self.bound_port)
+            if self._on_bound is not None:
+                self._on_bound(self.bound_port)
+            self._ready.set()
+            try:
+                async with server:
+                    await self._stop_async.wait()
+            finally:
+                server.close()
+                await server.wait_closed()
+                await self._drain_clients()
+                _event(
+                    "cluster.drained", connections=len(self._client_tasks)
+                )
         finally:
-            server.close()
-            await server.wait_closed()
-            await self._drain_clients()
-            _event("cluster.drained", connections=len(self._client_tasks))
+            await self.supervisor.close_async()
 
     async def _drain_clients(self) -> None:
         """Give live connections ``drain_s`` to finish, then cut them."""
@@ -203,14 +256,25 @@ class ClusterServer:
         if task is not None:
             self._client_tasks.add(task)
         _metrics().counter("cluster.connections").inc()
-        out_q: "asyncio.Queue[Optional[str]]" = asyncio.Queue()
-        writer_task = asyncio.ensure_future(self._writer_loop(writer, out_q))
-        answer_tasks: "Set[asyncio.Task[None]]" = set()
+        conn = _Connection(writer, asyncio.get_running_loop())
+        try:
+            await self._read_requests(reader, conn)
+            # Answer everything already accepted before goodbye; a
+            # drain timeout cancels this wait and cuts the connection.
+            await conn.drained()
+        finally:
+            conn.close()
+            if task is not None:
+                self._client_tasks.discard(task)
+
+    async def _read_requests(
+        self, reader: asyncio.StreamReader, conn: _Connection
+    ) -> None:
         try:
             while True:
                 line = await reader.readline()
                 if not line:
-                    break
+                    return
                 if not line.strip():
                     continue
                 try:
@@ -219,121 +283,94 @@ class ClusterServer:
                     faults.fault_site("cluster.conn")
                     message = wire.decode_line(line)
                 except ConfigError as exc:
-                    advisory = error_to_advisory(None, exc)
-                    out_q.put_nowait(
-                        wire.encode_message(
-                            "advisory", id=None, advisory=advisory.to_dict()
-                        )
-                    )
+                    conn.send(_advisory_line(None, None, exc))
                     continue
                 except ReproError:
-                    break  # injected torn socket
+                    return  # injected torn socket
                 op = message["op"]
                 if op == "query":
-                    answer = asyncio.ensure_future(
-                        self._answer(message, out_q)
-                    )
-                    answer_tasks.add(answer)
-                    answer.add_done_callback(answer_tasks.discard)
+                    self._accept(message, conn)
                 elif op == "ping":
-                    out_q.put_nowait(
+                    conn.send(
                         wire.encode_message(
                             "pong", id=message.get("id"),
                             live=self.supervisor.live_workers(),
                         )
                     )
                 elif op == "stats":
-                    answer = asyncio.ensure_future(
-                        self._answer_stats(message, out_q)
+                    conn.pending += 1
+                    stats = asyncio.ensure_future(
+                        self._answer_stats(message, conn)
                     )
-                    answer_tasks.add(answer)
-                    answer.add_done_callback(answer_tasks.discard)
+                    self._stats_tasks.add(stats)
+                    stats.add_done_callback(self._stats_tasks.discard)
                 elif op == "shutdown":
-                    break
+                    return
                 # Response ops from a confused peer are ignored.
         except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-line; in-flight answers finish below
-        finally:
-            if answer_tasks:
-                # Answer everything already accepted before goodbye.
-                await asyncio.gather(*answer_tasks, return_exceptions=True)
-            out_q.put_nowait(None)
-            await writer_task
-            if task is not None:
-                self._client_tasks.discard(task)
+            pass  # client went away mid-line; in-flight answers finish
 
-    async def _answer(
-        self, message: Dict[str, Any], out_q: "asyncio.Queue[Optional[str]]"
-    ) -> None:
+    # -- the query path -----------------------------------------------------
+
+    def _accept(self, message: Dict[str, Any], conn: _Connection) -> None:
+        """Validate one query and dispatch it, or queue it behind the 32."""
         raw: Optional[Dict[str, Any]] = None
-        query: Optional[ShapeQuery] = None
         try:
             raw = wire.request_payload(message)
             query = ShapeQuery.from_dict(raw)
-            assert self._admission is not None  # set before listening
-            async with self._admission:
-                advisory = await asyncio.wait_for(
-                    asyncio.wrap_future(self.supervisor.submit(query)),
-                    self.request_timeout_s,
-                )
-        except asyncio.TimeoutError:
-            advisory = error_to_advisory(
-                query,
-                DeadlineExceededError(
-                    f"cluster gave no advisory within "
-                    f"{self.request_timeout_s}s"
-                ),
-                raw_query=raw,
-            )
         except ReproError as exc:
-            advisory = error_to_advisory(query, exc, raw_query=raw)
-        out_q.put_nowait(
-            wire.encode_message(
-                "advisory", id=message.get("id"), advisory=advisory.to_dict()
+            conn.send(
+                _advisory_line(message.get("id"), None, exc, raw_query=raw)
             )
-        )
+            return
+        conn.pending += 1
+        request = (message.get("id"), query, raw, conn)
+        if self._admitted < _FRONTEND_POOL_SIZE:
+            self._dispatch(request)
+        else:
+            self._waiting.append(request)
+
+    def _dispatch(self, request: _Request) -> None:
+        request_id, query, raw, conn = request
+        try:
+            self.supervisor.dispatch(
+                query, functools.partial(self._reply, request),
+                self.request_timeout_s,
+            )
+        except ReproError as exc:  # shed, or the cluster is closing
+            conn.answered(_advisory_line(request_id, query, exc, raw))
+            return
+        self._admitted += 1
+
+    def _reply(
+        self,
+        request: _Request,
+        advisory: Optional[Dict[str, Any]],
+        exc: Optional[BaseException],
+    ) -> None:
+        """Supervisor callback: relay the answer, admit the next query."""
+        request_id, query, raw, conn = request
+        self._admitted -= 1
+        if exc is None:
+            conn.answered(
+                wire.encode_message("advisory", id=request_id, advisory=advisory)
+            )
+        else:
+            conn.answered(_advisory_line(request_id, query, exc, raw))
+        # dispatch never calls back synchronously, so this cannot recurse.
+        while self._waiting and self._admitted < _FRONTEND_POOL_SIZE:
+            self._dispatch(self._waiting.popleft())
 
     async def _answer_stats(
-        self, message: Dict[str, Any], out_q: "asyncio.Queue[Optional[str]]"
+        self, message: Dict[str, Any], conn: _Connection
     ) -> None:
-        loop = asyncio.get_running_loop()
-        stats = await loop.run_in_executor(None, self._stats_payload)
-        out_q.put_nowait(
+        stats = {
+            "cluster": self.supervisor.cluster_stats(),
+            "workers": await self.supervisor.worker_stats_async(),
+        }
+        conn.answered(
             wire.encode_message("stats", id=message.get("id"), stats=stats)
         )
-
-    def _stats_payload(self) -> Dict[str, Any]:
-        return {
-            "cluster": self.supervisor.cluster_stats(),
-            "workers": self.supervisor.worker_stats(),
-        }
-
-    async def _writer_loop(
-        self,
-        writer: asyncio.StreamWriter,
-        out_q: "asyncio.Queue[Optional[str]]",
-    ) -> None:
-        try:
-            while True:
-                line = await out_q.get()
-                lines = []
-                while line is not None:
-                    lines.append(line)
-                    if out_q.empty():
-                        break
-                    line = out_q.get_nowait()
-                if lines:
-                    writer.write("".join(lines).encode("utf-8"))
-                    await writer.drain()
-                if line is None:
-                    break
-        except (ConnectionError, OSError):
-            pass  # peer vanished; nothing left to tell it
-        finally:
-            try:
-                writer.close()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
 
     async def _reload_async(self) -> None:
         """SIGHUP: reread ``config_path``; keep the old config on error."""
@@ -353,3 +390,16 @@ class ClusterServer:
     def _read_config_file(self) -> str:
         with open(self.config_path or "", encoding="utf-8") as fh:
             return fh.read()
+
+
+def _advisory_line(
+    request_id: Any,
+    query: Optional[ShapeQuery],
+    exc: BaseException,
+    raw_query: Optional[Dict[str, Any]] = None,
+) -> str:
+    """The wire line of the typed error advisory answering ``request_id``."""
+    advisory = error_to_advisory(query, exc, raw_query=raw_query)
+    return wire.encode_message(
+        "advisory", id=request_id, advisory=advisory.to_dict()
+    )

@@ -31,12 +31,16 @@ TCP transports (the payload is one JSON object either way).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional
 
 from repro.errors import ConfigError
 
+if TYPE_CHECKING:  # workers import this module and never run a loop
+    import asyncio
+
 __all__ = [
     "OPS",
+    "LineBatch",
     "decode_line",
     "encode_message",
     "query_message",
@@ -112,3 +116,33 @@ def request_payload(message: Mapping[str, Any]) -> Dict[str, Any]:
     if not isinstance(raw, dict) or not raw:
         raise ConfigError("request carries no query object")
     return raw
+
+
+class LineBatch:
+    """Wire lines queued during one event-loop iteration, sent as one write.
+
+    The first :meth:`send` of an iteration schedules :meth:`flush` with
+    ``loop.call_soon``, so every line queued before the loop runs its
+    next ready callbacks reaches ``write`` as one bytes object, in the
+    order sent.  Used on the event loop only (worker pipes and client
+    sockets alike).
+    """
+
+    __slots__ = ("_loop", "_write", "_lines")
+
+    def __init__(
+        self, loop: asyncio.AbstractEventLoop, write: Callable[[bytes], None]
+    ) -> None:
+        self._loop = loop
+        self._write = write
+        self._lines: List[str] = []
+
+    def send(self, line: str) -> None:
+        if not self._lines:
+            self._loop.call_soon(self.flush)
+        self._lines.append(line)
+
+    def flush(self) -> None:
+        lines, self._lines = self._lines, []
+        if lines:
+            self._write("".join(lines).encode("utf-8"))

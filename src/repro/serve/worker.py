@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import queue
 import sys
 import threading
 from typing import IO, Any, Dict, Iterable, Optional, Sequence
@@ -55,9 +56,11 @@ class WorkerLoop:
 
     Takes any line iterable and any writable text stream so tests can
     drive it fully in-process; ``__main__`` wires it to stdin/stdout.
-    A single lock serializes output lines (advisories resolve on the
-    embedded server's dispatch threads, concurrently with pongs from
-    the main thread) and guards the in-flight counter.
+    Every output line (advisories resolve on the embedded server's
+    dispatch threads, pongs and stats on the main thread) goes through
+    one FIFO queue that a writer thread drains: the lines ready when it
+    wakes go out in one ``write`` and one ``flush``, in the order they
+    were emitted.  A lock guards the in-flight counter.
     """
 
     def __init__(
@@ -72,22 +75,36 @@ class WorkerLoop:
         self._out: IO[str] = out if out is not None else sys.stdout
         self._lock = threading.Lock()
         self._inflight = 0
-        self._broken = False
+        #: Output lines in emission order; ``None`` stops the writer.
+        self._lines: "queue.SimpleQueue[Optional[str]]" = queue.SimpleQueue()
 
     # -- output -------------------------------------------------------------
 
     def _emit(self, op: str, **fields: Any) -> None:
-        line = wire.encode_message(op, **fields)
-        with self._lock:
-            if self._broken:
+        self._lines.put(wire.encode_message(op, **fields))
+
+    def _write_lines(self) -> None:
+        """Writer thread: drain the queue, one write per wake-up."""
+        broken = False
+        while True:
+            line = self._lines.get()
+            lines = []
+            while line is not None:
+                lines.append(line)
+                try:
+                    line = self._lines.get_nowait()
+                except queue.Empty:
+                    break
+            if lines and not broken:
+                try:
+                    self._out.write("".join(lines))
+                    self._out.flush()
+                except (OSError, ValueError):
+                    # Parent is gone (torn pipe / closed stream): stop
+                    # writing; the read loop will see EOF and exit.
+                    broken = True
+            if line is None:
                 return
-            try:
-                self._out.write(line)
-                self._out.flush()
-            except (OSError, ValueError):
-                # Parent is gone (torn pipe / closed stream): stop
-                # writing; the read loop will see EOF and exit.
-                self._broken = True
 
     # -- per-op handlers ----------------------------------------------------
 
@@ -150,6 +167,10 @@ class WorkerLoop:
     def run(self, lines: Iterable[str]) -> int:
         """Serve until ``shutdown`` or EOF; returns the exit status."""
         self._server.start()
+        writer = threading.Thread(
+            target=self._write_lines, name="repro-worker-writer", daemon=True
+        )
+        writer.start()
         self._emit("ready", pid=os.getpid(), worker=self.index)
         try:
             for line in lines:
@@ -176,9 +197,12 @@ class WorkerLoop:
                 # supervisor sends us by mistake; ignore them.
         finally:
             # Drain: close() joins the dispatch threads, so every
-            # in-flight advisory is emitted before the goodbye.
+            # in-flight advisory is queued before the goodbye, and the
+            # writer empties the queue before it exits.
             self._server.close()
             self._emit("bye", pid=os.getpid(), worker=self.index)
+            self._lines.put(None)
+            writer.join()
         return 0
 
 

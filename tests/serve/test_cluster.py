@@ -260,7 +260,16 @@ def _stopped_worker_cluster(**kw):
 
 
 class TestFrontEndFutures:
-    """The front-end awaits supervisor futures on its event loop."""
+    """The front-end dispatches to the supervisor on its own event loop."""
+
+    def test_worker_pipes_are_read_on_the_front_end_loop(
+        self, cluster, transport
+    ):
+        assert transport.request(_query(), timeout_s=_BOOT_S).ok
+        names = [t.name for t in threading.enumerate()]
+        assert not [n for n in names if n.startswith("repro-cluster-read-")]
+        assert cluster.supervisor._loop is cluster._loop
+        assert cluster.supervisor._thread is None  # no loop of its own
 
     def test_expired_request_timeout_is_a_typed_retryable_advisory(self):
         with _stopped_worker_cluster(request_timeout_s=0.3) as server:

@@ -8,6 +8,7 @@ length — worker boot time is interpreter + imports and varies with
 machine load.
 """
 
+import asyncio
 import os
 import signal
 import sys
@@ -24,10 +25,11 @@ from repro.errors import (
     ServerClosedError,
 )
 from repro.gpu.specs import get_gpu
+from repro.serve import wire
 from repro.serve.config import ServeConfig
-from repro.serve.protocol import ShapeQuery
+from repro.serve.protocol import Advisory, ShapeQuery
 from repro.serve.server import AdvisoryServer, shard_for
-from repro.serve.supervisor import Supervisor
+from repro.serve.supervisor import Supervisor, WorkerHandle
 
 #: Worker boot is interpreter start + imports; generous for loaded CI.
 _BOOT_S = 60.0
@@ -363,3 +365,130 @@ class TestFuturePath:
             assert sup.cluster_stats()["degraded"] == 1
         finally:
             sup.close()
+
+
+class _FakePipe:
+    """A worker's stdin transport that records every write."""
+
+    def __init__(self):
+        self.writes = []
+        self.closed = False
+
+    def write(self, data):
+        self.writes.append(data)
+
+    def close(self):
+        self.closed = True
+
+    def lines(self):
+        return [wire.decode_line(l) for l in b"".join(self.writes).splitlines()]
+
+
+def _fake_worker(sup):
+    """Bind ``sup`` to the running loop with one ready worker on a fake pipe."""
+    sup._bind_loop(asyncio.get_running_loop())
+    handle = WorkerHandle(0, sup)
+    pipe = _FakePipe()
+    handle._writer = pipe
+    handle._data(wire.encode_message("ready", pid=0).encode())
+    sup._handles[0] = handle
+    return handle, pipe
+
+
+def _reply_line(request_id, query):
+    advisory = Advisory(query=query, payload={"latency_ms": 1.0})
+    return wire.encode_message(
+        "advisory", id=request_id, advisory=advisory.to_dict()
+    ).encode()
+
+
+class TestLoopPipes:
+    """One event loop reads and writes the worker pipes."""
+
+    def test_queries_dispatched_in_one_loop_turn_share_one_pipe_write(self):
+        queries = [_query(m=64 * (i + 1)) for i in range(16)]
+
+        async def drive():
+            sup = Supervisor(_fast_config(workers=1, drain_s=0.01))
+            handle, pipe = _fake_worker(sup)
+            answers = []
+            for query in queries:
+                sup.dispatch(query, lambda a, e: answers.append((a, e)))
+            assert pipe.writes == []  # nothing is written inside the turn
+            await asyncio.sleep(0)
+            assert len(pipe.writes) == 1
+            sent = pipe.lines()
+            assert [ShapeQuery.from_dict(m["query"]) for m in sent] == queries
+            # Replies may come back in any order and in any chunking.
+            stream = b"".join(
+                _reply_line(m["id"], q) for m, q in zip(sent, queries)
+            )
+            handle._data(stream[:100])
+            handle._data(stream[100:])
+            assert [Advisory.from_dict(a).query for a, _ in answers] == queries
+            assert all(e is None for _, e in answers)
+            assert sup.cluster_stats()["inflight"] == 0
+            await sup.close_async()
+            assert pipe.closed
+
+        asyncio.run(drive())
+
+    def test_reply_after_its_deadline_is_dropped_and_settles_once(self):
+        async def drive():
+            sup = Supervisor(_fast_config(workers=1, drain_s=0.01))
+            handle, pipe = _fake_worker(sup)
+            answers = []
+            sup.dispatch(
+                _query(), lambda a, e: answers.append((a, e)), timeout_s=0.05
+            )
+            assert sup.cluster_stats()["inflight"] == 1
+            await asyncio.sleep(0.2)
+            assert len(answers) == 1
+            assert answers[0][0] is None
+            assert isinstance(answers[0][1], DeadlineExceededError)
+            assert sup.cluster_stats()["inflight"] == 0
+            (sent,) = pipe.lines()
+            handle._data(_reply_line(sent["id"], _query()))  # the late reply
+            await asyncio.sleep(0)
+            assert len(answers) == 1
+            assert sup.cluster_stats()["inflight"] == 0
+            await sup.close_async()
+
+        asyncio.run(drive())
+
+    def test_foreign_thread_and_loop_side_dispatch_match_in_process(self):
+        queries = [
+            _query(m=384, n=768, k=192),
+            ShapeQuery(kind="kernel_params", m=512, n=512, k=512, batch=2),
+            ShapeQuery(kind="lint", model="gpt3-2.7b"),
+        ]
+        with AdvisoryServer(ServeConfig(workers=1, cache_ttl_s=0)) as local:
+            expected = [local.request(q, timeout_s=_BOOT_S) for q in queries]
+
+        def view(advisory):
+            return (advisory.status, advisory.query, advisory.payload)
+
+        async def on_loop(sup, query):
+            future = asyncio.get_running_loop().create_future()
+            sup.dispatch(query, lambda a, e: future.set_result((a, e)))
+            return await future
+
+        with Supervisor(_fast_config()) as sup:
+            foreign = [sup.submit(q).result(timeout=_BOOT_S) for q in queries]
+            loop_side = []
+            for query in queries:
+                advisory, exc = asyncio.run_coroutine_threadsafe(
+                    on_loop(sup, query), sup._loop
+                ).result(timeout=_BOOT_S)
+                assert exc is None
+                loop_side.append(Advisory.from_dict(advisory))
+        assert all(a.ok for a in expected)
+        assert [view(a) for a in foreign] == [view(a) for a in expected]
+        assert [view(a) for a in loop_side] == [view(a) for a in expected]
+
+    def test_no_pipe_reader_threads(self):
+        with Supervisor(_fast_config()) as sup:
+            assert sup.request(_query(), timeout_s=_BOOT_S).ok
+            names = [t.name for t in threading.enumerate()]
+            assert sup._thread.name == "repro-cluster-loop"
+        assert not [n for n in names if n.startswith("repro-cluster-read-")]
