@@ -3,7 +3,9 @@
 Two pieces, both deliberately free of engine/server dependencies so
 they unit-test in isolation:
 
-- :class:`RequestQueue` — a condition-variable-guarded bounded deque.
+- :class:`RequestQueue` — a condition-variable-guarded bounded deque,
+  used by the in-process server's dispatch threads only (a cluster
+  worker answers each pipe read as one batch and has no queue).
   ``put`` applies admission control (depth cap ->
   :class:`~repro.errors.QueueFullError`); ``take_batch`` blocks for the
   first waiting request, then lingers up to the batching window to let
@@ -42,17 +44,21 @@ __all__ = ["EngineCall", "PendingRequest", "RequestQueue", "plan_batch"]
 
 @dataclass
 class PendingRequest:
-    """One queued request: the query plus its completion plumbing.
+    """One request awaiting a batch: the query plus where its answer goes.
 
+    The batch that answers it stores the advisory in ``advisory`` and,
+    when the request came through the server's queue, also resolves
+    ``future`` (``None`` for a synchronous ``answer`` call).
     ``enqueued_at_s`` / ``deadline_at_s`` are ``time.monotonic``
     seconds; ``deadline_at_s`` is ``None`` when the server has no
     per-request deadline configured.
     """
 
     query: ShapeQuery
-    future: Any  # concurrent.futures.Future[Advisory]
+    future: Any = None  # concurrent.futures.Future[Advisory] or None
     enqueued_at_s: float = field(default_factory=time.monotonic)
     deadline_at_s: Optional[float] = None
+    advisory: Any = None  # the Advisory, once a batch has answered it
 
     def expired(self, now_s: Optional[float] = None) -> bool:
         if self.deadline_at_s is None:

@@ -26,6 +26,10 @@ seconds to finish in-flight requests, and only then does the
 supervisor drain its workers — so an accepted request is answered or
 typed-failed, never silently dropped.
 
+A request line longer than 64 KiB is skipped through its newline and
+answered with a typed, non-retryable ``ConfigError`` advisory; the
+connection keeps serving.
+
 Fault site ``cluster.conn`` fires per accepted line; a ``raise`` spec
 there tears the connection mid-stream, which is how the chaos wall
 exercises client reconnect logic.
@@ -59,6 +63,10 @@ _FRONTEND_POOL_SIZE = 32
 
 #: How long ``start_background`` waits for the socket to bind.
 _BIND_TIMEOUT_S = 60.0
+
+#: Longest request line the front-end reads; a longer one is answered
+#: with a typed ``ConfigError`` advisory and skipped.
+_LINE_LIMIT = 1 << 16
 
 
 class _Connection:
@@ -209,7 +217,7 @@ class ClusterServer:
         try:
             await self.supervisor.start_async()
             server = await asyncio.start_server(
-                self._handle_client, self.host, self.port
+                self._handle_client, self.host, self.port, limit=_LINE_LIMIT
             )
             self.bound_port = server.sockets[0].getsockname()[1]
             if install_signals:
@@ -272,7 +280,12 @@ class ClusterServer:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                line = await _read_line(reader)
+                if line is None:
+                    conn.send(_advisory_line(None, None, ConfigError(
+                        f"request line longer than {_LINE_LIMIT} bytes"
+                    )))
+                    continue
                 if not line:
                     return
                 if not line.strip():
@@ -390,6 +403,29 @@ class ClusterServer:
     def _read_config_file(self) -> str:
         with open(self.config_path or "", encoding="utf-8") as fh:
             return fh.read()
+
+
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next request line: ``b""`` at EOF, ``None`` if over-long.
+
+    A line past the reader's limit is read and dropped through its
+    newline, so the line after it parses on its own.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # EOF: the unterminated last line, or b""
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        await reader.readexactly(consumed)  # already buffered
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
 
 
 def _advisory_line(

@@ -31,7 +31,9 @@ class ServeConfig:
     rejects new ones with :class:`~repro.errors.QueueFullError`.
     ``linger_s`` is the dynamic-batching window — after the first
     request is picked up, the dispatcher waits up to this long for more
-    requests to coalesce into the same engine call.  ``deadline_s`` is
+    requests to coalesce into the same engine call.  Both govern the
+    in-process server's queue only: a cluster worker has no queue and
+    answers each pipe read as one batch.  ``deadline_s`` is
     the per-request time budget from enqueue to dispatch (``None`` =
     no deadline); ``cache_ttl_s`` bounds response-cache staleness
     (``0`` disables the cache).  ``retries`` / ``retry_backoff_s`` /
@@ -194,8 +196,10 @@ class ServeConfig:
 
         Cluster-level sharding happens in the front-end (one worker
         *process* per shard); inside each worker the embedded
-        :class:`~repro.serve.server.AdvisoryServer` runs a single
-        dispatch shard with the same batching/cache/retry knobs.
+        :class:`~repro.serve.server.AdvisoryServer` is a single shard
+        with the same ``max_batch``, cache, deadline and retry knobs.
+        The worker calls its ``answer`` once per pipe read on its one
+        thread, so ``max_queue`` and ``linger_s`` have no effect there.
         """
         return dataclasses.replace(self, workers=1)
 

@@ -3,11 +3,20 @@
 :class:`AdvisoryServer` turns the PR-1 engine, PR-2 linter, PR-3
 resilience policies, and PR-4 observability into a serving path: the
 queryable configuration-time advisor the paper argues for (the niche
-tritonBLAS fills for GEMM kernel parameters).  Requests are submitted
-asynchronously (:meth:`~AdvisoryServer.submit` returns a
-``concurrent.futures.Future``) and answered by **dynamic batching**:
+tritonBLAS fills for GEMM kernel parameters).  It has two entry points
+over one admission step and one batch body:
 
-1. **Admission control** — each worker shard owns a bounded
+- :meth:`~AdvisoryServer.submit` returns a
+  ``concurrent.futures.Future`` and queues the query for a shard's
+  dispatch thread (the in-process path);
+- :meth:`~AdvisoryServer.answer` prices a list of queries on the
+  calling thread and returns their advisories in order, with no queue,
+  thread or future — a cluster worker calls it once per pipe read.
+
+Both are answered by **dynamic batching**:
+
+1. **Admission control** — on the :meth:`~AdvisoryServer.submit`
+   path each shard owns a bounded
    :class:`~repro.serve.batcher.RequestQueue`; a full queue rejects
    with :class:`~repro.errors.QueueFullError` (typed backpressure, so
    overload is visible instead of buffered into latency).
@@ -15,7 +24,8 @@ asynchronously (:meth:`~AdvisoryServer.submit` returns a
    by their *canonical* GPU spec (stable SHA-256 of the spec name), so
    each shard's engine traffic stays cache-local per GPU.
 3. **Coalescing** — the shard dispatcher drains up to ``max_batch``
-   requests (lingering ``linger_s`` for stragglers), dedups identical
+   requests (lingering ``linger_s`` for stragglers; ``answer`` takes
+   its queries in ``max_batch`` slices instead), dedups identical
    shapes, and merges distinct ones into single vectorized
    :meth:`~repro.engine.core.ShapeEngine.evaluate` calls
    (:func:`~repro.serve.batcher.plan_batch`).  ``kernel_params``
@@ -50,7 +60,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.config_io import config_from_dict
 from repro.analysis.shape_rules import ShapeLinter
@@ -314,46 +324,53 @@ class AdvisoryServer:
         to a *failed* advisory rather than raising, so one bad request
         in a stream never kills the callers sharing the server.
         """
-        if self._closed:
-            self._count("rejected_closed")
-            _metrics().counter("serve.rejected.closed").inc()
-            raise ServerClosedError("server is closed")
-        self._count("requests")
-        _metrics().counter("serve.requests").inc()
-
-        try:
-            shard = self.shard_of(query)
-        except ReproError as exc:
-            return self._failed_future(query, exc)
-
-        cached = self._cache.get(self._cache_key(query))
-        if cached is not None:
-            self._count("cache_hits")
-            _metrics().counter("serve.cache_hits").inc()
-            future: "Future[Advisory]" = Future()
-            future.set_result(
-                Advisory(
-                    query=query, status="ok", payload=dict(cached),
-                    source="cache", shard=shard,
-                )
-            )
+        admitted = self._admit(query)
+        future: "Future[Advisory]" = Future()
+        if isinstance(admitted, Advisory):
+            future.set_result(admitted)
             return future
-
-        future = Future()
-        deadline = (
-            time.monotonic() + self.config.deadline_s
-            if self.config.deadline_s is not None
-            else None
+        item = PendingRequest(
+            query=query, future=future, deadline_at_s=self._deadline()
         )
-        item = PendingRequest(query=query, future=future, deadline_at_s=deadline)
         try:
-            self._queues[shard].put(item)
+            self._queues[admitted].put(item)
         except QueueFullError:
             self._count("rejected_queue_full")
             _metrics().counter("serve.rejected.queue_full").inc()
-            _event("serve.reject", reason="queue_full", shard=shard)
+            _event("serve.reject", reason="queue_full", shard=admitted)
             raise
         return future
+
+    def answer(self, queries: Sequence[ShapeQuery]) -> List[Advisory]:
+        """Answer ``queries`` on the calling thread; advisories in order.
+
+        Each query passes the same admission as :meth:`submit`
+        (counters, GPU validation into a failed advisory, TTL-cache
+        hit).  The rest are priced by the batch body the dispatch
+        threads run, in ``max_batch`` slices per shard, so one call
+        makes one engine call per ``(gpu, dtype)`` bucket of a slice.
+        No queue, thread or future is involved: ``max_queue`` and
+        ``linger_s`` do not apply, and nothing needs :meth:`start`.
+        Raises :class:`~repro.errors.ServerClosedError` on a closed
+        server.
+        """
+        deadline = self._deadline()
+        answers: List[Union[Advisory, PendingRequest]] = []
+        shards: Dict[int, List[PendingRequest]] = {}
+        for query in queries:
+            admitted = self._admit(query)
+            if not isinstance(admitted, Advisory):
+                item = PendingRequest(query=query, deadline_at_s=deadline)
+                shards.setdefault(admitted, []).append(item)
+                admitted = item
+            answers.append(admitted)
+        step = self.config.max_batch
+        for shard, items in shards.items():
+            for start in range(0, len(items), step):
+                self._dispatch(shard, items[start:start + step])
+        return [
+            a if isinstance(a, Advisory) else a.advisory for a in answers
+        ]
 
     def request(
         self, query: ShapeQuery, timeout_s: Optional[float] = None
@@ -383,22 +400,47 @@ class AdvisoryServer:
         with self._stats_lock:
             setattr(self._stats, field_name, getattr(self._stats, field_name) + n)
 
-    def _failed_future(
-        self, query: ShapeQuery, exc: BaseException
-    ) -> "Future[Advisory]":
-        self._count("failed")
-        _metrics().counter("serve.failed").inc()
-        future: "Future[Advisory]" = Future()
-        future.set_result(
-            Advisory(
+    def _admit(self, query: ShapeQuery) -> Union[Advisory, int]:
+        """Admission shared by :meth:`submit` and :meth:`answer`.
+
+        Returns the finished advisory (a validation failure or a cache
+        hit) or the shard that must price the query.
+        """
+        if self._closed:
+            self._count("rejected_closed")
+            _metrics().counter("serve.rejected.closed").inc()
+            raise ServerClosedError("server is closed")
+        self._count("requests")
+        _metrics().counter("serve.requests").inc()
+        try:
+            shard = self.shard_of(query)
+        except ReproError as exc:
+            self._count("failed")
+            _metrics().counter("serve.failed").inc()
+            return Advisory(
                 query=query, status="failed", error=str(exc),
                 error_type=type(exc).__name__, source="validation",
                 retryable=is_retryable(exc),
             )
-        )
-        return future
+        cached = self._cache.get(self._cache_key(query))
+        if cached is not None:
+            self._count("cache_hits")
+            _metrics().counter("serve.cache_hits").inc()
+            return Advisory(
+                query=query, status="ok", payload=dict(cached),
+                source="cache", shard=shard,
+            )
+        return shard
+
+    def _deadline(self) -> Optional[float]:
+        if self.config.deadline_s is None:
+            return None
+        return time.monotonic() + self.config.deadline_s
 
     def _resolve(self, item: PendingRequest, advisory: Advisory) -> None:
+        item.advisory = advisory
+        if item.future is None:
+            return
         try:
             item.future.set_result(advisory)
         except Exception:  # future cancelled by an abandoning caller
@@ -430,6 +472,12 @@ class AdvisoryServer:
             self._dispatch(shard, batch)
 
     def _dispatch(self, shard: int, batch: List[PendingRequest]) -> None:
+        """The one batch body: answer every request of ``batch``.
+
+        Run by a dispatch thread per queued batch and by :meth:`answer`
+        per slice; each request's advisory lands through
+        :meth:`_resolve`.
+        """
         now = time.monotonic()
         live: List[PendingRequest] = []
         for item in batch:

@@ -3,18 +3,25 @@
 ``python -m repro.serve.worker --index N --config '{...}'`` is what the
 cluster supervisor spawns, one OS process per shard.  Each worker owns
 a private :class:`~repro.serve.server.AdvisoryServer` (collapsed to a
-single in-process dispatch shard via
-:meth:`~repro.serve.config.ServeConfig.worker_config`) and speaks the
-:mod:`repro.serve.wire` protocol over stdin/stdout:
+single shard via :meth:`~repro.serve.config.ServeConfig.worker_config`)
+and speaks the :mod:`repro.serve.wire` protocol over stdin/stdout:
 
 - ``ready`` handshake (with pid) once the embedded server is up,
-- ``query`` -> ``advisory`` with the same ``id`` (answers may be out of
-  submission order — the server batches concurrent queries),
-- ``ping`` -> ``pong`` (the supervisor's heartbeat; carries the
-  in-flight count),
+- ``query`` -> ``advisory`` with the same ``id``,
+- ``ping`` -> ``pong`` (the supervisor's heartbeat),
 - ``stats`` -> ``stats`` (serving counters snapshot),
-- ``shutdown`` / stdin EOF -> drain in-flight requests, answer them,
-  emit ``bye``, exit.
+- ``shutdown`` / stdin EOF -> answer what was read, emit ``bye``, exit.
+
+The worker is one thread.  It reads stdin one ``os.read`` chunk at a
+time; the supervisor sends one loop turn's queries in one pipe write,
+so a chunk is a natural batch.  The complete lines of a chunk are
+handled together: pongs and stats first, then every query of the chunk
+priced by one :meth:`~repro.serve.server.AdvisoryServer.answer` call
+(``max_batch`` queries per batch), and all their reply lines leave in
+one ``write``.  A pong therefore waits at most for its own chunk's
+batch.  There is no queue, so ``max_queue`` and ``linger_s`` do not
+apply here; cluster backpressure lives in the front-end and the
+supervisor's shedding.
 
 Workers inherit the parent environment, so the PR-6 mmap warm cache
 (``REPRO_ENGINE_CACHE_DIR``) is shared across the whole cluster: the
@@ -35,80 +42,113 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import queue
 import sys
-import threading
-from typing import IO, Any, Dict, Iterable, Optional, Sequence
+from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError, ReproError
 from repro.resilience import faults
 from repro.serve import wire
 from repro.serve.config import ServeConfig
 from repro.serve.dispatch import error_to_advisory
-from repro.serve.protocol import Advisory, ShapeQuery
+from repro.serve.protocol import ShapeQuery
 from repro.serve.server import AdvisoryServer
 
 __all__ = ["WorkerLoop", "main"]
 
+#: A reply line ready to write, or the ``(id, query)`` still to price.
+_Reply = Union[str, Tuple[Any, ShapeQuery]]
+
+#: Bytes asked of one ``os.read`` on stdin.
+_READ_BYTES = 1 << 16
+
 
 class WorkerLoop:
-    """The worker's read-dispatch-respond loop, pipe-agnostic.
+    """The worker's read-answer-write loop, pipe-agnostic.
 
-    Takes any line iterable and any writable text stream so tests can
-    drive it fully in-process; ``__main__`` wires it to stdin/stdout.
-    Every output line (advisories resolve on the embedded server's
-    dispatch threads, pongs and stats on the main thread) goes through
-    one FIFO queue that a writer thread drains: the lines ready when it
-    wakes go out in one ``write`` and one ``flush``, in the order they
-    were emitted.  A lock guards the in-flight counter.
+    :meth:`run` takes any iterable of byte chunks and ``out`` is any
+    binary stream, so tests drive it fully in-process; :func:`main`
+    wires it to ``os.read`` on stdin and to stdout.  Everything runs on
+    the calling thread.
     """
 
     def __init__(
         self,
         index: int,
         config: Optional[ServeConfig] = None,
-        out: Optional[IO[str]] = None,
+        out: Optional[IO[bytes]] = None,
     ) -> None:
         self.index = index
         self.config = config or ServeConfig()
         self._server = AdvisoryServer(config=self.config.worker_config())
-        self._out: IO[str] = out if out is not None else sys.stdout
-        self._lock = threading.Lock()
-        self._inflight = 0
-        #: Output lines in emission order; ``None`` stops the writer.
-        self._lines: "queue.SimpleQueue[Optional[str]]" = queue.SimpleQueue()
+        self._out: IO[bytes] = out if out is not None else sys.stdout.buffer
+        self._broken = False
 
-    # -- output -------------------------------------------------------------
+    def _write(self, lines: List[str]) -> None:
+        """One ``write`` and one ``flush`` for ``lines``."""
+        if not lines or self._broken:
+            return
+        try:
+            self._out.write("".join(lines).encode("utf-8"))
+            self._out.flush()
+        except (OSError, ValueError):
+            # Parent is gone (torn pipe / closed stream): stop writing;
+            # the read side will see EOF and end the loop.
+            self._broken = True
 
-    def _emit(self, op: str, **fields: Any) -> None:
-        self._lines.put(wire.encode_message(op, **fields))
+    def _answer(self, lines: Sequence[bytes]) -> bool:
+        """Answer the complete lines of one chunk in one write.
 
-    def _write_lines(self) -> None:
-        """Writer thread: drain the queue, one write per wake-up."""
-        broken = False
-        while True:
-            line = self._lines.get()
-            lines = []
-            while line is not None:
-                lines.append(line)
-                try:
-                    line = self._lines.get_nowait()
-                except queue.Empty:
-                    break
-            if lines and not broken:
-                try:
-                    self._out.write("".join(lines))
-                    self._out.flush()
-                except (OSError, ValueError):
-                    # Parent is gone (torn pipe / closed stream): stop
-                    # writing; the read loop will see EOF and exit.
-                    broken = True
-            if line is None:
-                return
+        Pongs and stats go first, then the advisories in line order.
+        Returns True once a ``shutdown`` line was read; lines after it
+        are ignored.
+        """
+        control: List[str] = []
+        replies: List[_Reply] = []
+        stop = False
+        for line in lines:
+            if not line.strip():
+                continue
+            try:
+                message = wire.decode_line(line)
+            except ConfigError as exc:
+                replies.append(self._failure(None, None, exc))
+                continue
+            op = message["op"]
+            if op == "query":
+                replies.append(self._parse_query(message))
+            elif op == "ping":
+                faults.fault_site("cluster.heartbeat", worker=self.index)
+                control.append(wire.encode_message(
+                    "pong", id=message.get("id"), pid=os.getpid(),
+                    worker=self.index,
+                ))
+            elif op == "stats":
+                control.append(wire.encode_message(
+                    "stats", id=message.get("id"),
+                    stats=self._server.stats().to_dict(),
+                ))
+            elif op == "shutdown":
+                stop = True
+                break
+            # Other ops (advisory/pong/...) are responses the supervisor
+            # sends us by mistake; ignore them.
+        priced = [r for r in replies if isinstance(r, tuple)]
+        answers = iter(self._server.answer([query for _, query in priced]))
+        for i, reply in enumerate(replies):
+            if isinstance(reply, tuple):
+                advisory = next(answers)
+                # The embedded server is single-shard; report the
+                # cluster worker index so observability shows who
+                # answered.
+                advisory.shard = self.index
+                replies[i] = wire.encode_message(
+                    "advisory", id=reply[0], advisory=advisory.to_dict()
+                )
+        self._write(control + replies)
+        return stop
 
-    # -- per-op handlers ----------------------------------------------------
-
-    def _handle_query(self, message: Dict[str, Any]) -> None:
+    def _parse_query(self, message: Dict[str, Any]) -> _Reply:
+        """``(id, query)`` to price, or the error reply line."""
         request_id = message.get("id")
         raw: Optional[Dict[str, Any]] = None
         query: Optional[ShapeQuery] = None
@@ -119,90 +159,37 @@ class WorkerLoop:
                 "cluster.worker", kind=query.kind, gpu=query.gpu,
                 worker=self.index,
             )
-            future = self._server.submit(query)
         except ReproError as exc:
-            advisory = error_to_advisory(
-                query, exc, raw_query=raw, shard=self.index
-            )
-            self._emit("advisory", id=request_id, advisory=advisory.to_dict())
-            return
-        with self._lock:
-            self._inflight += 1
-        future.add_done_callback(
-            functools.partial(self._finish, request_id, query)
+            return self._failure(request_id, query, exc, raw)
+        return request_id, query
+
+    def _failure(
+        self, request_id: Any, query: Optional[ShapeQuery],
+        exc: ReproError, raw: Optional[Dict[str, Any]] = None,
+    ) -> str:
+        advisory = error_to_advisory(
+            query, exc, raw_query=raw, shard=self.index
+        )
+        return wire.encode_message(
+            "advisory", id=request_id, advisory=advisory.to_dict()
         )
 
-    def _finish(
-        self, request_id: Any, query: ShapeQuery, fut: "Any"
-    ) -> None:
-        """Done-callback: emit the advisory, settle the in-flight count."""
-        try:
-            advisory: Advisory = fut.result()
-        except ReproError as exc:  # defensive: futures resolve, not raise
-            advisory = error_to_advisory(query, exc, shard=self.index)
-        # The embedded server is single-shard; report the cluster
-        # worker index so observability shows who answered.
-        advisory.shard = self.index
-        self._emit("advisory", id=request_id, advisory=advisory.to_dict())
-        with self._lock:
-            self._inflight -= 1
-
-    def _handle_ping(self, message: Dict[str, Any]) -> None:
-        faults.fault_site("cluster.heartbeat", worker=self.index)
-        with self._lock:
-            inflight = self._inflight
-        self._emit(
-            "pong", id=message.get("id"), pid=os.getpid(),
-            worker=self.index, inflight=inflight,
-        )
-
-    def _handle_stats(self, message: Dict[str, Any]) -> None:
-        self._emit(
-            "stats", id=message.get("id"),
-            stats=self._server.stats().to_dict(),
-        )
-
-    # -- main loop ----------------------------------------------------------
-
-    def run(self, lines: Iterable[str]) -> int:
+    def run(self, chunks: Iterable[bytes]) -> int:
         """Serve until ``shutdown`` or EOF; returns the exit status."""
-        self._server.start()
-        writer = threading.Thread(
-            target=self._write_lines, name="repro-worker-writer", daemon=True
-        )
-        writer.start()
-        self._emit("ready", pid=os.getpid(), worker=self.index)
-        try:
-            for line in lines:
-                if not line.strip():
-                    continue
-                try:
-                    message = wire.decode_line(line)
-                except ConfigError as exc:
-                    advisory = error_to_advisory(None, exc, shard=self.index)
-                    self._emit(
-                        "advisory", id=None, advisory=advisory.to_dict()
-                    )
-                    continue
-                op = message["op"]
-                if op == "query":
-                    self._handle_query(message)
-                elif op == "ping":
-                    self._handle_ping(message)
-                elif op == "stats":
-                    self._handle_stats(message)
-                elif op == "shutdown":
-                    break
-                # Other ops (advisory/pong/...) are responses the
-                # supervisor sends us by mistake; ignore them.
-        finally:
-            # Drain: close() joins the dispatch threads, so every
-            # in-flight advisory is queued before the goodbye, and the
-            # writer empties the queue before it exits.
-            self._server.close()
-            self._emit("bye", pid=os.getpid(), worker=self.index)
-            self._lines.put(None)
-            writer.join()
+        self._write([wire.encode_message(
+            "ready", pid=os.getpid(), worker=self.index
+        )])
+        tail = b""
+        for chunk in chunks:
+            lines = (tail + chunk).split(b"\n")
+            tail = lines.pop()
+            if self._answer(lines):
+                break
+        else:
+            self._answer([tail])  # EOF after an unterminated last line
+        self._write([wire.encode_message(
+            "bye", pid=os.getpid(), worker=self.index
+        )])
         return 0
 
 
@@ -224,7 +211,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.fault_plan:
         faults.install_plan(faults.FaultPlan.load(args.fault_plan))
     loop = WorkerLoop(index=args.index, config=config)
-    return loop.run(sys.stdin)
+    read = functools.partial(os.read, sys.stdin.fileno(), _READ_BYTES)
+    return loop.run(iter(read, b""))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

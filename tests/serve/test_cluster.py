@@ -5,6 +5,7 @@ One module-scoped cluster serves the cheap tests; the chaos tests that
 kill things get private clusters so carnage never leaks across tests.
 """
 
+import asyncio
 import os
 import signal
 import socket
@@ -18,7 +19,7 @@ from repro.resilience.execute import RetryPolicy
 from repro.resilience.faults import FaultPlan, FaultSpec, clear_plan, install_plan
 from repro.serve.client import AdvisoryClient
 from repro.serve import wire
-from repro.serve.cluster import ClusterServer
+from repro.serve.cluster import ClusterServer, _read_line
 from repro.serve.config import ServeConfig
 from repro.serve.loadgen import (
     generate_queries,
@@ -113,6 +114,46 @@ class TestNetworkParity:
         client = AdvisoryClient(transport)
         with pytest.raises(ServeError):
             client.latency(m=512, n=512, k=512, gpu="NOT_A_GPU")
+
+    def test_over_long_line_is_answered_and_the_connection_lives(
+        self, cluster
+    ):
+        padded = {"m": 512, "n": 512, "k": 512, "pad": "x" * 70_000}
+        lines = (
+            wire.query_message(padded, 1)
+            + wire.encode_message("ping", id=2)
+            + wire.query_message(_query().to_dict(), 3)
+        )
+        assert len(lines) > 70_000
+        with socket.create_connection(
+            ("127.0.0.1", cluster.bound_port), timeout=_BOOT_S
+        ) as sock:
+            sock.sendall(lines.encode("utf-8"))
+            reader = sock.makefile("r", encoding="utf-8")
+            replies = [wire.decode_line(reader.readline()) for _ in range(3)]
+        too_long, pong = replies[0], replies[1]
+        assert too_long["op"] == "advisory" and "id" not in too_long
+        assert too_long["advisory"]["error_type"] == "ConfigError"
+        assert too_long["advisory"]["retryable"] is False
+        assert "longer than" in too_long["advisory"]["error"]
+        assert pong == {"op": "pong", "id": 2, "live": 2}
+        assert replies[2]["id"] == 3
+        assert replies[2]["advisory"]["status"] == "ok"
+
+    @pytest.mark.parametrize("split", [10, 40_000, 69_999, 70_000])
+    def test_over_long_line_split_anywhere_is_skipped_whole(self, split):
+        long_line = b"x" * 70_000 + b"\n"
+
+        async def read_all():
+            reader = asyncio.StreamReader(limit=1 << 16)
+            first = asyncio.ensure_future(_read_line(reader))
+            reader.feed_data(long_line[:split])
+            await asyncio.sleep(0)  # the read sees the first part alone
+            reader.feed_data(long_line[split:] + b'{"op": "ping"}\n')
+            reader.feed_eof()
+            return [await first] + [await _read_line(reader) for _ in "ab"]
+
+        assert asyncio.run(read_all()) == [None, b'{"op": "ping"}\n', b""]
 
     def test_load_wall_over_the_network(self, transport):
         report = run_load(

@@ -332,3 +332,86 @@ class TestValidationAndLifecycle:
             snap = server.stats()
             snap.requests = 10_000
             assert server.stats().requests == 1
+
+    def test_answer_after_close_raises(self):
+        server = AdvisoryServer(ServeConfig(workers=1))
+        server.close()
+        with pytest.raises(ServerClosedError):
+            server.answer([_latency_query(512, 512, 512)])
+        assert server.stats().rejected_closed == 1
+
+
+#: Answered before each differential run, so the stream's repeats of
+#: them are response-cache hits on both paths.
+_PRIMED = [
+    _latency_query(512, 512, 512),
+    ShapeQuery(kind="lint", model="gpt3-125m", gpu="H100"),
+]
+
+#: Shape, kernel_params, lint, invalid-GPU and cached queries over two
+#: shards, no query repeated: a sequential submit would answer a
+#: repeat from the cache, a batch from the same call's row.
+_MIXED = [
+    _latency_query(1024, 512, 256, gpu="H100"),
+    ShapeQuery(kind="tflops", m=768, n=768, k=128, gpu="V100"),
+    ShapeQuery(kind="evaluate", m=4096, n=1024, k=512, gpu="A100"),
+    ShapeQuery(kind="kernel_params", m=512, n=512, k=512, gpu="A100"),
+    ShapeQuery(kind="kernel_params", m=384, n=256, k=512, gpu="MI250X"),
+    _PRIMED[0],
+    ShapeQuery(kind="lint", model="pythia-160m", gpu="A100"),
+    _latency_query(64, 64, 64, gpu="NOT_A_GPU"),
+    ShapeQuery(kind="lint", model="no-such-model", gpu="A100"),
+    _PRIMED[1],
+    _latency_query(640, 128, 2048, batch=4, gpu="H100"),
+]
+
+
+def _comparable(advisory):
+    record = advisory.to_dict()
+    del record["queue_wait_s"]  # wall time, never equal across runs
+    return record
+
+
+class TestAnswerMatchesSubmit:
+    """``answer`` and ``submit`` share admission and the batch body, so
+    they give equal advisories and move every counter alike."""
+
+    @staticmethod
+    def _primed(max_batch):
+        server = AdvisoryServer(ServeConfig(workers=2, max_batch=max_batch))
+        server.answer(_PRIMED)
+        return server
+
+    def _compare(self, stream, max_batch, submit_all_first):
+        answering = self._primed(max_batch)
+        before = answering.stats()
+        answered = answering.answer(stream)
+        submitting = self._primed(max_batch)
+        assert submitting.stats() == before
+        if submit_all_first:  # one backlog: one batch per shard
+            futures = [submitting.submit(q) for q in stream]
+            with submitting:
+                submitted = [f.result(timeout=30) for f in futures]
+        else:
+            with submitting:
+                submitted = [
+                    submitting.submit(q).result(timeout=30) for q in stream
+                ]
+        assert [_comparable(a) for a in answered] == [
+            _comparable(a) for a in submitted
+        ]
+        after = answering.stats()
+        assert after == submitting.stats()
+        return answered, after.batches - before.batches
+
+    def test_one_query_per_batch(self):
+        answered, batches = self._compare(_MIXED, 1, submit_all_first=False)
+        assert [a.source for a in answered].count("cache") == 2
+        assert [a.status for a in answered].count("failed") == 2
+        assert batches == len(_MIXED) - 3  # all but cached and invalid-GPU
+
+    def test_a_backlog_with_repeats(self):
+        stream = _MIXED + _MIXED[:4]
+        answered, batches = self._compare(stream, 64, submit_all_first=True)
+        assert batches == 2  # one per shard
+        assert all(a.batch_size > 1 for a in answered if a.source == "engine")

@@ -110,7 +110,13 @@ class TestCrashRecovery:
             # Failover: requests during the outage land on the sibling.
             for _ in range(5):
                 assert sup.request(_query(), timeout_s=_BOOT_S).ok
-            assert _wait_for(lambda: sup.live_workers() == 2)
+            # The five answers can all land before the loop reads the
+            # victim's EOF, so wait for the restart, not only for two
+            # live workers (which also holds before the death is seen).
+            assert _wait_for(
+                lambda: sup.cluster_stats()["restarts"] >= 1
+                and sup.live_workers() == 2
+            )
             stats = sup.cluster_stats()
             assert stats["restarts"] >= 1
             assert stats["down"] == []
