@@ -18,12 +18,15 @@ The same service also runs as a **multi-process cluster**: a
 :class:`~repro.serve.supervisor.Supervisor` owns N worker *processes*
 (each an :class:`AdvisoryServer` shard behind a JSONL pipe, sharing
 the mmap warm cache) with heartbeat health checks, crash restart under
-an exponential-backoff budget, priority load-shedding, and an
-in-process degraded fallback; :class:`~repro.serve.cluster.
-ClusterServer` fronts it over TCP and :class:`~repro.serve.netclient.
+an exponential-backoff budget, priority load-shedding, and a degraded
+fallback answered on its event loop.  Its one request entry is the
+loop-side ``dispatch``; :class:`~repro.serve.cluster.ClusterServer`
+fronts it over TCP on the same loop and :class:`~repro.serve.netclient.
 SocketTransport` is the reconnecting client.  Every flavour satisfies
-the one :class:`~repro.serve.dispatch.Transport` protocol, so the
-client facade and the differential load wall are shared verbatim.
+the one :class:`~repro.serve.dispatch.Transport` protocol (the
+supervisor through its blocking ``start``/``request``/``close`` shim),
+so the client facade and the differential load wall are shared
+verbatim.
 """
 
 from repro.serve.client import AdvisoryClient

@@ -2,10 +2,11 @@
 
 The ergonomic blocking wrapper callers use from scripts and tests —
 against the in-process :class:`~repro.serve.server.AdvisoryServer`,
-the multi-process :class:`~repro.serve.supervisor.Supervisor`, or a
-remote cluster through :class:`~repro.serve.netclient.
-SocketTransport`, all interchangeably (anything satisfying
-:class:`~repro.serve.dispatch.Transport`)::
+a started multi-process :class:`~repro.serve.supervisor.Supervisor`
+(its blocking ``request``), or a remote cluster through
+:class:`~repro.serve.netclient.SocketTransport`, all interchangeably
+(anything satisfying :class:`~repro.serve.dispatch.Transport`); the
+transport is :attr:`AdvisoryClient.transport`::
 
     with AdvisoryServer() as server:
         client = AdvisoryClient(server)
@@ -41,11 +42,6 @@ class AdvisoryClient:
         self.transport = transport
         #: Default per-call wait bound (seconds); ``None`` waits forever.
         self.timeout_s = timeout_s
-
-    @property
-    def server(self) -> Transport:
-        """The underlying transport (historical name)."""
-        return self.transport
 
     def advise(
         self, query: ShapeQuery, timeout_s: Optional[float] = None

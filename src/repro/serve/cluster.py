@@ -7,24 +7,26 @@ protocol as the worker pipes (:mod:`repro.serve.wire`), fronting a
 processes.  The supervisor runs on the front-end's own event loop, so
 one thread carries a query from the socket read, down a worker pipe
 and back, to the socket write, and no lock is taken on the way.  Each
-query goes to the supervisor's loop-side ``dispatch`` (which routes,
-fails over, sheds, or degrades) with a reply callback and a deadline
-of ``request_timeout_s``, at most ``_FRONTEND_POOL_SIZE`` at a time;
-the rest wait in arrival order.  The worker's advisory object is
-relayed under the client's ``id`` as it came off the pipe, never
-rebuilt as an :class:`~repro.serve.protocol.Advisory`.  Each connection
-queues its replies and writes all those ready in one loop iteration
-with one ``write``, so answers for one client may legally arrive out
-of submission order (``id`` correlates them).
+query goes to :meth:`~repro.serve.supervisor.Supervisor.dispatch`, the
+supervisor's one entry (it routes, fails over, sheds, or degrades),
+with a reply callback and a deadline of ``request_timeout_s``, at most
+``_FRONTEND_POOL_SIZE`` at a time; the rest wait in arrival order.
+The worker's advisory object is relayed under the client's ``id`` as
+it came off the pipe, never rebuilt as an
+:class:`~repro.serve.protocol.Advisory`.  Each connection queues its
+replies and writes all those ready in one loop iteration with one
+``write``, so answers for one client may legally arrive out of
+submission order (``id`` correlates them).
 
 Lifecycle: ``serve_forever()`` runs in the calling thread (the CLI
 path, with SIGTERM -> drain and SIGHUP -> config hot-reload when
 ``install_signals``); ``start_background()`` runs the same loop on a
 daemon thread and returns once the socket is bound (the test path).
 On stop the listener closes first, live connections get ``drain_s``
-seconds to finish in-flight requests, and only then does the
-supervisor drain its workers — so an accepted request is answered or
-typed-failed, never silently dropped.
+seconds to finish in-flight requests (a connection still open after
+that is cut quietly), and only then does the supervisor drain its
+workers — so an accepted request is answered or typed-failed, never
+silently dropped.
 
 A request line longer than 64 KiB is skipped through its newline and
 answered with a typed, non-retryable ``ConfigError`` advisory; the
@@ -270,6 +272,10 @@ class ClusterServer:
             # Answer everything already accepted before goodbye; a
             # drain timeout cancels this wait and cuts the connection.
             await conn.drained()
+        except asyncio.CancelledError:
+            # Cut by the drain: end quietly, because asyncio's
+            # client-connected callback logs a cancelled task as an error.
+            pass
         finally:
             conn.close()
             if task is not None:

@@ -7,9 +7,10 @@ speak the same contract, captured here:
 
 - :class:`Transport` — the structural protocol every dispatch target
   satisfies: ``request(query, timeout_s) -> Advisory``.  The in-process
-  server implements it natively; :class:`~repro.serve.netclient.
-  SocketTransport` implements it over JSONL sockets with
-  reconnect-and-backoff.  :class:`~repro.serve.client.AdvisoryClient`
+  server implements it natively; the
+  :class:`~repro.serve.supervisor.Supervisor` through its blocking
+  shim over ``dispatch``; :class:`~repro.serve.netclient.
+  SocketTransport` over JSONL sockets with reconnect-and-backoff.  :class:`~repro.serve.client.AdvisoryClient`
   and :func:`~repro.serve.loadgen.run_load` accept *any* transport, so
   the in-process path and the network path share one client codepath
   and one differential test wall.
@@ -57,10 +58,10 @@ class Transport(Protocol):
     """Anything that can answer one advisory query, blocking.
 
     :class:`~repro.serve.server.AdvisoryServer` (in-process),
-    :class:`~repro.serve.netclient.SocketTransport` (network), and the
-    supervisor's degraded local fallback all satisfy this shape, which
-    is what lets the client facade and the load generator run
-    unchanged against any of them.
+    :class:`~repro.serve.supervisor.Supervisor` (worker processes, once
+    ``start()``-ed) and :class:`~repro.serve.netclient.SocketTransport`
+    (network) all satisfy this shape, which is what lets the client
+    facade and the load generator run unchanged against any of them.
     """
 
     def request(

@@ -291,11 +291,10 @@ def verify_against_engine(
 def _transport_stats(server: Transport) -> Dict[str, Any]:
     """Best-effort serving counters for any transport flavour.
 
-    The in-process server exposes ``stats()`` (a ServerStats), the
-    supervisor ``worker_stats()``/``cluster_stats()``, and the socket
-    transport ``server_stats()`` (the front-end's aggregate); plain
-    transports expose nothing and that is fine — the report's server
-    section is observability, not correctness.
+    The in-process server exposes ``stats()`` (a ServerStats) and the
+    socket transport ``server_stats()`` (the front-end's aggregate);
+    other transports expose nothing and that is fine — the report's
+    server section is observability, not correctness.
     """
     stats_fn = getattr(server, "stats", None)
     if callable(stats_fn):
@@ -308,11 +307,6 @@ def _transport_stats(server: Transport) -> Dict[str, Any]:
             return {}
         merged = dict(remote.get("workers", {}))
         merged["cluster"] = remote.get("cluster", {})
-        return merged
-    worker_fn = getattr(server, "worker_stats", None)
-    if callable(worker_fn):
-        merged = dict(worker_fn())
-        merged["cluster"] = server.cluster_stats()  # type: ignore[attr-defined]
         return merged
     return {}
 

@@ -23,29 +23,30 @@ policies the robustness story is about:
   shed_priority`` are rejected with
   :class:`~repro.errors.LoadShedError` before touching a worker.
 - **degraded mode** — with every worker down and ``degrade_local``
-  on, the supervisor answers from a lazily-built in-process
-  :class:`~repro.serve.server.AdvisoryServer` and stamps the advisory
-  ``source="degraded"`` (payloads stay bit-identical — same engine).
+  on, the supervisor answers on the loop from a lazily-built
+  in-process :class:`~repro.serve.server.AdvisoryServer` (one
+  :meth:`~repro.serve.server.AdvisoryServer.answer` batch per loop
+  turn) and stamps the advisory ``source="degraded"`` (payloads stay
+  bit-identical — same engine).
 
 One asyncio event loop owns every pipe and all of that state.  The
 loop reads each worker's replies as they arrive (no reader threads),
 writes the query lines queued for a worker during one loop iteration
 in one ``write``, and keeps the pending tables, the in-flight count,
 the shed streak and the restart budget as plain loop state (no locks).
-:meth:`Supervisor.dispatch` is the loop-side entry: it admits, routes
-and sends a query and later calls ``done(advisory_dict, exc)`` once,
-with the worker's advisory object as it came off the pipe.
-:meth:`Supervisor.submit` is the thread-safe wrapper — one
-``call_soon_threadsafe`` hop into ``dispatch``, returning a
-``concurrent.futures.Future[Advisory]`` — and :meth:`Supervisor.request`
-blocks on it, which makes the supervisor a
-:class:`~repro.serve.dispatch.Transport`.
+:meth:`Supervisor.dispatch` is the one entry that admits a query: it
+admits, routes and sends it and later calls ``done(advisory_dict,
+exc)`` once, with the worker's advisory object as it came off the
+pipe.
 
-The loop is the caller's when the supervisor is started from a
-coroutine (:meth:`Supervisor.start_async`; the TCP front-end in
-:mod:`repro.serve.cluster` does this, so its sockets and the worker
-pipes share one loop and one thread), or the supervisor's own daemon
-thread when it is started from plain code (:meth:`Supervisor.start`).
+The loop is the caller's: the TCP front-end in
+:mod:`repro.serve.cluster` starts the supervisor with
+:meth:`Supervisor.start_async`, so its sockets and the worker pipes
+share one loop and one thread.  From plain code, :meth:`Supervisor.start`
+runs a loop on a ``repro-cluster-loop`` daemon thread,
+:meth:`Supervisor.request` blocks on ``dispatch`` run there (which makes
+the supervisor a :class:`~repro.serve.dispatch.Transport`), and
+:meth:`Supervisor.close` drains the fleet and joins the thread.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future, InvalidStateError
 from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
 from repro.errors import (
@@ -89,7 +89,7 @@ _SPAWN_TIMEOUT_S = 60.0
 #: How often a dead worker's process is polled until it is reaped.
 _REAP_POLL_S = 0.005
 
-#: How long a foreign thread waits for the loop to run a lifecycle step.
+#: How long :meth:`Supervisor.start`/``close`` wait for the loop's step.
 _LOOP_CALL_TIMEOUT_S = 120.0
 
 #: The reply callback of :meth:`Supervisor.dispatch`: called once on the
@@ -116,29 +116,6 @@ def _worker_env() -> Dict[str, str]:
             pkg_root + os.pathsep + existing if existing else pkg_root
         )
     return env
-
-
-def _settle_future(
-    future: "Future[Any]",
-    result: Any = None,
-    exc: Optional[BaseException] = None,
-) -> None:
-    """Resolve ``future`` unless it is already done (e.g. cancelled)."""
-    try:
-        if exc is not None:
-            future.set_exception(exc)
-        else:
-            future.set_result(result)
-    except InvalidStateError:
-        pass  # the caller gave up on it; its in-flight slot is settled
-
-
-def _running_loop() -> Optional[asyncio.AbstractEventLoop]:
-    """The event loop running in this thread, if any."""
-    try:
-        return asyncio.get_running_loop()
-    except RuntimeError:
-        return None
 
 
 class _Call:
@@ -424,11 +401,11 @@ class WorkerHandle:
 class Supervisor:
     """N supervised worker processes behind one dispatch path.
 
-    :meth:`dispatch` (loop side) and :meth:`submit` (any thread) route
-    to the query's GPU shard, fall over to live siblings on worker
-    death, shed under sustained backpressure, and degrade to an
-    in-process engine when the whole fleet is down; :meth:`request`
-    blocks on ``submit``, which satisfies
+    :meth:`dispatch` routes to the query's GPU shard, falls over to
+    live siblings on worker death, sheds under sustained backpressure,
+    and degrades to an in-process engine when the whole fleet is down.
+    :meth:`start`, :meth:`request` and :meth:`close` are the blocking
+    shim over it for plain code; ``request`` satisfies
     :class:`~repro.serve.dispatch.Transport`.
     """
 
@@ -459,42 +436,71 @@ class Supervisor:
         self._shed_total = 0
         self._degraded_total = 0
         self._local: Optional[AdvisoryServer] = None
+        #: Degraded calls of this loop turn, answered as one batch.
+        self._degrading: List[_Call] = []
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        #: The supervisor's own loop thread, when no caller lent a loop.
+        #: The loop thread :meth:`start` made, until :meth:`close`.
         self._thread: Optional[threading.Thread] = None
-        #: Guards binding the loop against racing foreign threads.
-        self._loop_lock = threading.Lock()
         self._tasks: "Set[asyncio.Task[Any]]" = set()
         #: Dead handles whose process is not reaped yet.
         self._unreaped: Set[WorkerHandle] = set()
 
-    # -- lifecycle (any thread) ---------------------------------------------
+    # -- blocking shim (plain code) -----------------------------------------
 
     def start(self) -> "Supervisor":
-        """Spawn the fleet and the heartbeat monitor (idempotent).
-
-        Runs on the supervisor's own loop thread, started here unless a
-        coroutine already bound the supervisor to its loop.
-        """
+        """Spawn the fleet on a new ``repro-cluster-loop`` thread (idempotent)."""
         if self._closed:
             raise ServerClosedError("cannot start a closed supervisor")
-        self._run_on_loop(self.start_async())
+        if self._thread is None:
+            if self._loop is not None:
+                raise ClusterError("supervisor already runs on another event loop")
+            self._loop = asyncio.new_event_loop()
+            self._thread = threading.Thread(
+                target=self._loop.run_forever, name="repro-cluster-loop",
+                daemon=True,
+            )
+            self._thread.start()
+        self._blocking(self.start_async(), _LOOP_CALL_TIMEOUT_S)
         return self
 
+    def request(
+        self, query: ShapeQuery, timeout_s: Optional[float] = None
+    ) -> Advisory:
+        """Answer one query from a thread other than the loop's: blocks.
+
+        Runs :meth:`dispatch` on the loop of :meth:`start`.  Admission
+        errors and :class:`~repro.errors.DeadlineExceededError` (the
+        deadline is a loop timer, so the in-flight count is settled
+        before it raises here) raise as from ``dispatch``; a supervisor
+        not started by :meth:`start` raises
+        :class:`~repro.errors.ServerClosedError` once closed, else
+        :class:`~repro.errors.ClusterError`.
+        """
+        if self._closed:
+            raise ServerClosedError("cluster is closed")
+        if self._thread is None:
+            raise ClusterError(
+                "Supervisor.request needs start(); on a running loop use dispatch"
+            )
+        return self._blocking(self._request(query, timeout_s), None)
+
     def close(self) -> None:
-        """Drain every worker, stop the monitor, shut the fallback."""
-        with self._loop_lock:
-            loop, thread = self._loop, self._thread
-            self._thread = None  # a second close finds nothing to stop
-        if thread is not None or (loop is not None and loop.is_running()):
-            self._run_on_loop(self.close_async())
-        else:
-            self._closed = True  # never started, or its loop is gone
+        """Drain every worker, then stop and join the loop of :meth:`start`.
+
+        A supervisor started with :meth:`start_async` is closed with
+        :meth:`close_async` on its loop.
+        """
+        loop, thread = self._loop, self._thread
+        if thread is None or loop is None:  # not started by start()
+            self._closed = True
             if self._local is not None:
                 self._local.close()
-        if thread is not None and loop is not None:
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout=_LOOP_CALL_TIMEOUT_S)
+            return
+        self._blocking(self.close_async(), _LOOP_CALL_TIMEOUT_S)
+        self._thread = None
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=_LOOP_CALL_TIMEOUT_S)
+        loop.close()
 
     def __enter__(self) -> "Supervisor":
         return self.start()
@@ -506,49 +512,40 @@ class Supervisor:
     def closed(self) -> bool:
         return self._closed
 
-    def _bind_loop(self, loop: asyncio.AbstractEventLoop) -> None:
-        with self._loop_lock:
-            if self._loop is None:
-                self._loop = loop
-            elif self._loop is not loop:
-                raise ClusterError("supervisor already runs on another event loop")
-
-    def _own_loop(self) -> asyncio.AbstractEventLoop:
-        """The bound loop, or a new daemon thread running a fresh one."""
-        loop = self._loop
-        if loop is not None:
-            return loop  # bound once, never rebound: no lock per submit
-        with self._loop_lock:
-            if self._loop is None:
-                loop = asyncio.new_event_loop()
-                thread = threading.Thread(
-                    target=self._run_loop, args=(loop,),
-                    name="repro-cluster-loop", daemon=True,
-                )
-                self._loop, self._thread = loop, thread
-                thread.start()
-            return self._loop
-
-    @staticmethod
-    def _run_loop(loop: asyncio.AbstractEventLoop) -> None:
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_forever()
-        finally:
-            loop.close()
-
-    def _run_on_loop(self, coro: Any) -> Any:
-        """Run ``coro`` on the supervisor's loop from a foreign thread."""
-        loop = self._own_loop()
-        if _running_loop() is loop:
-            coro.close()
-            raise RuntimeError(
-                "blocking Supervisor call on its own loop; await the "
-                "*_async form instead"
-            )
-        return asyncio.run_coroutine_threadsafe(coro, loop).result(
-            timeout=_LOOP_CALL_TIMEOUT_S
+    def _blocking(self, coro: Any, timeout_s: Optional[float]) -> Any:
+        """Run ``coro`` on the loop of :meth:`start` and wait for it."""
+        assert self._loop is not None
+        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(
+            timeout=timeout_s
         )
+
+    async def _request(
+        self, query: ShapeQuery, timeout_s: Optional[float]
+    ) -> Advisory:
+        reply: "asyncio.Future[Dict[str, Any]]" = (
+            asyncio.get_running_loop().create_future()
+        )
+
+        def done(
+            advisory: Optional[Dict[str, Any]], exc: Optional[BaseException]
+        ) -> None:
+            if exc is not None:
+                reply.set_exception(exc)
+            else:
+                reply.set_result(advisory or {})
+
+        self.dispatch(query, done, timeout_s)
+        advisory = await reply
+        try:
+            return Advisory.from_dict(advisory)
+        except ConfigError as bad:
+            raise ClusterError(f"a worker sent a bad advisory: {bad}") from None
+
+    def _bind_loop(self, loop: asyncio.AbstractEventLoop) -> None:
+        if self._loop is None:
+            self._loop = loop
+        elif self._loop is not loop:
+            raise ClusterError("supervisor already runs on another event loop")
 
     # -- lifecycle (on the loop) --------------------------------------------
 
@@ -707,76 +704,13 @@ class Supervisor:
 
     # -- dispatch -----------------------------------------------------------
 
-    def submit(self, query: ShapeQuery) -> "Future[Advisory]":
-        """Answer one query from any thread: a future advisory.
-
-        One ``call_soon_threadsafe`` hop into :meth:`dispatch`, so the
-        routing, failover, shedding and degrading are the loop's.
-        :class:`~repro.errors.ServerClosedError` raises here; a
-        :class:`~repro.errors.LoadShedError` and every later failure
-        resolve the future.  The in-flight count is settled once, on
-        the loop, when the reply, the failure or the deadline lands.
-        """
-        return self._submit(query, None)
-
-    def request(
-        self, query: ShapeQuery, timeout_s: Optional[float] = None
-    ) -> Advisory:
-        """Blocking wrapper: :meth:`submit` with a deadline of ``timeout_s``.
-
-        The deadline runs on the loop, so when it expires the in-flight
-        count is settled before :class:`~repro.errors.DeadlineExceededError`
-        raises here, and a late reply is dropped.
-        """
-        loop = self._loop
-        if loop is not None and _running_loop() is loop:
-            raise RuntimeError(
-                "Supervisor.request would block its own loop; use dispatch"
-            )
-        return self._submit(query, timeout_s).result()
-
-    def _submit(
-        self, query: ShapeQuery, timeout_s: Optional[float]
-    ) -> "Future[Advisory]":
-        if self._closed:
-            raise ServerClosedError("cluster is closed")
-        future: "Future[Advisory]" = Future()
-        self._own_loop().call_soon_threadsafe(
-            self._dispatch_future, query, future, timeout_s
-        )
-        return future
-
-    def _dispatch_future(
-        self,
-        query: ShapeQuery,
-        future: "Future[Advisory]",
-        timeout_s: Optional[float],
-    ) -> None:
-        def done(
-            advisory: Optional[Dict[str, Any]], exc: Optional[BaseException]
-        ) -> None:
-            if exc is not None:
-                _settle_future(future, exc=exc)
-                return
-            try:
-                _settle_future(future, result=Advisory.from_dict(advisory or {}))
-            except ConfigError as bad:
-                _settle_future(future, exc=ClusterError(
-                    f"a worker sent a bad advisory: {bad}"
-                ))
-
-        try:
-            self.dispatch(query, done, timeout_s)
-        except Exception as exc:  # the caller's future reports it
-            _settle_future(future, exc=exc)
-
     def dispatch(
         self,
         query: ShapeQuery,
         done: Done,
         timeout_s: Optional[float] = None,
     ) -> None:
-        """Loop side: admit, route and send one query.
+        """Admit, route and send one query: the only way in.
 
         Must run on the supervisor's loop.  Admission errors
         (:class:`~repro.errors.LoadShedError`,
@@ -889,30 +823,32 @@ class Supervisor:
                 call, call.death or ClusterError("no live workers")
             )
             return
-        loop = self._loop
-        assert loop is not None
-        local_future = self._local_server().submit(call.query)
-        local_future.add_done_callback(
-            lambda done: loop.call_soon_threadsafe(self._degraded, call, done)
-        )
+        if not self._degrading:
+            assert self._loop is not None
+            self._loop.call_soon(self._answer_degraded)
+        self._degrading.append(call)
 
-    def _degraded(self, call: _Call, done: "Future[Advisory]") -> None:
-        exc = done.exception()
-        if exc is not None:
-            self._settle(call, exc=exc)
-            return
-        advisory = done.result()
-        advisory.source = "degraded"
-        self._degraded_total += 1
-        _metrics().counter("cluster.degraded_requests").inc()
-        self._settle(call, advisory.to_dict())
+    def _answer_degraded(self) -> None:
+        """Answer this loop turn's degraded calls with one local batch.
 
-    def _local_server(self) -> AdvisoryServer:
+        Prices on the loop's thread, like a worker does: while the
+        whole fleet is down the loop waits for each batch.
+        """
+        calls = [c for c in self._degrading if c.done is not None]
+        self._degrading = []
         if self._local is None:
-            self._local = AdvisoryServer(
-                config=self.config.worker_config()
-            ).start()
-        return self._local
+            self._local = AdvisoryServer(config=self.config.worker_config())
+        try:
+            advisories = self._local.answer([c.query for c in calls])
+        except Exception as exc:  # closed under us: fail, never drop
+            for call in calls:
+                self._settle(call, exc=exc)
+            return
+        self._degraded_total += len(calls)
+        _metrics().counter("cluster.degraded_requests").inc(len(calls))
+        for call, advisory in zip(calls, advisories):
+            advisory.source = "degraded"
+            self._settle(call, advisory.to_dict())
 
     # -- introspection (any thread: reads of loop state) --------------------
 
@@ -927,7 +863,7 @@ class Supervisor:
 
     def cluster_stats(self) -> Dict[str, Any]:
         """Cluster-level counters (the worker-internal ones aggregate
-        separately via :meth:`worker_stats`)."""
+        separately via :meth:`worker_stats_async`)."""
         return {
             "workers": self.config.workers,
             "live": self.live_workers(),
@@ -939,15 +875,8 @@ class Supervisor:
             "degraded": self._degraded_total,
         }
 
-    def worker_stats(self) -> Dict[str, Any]:
-        """Aggregated embedded-server counters across live workers."""
-        loop = self._loop
-        if loop is None or not loop.is_running():
-            return {}
-        return self._run_on_loop(self.worker_stats_async())
-
     async def worker_stats_async(self) -> Dict[str, Any]:
-        """Loop-side :meth:`worker_stats`."""
+        """Aggregated embedded-server counters across live workers."""
         live = [h for h in self._handles if h is not None and h.alive]
         snapshots = await asyncio.gather(
             *(h.stats() for h in live), return_exceptions=True

@@ -6,6 +6,7 @@ kill things get private clusters so carnage never leaks across tests.
 """
 
 import asyncio
+import logging
 import os
 import signal
 import socket
@@ -228,7 +229,7 @@ class TestChaos:
             finally:
                 clear_plan()
 
-    def test_client_survives_front_end_restart(self):
+    def test_client_survives_front_end_restart(self, caplog):
         config = _fast_config(workers=1)
         first = ClusterServer(config).start_background()
         port = first.bound_port
@@ -246,6 +247,11 @@ class TestChaos:
                 assert transport.reconnects >= 1
         finally:
             transport.close()
+        # Cutting the idle connection at stop logs no asyncio error.
+        assert not [
+            r for r in caplog.records
+            if r.name == "asyncio" and r.levelno >= logging.ERROR
+        ]
 
     def test_mid_request_drop_is_resent_not_lost(self):
         # Tear on the 3rd accepted line: the first two queries answer,
@@ -309,8 +315,9 @@ class TestFrontEndFutures:
         assert transport.request(_query(), timeout_s=_BOOT_S).ok
         names = [t.name for t in threading.enumerate()]
         assert not [n for n in names if n.startswith("repro-cluster-read-")]
+        assert "repro-cluster-loop" not in names  # no loop of its own
         assert cluster.supervisor._loop is cluster._loop
-        assert cluster.supervisor._thread is None  # no loop of its own
+        assert cluster.supervisor._thread is None
 
     def test_expired_request_timeout_is_a_typed_retryable_advisory(self):
         with _stopped_worker_cluster(request_timeout_s=0.3) as server:

@@ -26,7 +26,9 @@ from repro.errors import (
 )
 from repro.gpu.specs import get_gpu
 from repro.serve import wire
+from repro.serve.cluster import ClusterServer
 from repro.serve.config import ServeConfig
+from repro.serve.netclient import SocketTransport
 from repro.serve.protocol import Advisory, ShapeQuery
 from repro.serve.server import AdvisoryServer, shard_for
 from repro.serve.supervisor import Supervisor, WorkerHandle
@@ -66,6 +68,35 @@ def _wait_for(predicate, timeout_s=_BOOT_S, interval_s=0.02):
     return predicate()
 
 
+async def _on_loop(sup, query):
+    """``sup.dispatch`` one query on the running loop; its advisory."""
+    reply = asyncio.get_running_loop().create_future()
+
+    def done(advisory, exc):
+        if exc is None:
+            reply.set_result(Advisory.from_dict(advisory))
+        else:
+            reply.set_exception(exc)
+
+    sup.dispatch(query, done)
+    return await reply
+
+
+def _dispatched(sup, query):
+    """:func:`_on_loop` on the loop of ``sup.start()``: a future advisory."""
+    return asyncio.run_coroutine_threadsafe(_on_loop(sup, query), sup._loop)
+
+
+def _dispatch_unstarted(sup, query):
+    """:func:`_on_loop` on a fresh loop for a supervisor with no worker."""
+
+    async def drive():
+        sup._bind_loop(asyncio.get_running_loop())
+        return await _on_loop(sup, query)
+
+    return asyncio.run(drive())
+
+
 class TestLifecycle:
     def test_request_matches_in_process_server(self):
         query = _query()
@@ -97,7 +128,9 @@ class TestLifecycle:
             assert stats["live"] == 2
             assert stats["down"] == []
             assert stats["restarts"] == 0
-            worker_totals = sup.worker_stats()
+            worker_totals = asyncio.run_coroutine_threadsafe(
+                sup.worker_stats_async(), sup._loop
+            ).result(timeout=_BOOT_S)
             assert worker_totals.get("served", 0) >= 1
 
 
@@ -144,6 +177,8 @@ class TestCrashRecovery:
             assert advisory.ok
             assert advisory.source == "degraded"
             assert sup.cluster_stats()["degraded"] >= 1
+            names = [t.name for t in threading.enumerate()]
+            assert not [n for n in names if n.startswith("repro-serve-")]
             # The crash loop stays down: no restart resurrects it.
             assert sup.live_workers() == 0
 
@@ -252,12 +287,13 @@ class TestLoadShedding:
 
 
 class TestFuturePath:
-    """``Supervisor.submit``: futures, failover from the done-callback,
-    and the in-flight count settled exactly once per request."""
+    """``Supervisor.dispatch`` from other threads: many calls in flight,
+    failover of pending calls, and the in-flight count settled exactly
+    once per request."""
 
     def test_submit_resolves_without_blocking(self):
         with Supervisor(_fast_config()) as sup:
-            futures = [sup.submit(_query(m=256 + i)) for i in range(8)]
+            futures = [_dispatched(sup, _query(m=256 + i)) for i in range(8)]
             advisories = [f.result(timeout=_BOOT_S) for f in futures]
             assert all(a.ok and a.source != "degraded" for a in advisories)
             assert [a.query.m for a in advisories] == [
@@ -277,7 +313,7 @@ class TestFuturePath:
 
                 def drive(t):
                     futures = [
-                        sup.submit(_query(m=64 * (1 + (t * 25 + i) % 40)))
+                        _dispatched(sup, _query(m=64 * (1 + (t * 25 + i) % 40)))
                         for i in range(25)
                     ]
                     results.extend(f.result(timeout=_BOOT_S) for f in futures)
@@ -310,7 +346,7 @@ class TestFuturePath:
             victim = sup.worker_pids()[home]
             os.kill(victim, signal.SIGSTOP)  # queries reach it, no answers
             try:
-                futures = [sup.submit(q) for q in queries]
+                futures = [_dispatched(sup, q) for q in queries]
                 time.sleep(0.2)
                 assert not any(f.done() for f in futures)
                 assert sup.cluster_stats()["inflight"] == len(queries)
@@ -336,7 +372,7 @@ class TestFuturePath:
                 assert sup.cluster_stats()["inflight"] == 0
             finally:
                 os.kill(victim, signal.SIGCONT)
-            # The late reply lands on a cancelled future: dropped
+            # The late reply finds its call already answered: dropped
             # quietly, and the count is not settled twice.
             assert sup.request(_query(m=320), timeout_s=_BOOT_S).ok
             assert _wait_for(lambda: sup.cluster_stats()["inflight"] == 0)
@@ -346,16 +382,15 @@ class TestFuturePath:
         sup = Supervisor(_fast_config(workers=1))
         sup.close()
         with pytest.raises(ServerClosedError):
-            sup.submit(_query())
+            sup.request(_query())
         assert sup.cluster_stats()["inflight"] == 0
 
     def test_fleet_down_without_degrade_fails_the_future(self):
         config = _fast_config(workers=1, degrade_local=False)
         sup = Supervisor(config)  # never started: no live workers
         try:
-            future = sup.submit(_query())
             with pytest.raises(ClusterError):
-                future.result(timeout=_BOOT_S)
+                _dispatch_unstarted(sup, _query())
             assert sup.cluster_stats()["inflight"] == 0
         finally:
             sup.close()
@@ -364,11 +399,14 @@ class TestFuturePath:
         config = _fast_config(workers=1, degrade_local=True)
         sup = Supervisor(config)  # never started: no live workers
         try:
-            advisory = sup.submit(_query()).result(timeout=_BOOT_S)
+            advisory = _dispatch_unstarted(sup, _query())
             assert advisory.ok
             assert advisory.source == "degraded"
             assert _wait_for(lambda: sup.cluster_stats()["inflight"] == 0)
             assert sup.cluster_stats()["degraded"] == 1
+            # Answered on the loop: the local server starts no thread.
+            names = [t.name for t in threading.enumerate()]
+            assert not [n for n in names if n.startswith("repro-serve-")]
         finally:
             sup.close()
 
@@ -463,6 +501,8 @@ class TestLoopPipes:
         asyncio.run(drive())
 
     def test_foreign_thread_and_loop_side_dispatch_match_in_process(self):
+        # The transport-parity wall: in-process, Supervisor.request,
+        # loop-side dispatch and TCP answers are equal.
         queries = [
             _query(m=384, n=768, k=192),
             ShapeQuery(kind="kernel_params", m=512, n=512, k=512, batch=2),
@@ -474,23 +514,17 @@ class TestLoopPipes:
         def view(advisory):
             return (advisory.status, advisory.query, advisory.payload)
 
-        async def on_loop(sup, query):
-            future = asyncio.get_running_loop().create_future()
-            sup.dispatch(query, lambda a, e: future.set_result((a, e)))
-            return await future
-
         with Supervisor(_fast_config()) as sup:
-            foreign = [sup.submit(q).result(timeout=_BOOT_S) for q in queries]
-            loop_side = []
-            for query in queries:
-                advisory, exc = asyncio.run_coroutine_threadsafe(
-                    on_loop(sup, query), sup._loop
-                ).result(timeout=_BOOT_S)
-                assert exc is None
-                loop_side.append(Advisory.from_dict(advisory))
+            foreign = [sup.request(q, timeout_s=_BOOT_S) for q in queries]
+            loop_side = [
+                _dispatched(sup, q).result(timeout=_BOOT_S) for q in queries
+            ]
+        with ClusterServer(_fast_config()) as server:
+            with SocketTransport("127.0.0.1", server.bound_port) as transport:
+                tcp = [transport.request(q, timeout_s=_BOOT_S) for q in queries]
         assert all(a.ok for a in expected)
-        assert [view(a) for a in foreign] == [view(a) for a in expected]
-        assert [view(a) for a in loop_side] == [view(a) for a in expected]
+        for route in (foreign, loop_side, tcp):
+            assert [view(a) for a in route] == [view(a) for a in expected]
 
     def test_no_pipe_reader_threads(self):
         with Supervisor(_fast_config()) as sup:
